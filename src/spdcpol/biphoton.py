@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,6 +119,10 @@ class SourceConfig:
     production: UniaxialCrystal
     pump_wavelength: float
     compensators: tuple[CompensatorPlacement, ...] = ()
+    degenerate_wavelength: float = field(init=False)
+    walkoff_B: float = field(init=False)
+    envelope_slope: float = field(init=False)
+    phase_slope: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "compensators", tuple(self.compensators))

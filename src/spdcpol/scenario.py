@@ -49,10 +49,10 @@ from .errors import ConfigError, PhaseMatchingError, UniformStateError
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import MaterialRecord, builtin_materials
-from .measurement import (MAX_SUPPORTED_ANGLE, AngularWindow,
-                          PolarizerSettings, aperture_density_matrix,
-                          coincidence_rate, concurrence, simulate_counts,
-                          visibility_from_counts, window_coincidences)
+from .measurement import (MAX_SUPPORTED_ANGLE, QUAD_TOL, AngularWindow,
+                          PolarizerSettings, _moments_density_matrix,
+                          _window_moments, coincidence_rate, concurrence,
+                          simulate_counts, visibility_from_counts)
 from .output import Table
 
 PRESETS = ("fig2a", "fig2b", "fig2c", "fig3")
@@ -280,14 +280,9 @@ def load_scenario(source: str | Path, seed: int | None = None,
             if max_hw <= 0.0:
                 raise sec.error("max_halfwidth_mrad must be > 0",
                                 key="max_halfwidth_mrad")
-            center = abs(sec.get_float("center_mrad", 0.0)) * 1e-3
-            internal_span = external_to_internal_angle(
-                center + max_hw, geometry, production, 2.0 * pump)
-            if internal_span > MAX_SUPPORTED_ANGLE:
-                raise sec.error(
-                    f"window reaches {internal_span:.4g} rad internal, beyond "
-                    f"the supported |theta| <= {MAX_SUPPORTED_ANGLE} rad",
-                    key="max_halfwidth_mrad")
+            halfwidth_key = "max_halfwidth_mrad"
+            halfwidth_int = external_to_internal_angle(
+                max_hw, geometry, production, 2.0 * pump)
         else:
             keyword = sec.get_str("max_halfwidth", FIRST_SINGLET)
             if keyword != FIRST_SINGLET:
@@ -295,9 +290,23 @@ def load_scenario(source: str | Path, seed: int | None = None,
                     f"max_halfwidth only understands '{FIRST_SINGLET}' "
                     f"(or use max_halfwidth_mrad)", key="max_halfwidth")
             max_hw = None
+            halfwidth_key = "max_halfwidth"
+            halfwidth_int = _bare_singlet_halfwidth(source_config)
+        center = sec.get_float("center_mrad", 0.0) * 1e-3
+        center_int = abs(external_to_internal_angle(center, geometry,
+                                                    production, 2.0 * pump))
+        if center_int + halfwidth_int > MAX_SUPPORTED_ANGLE:
+            # Blame the halfwidth when it alone leaves the domain, else the
+            # center that moved the window out.
+            raise sec.error(
+                f"window reaches {center_int + halfwidth_int:.4g} rad "
+                f"internal, beyond the supported |theta| <= "
+                f"{MAX_SUPPORTED_ANGLE} rad",
+                key=(halfwidth_key if halfwidth_int > MAX_SUPPORTED_ANGLE
+                     else "center_mrad"))
         visibility_spec = VisibilitySpec(
             points=points, max_halfwidth_ext=max_hw,
-            center_ext=sec.get_float("center_mrad", 0.0) * 1e-3,
+            center_ext=center,
             compare_uncompensated=sec.get_bool("compare_uncompensated", False))
 
     counts_spec = None
@@ -345,10 +354,9 @@ def _pinhole_gauss_offset(spec: ScenarioSpec) -> float:
     return width_int / (2.0 * math.sqrt(3.0))
 
 
-def _bare_singlet_halfwidth(spec: ScenarioSpec) -> float:
+def _bare_singlet_halfwidth(source: SourceConfig) -> float:
     # First Psi- angle of the bare production crystal (internal).
-    return math.pi / (abs(spec.source.walkoff_B)
-                      * spec.source.production.length)
+    return math.pi / (abs(source.walkoff_B) * source.production.length)
 
 
 def run_scenario(spec: ScenarioSpec) -> list[Table]:
@@ -404,7 +412,7 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
         center_int = external_to_internal_angle(vspec.center_ext,
                                                 spec.geometry, crystal, wl)
         if vspec.max_halfwidth_ext is None:
-            hmax_int = _bare_singlet_halfwidth(spec)
+            hmax_int = _bare_singlet_halfwidth(spec.source)
         else:
             hmax_int = external_to_internal_angle(vspec.max_halfwidth_ext,
                                                   spec.geometry, crystal, wl)
@@ -418,12 +426,10 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
             for k in range(1, vspec.points + 1):
                 halfwidth = hmax_int * k / vspec.points
                 window = AngularWindow(center=center_int, halfwidth=halfwidth)
-                c_pp = window_coincidences(
-                    PolarizerSettings(math.pi / 4, math.pi / 4), window, config)
-                c_pm = window_coincidences(
-                    PolarizerSettings(math.pi / 4, -math.pi / 4), window, config)
+                moments = _window_moments(window, config, QUAD_TOL)
+                c_pp, c_pm = moments.even, moments.odd
                 vis = visibility_from_counts(c_pp, c_pm)
-                conc = concurrence(aperture_density_matrix(window, config))
+                conc = concurrence(_moments_density_matrix(moments))
                 rows.append((internal_to_external_angle(halfwidth,
                                                         spec.geometry,
                                                         crystal, wl),

@@ -78,6 +78,32 @@ def test_numerics_failure_exits_3(monkeypatch, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_window_center_outside_domain_exits_2(tmp_path):
+    # The default first_singlet halfwidth has no key of its own, so the
+    # domain check must name the center that pushed the window out.
+    scenario = tmp_path / "offaxis.cfg"
+    scenario.write_text("""\
+[source]
+material = bbo
+pump_wavelength_nm = 351
+length_mm = 1.0
+
+[geometry]
+lens_focal_length_mm = 500
+
+[visibility]
+points = 3
+center_mrad = 200
+""")
+    run = _run_console_script("spdcpol.cli:main",
+                              ["run", str(scenario), "--out",
+                               str(tmp_path / "out")])
+    assert run.returncode == 2, run.stderr
+    assert f"{scenario}:11:" in run.stderr
+    assert "supported" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_bell_angles_stdout(capsys):
     code = cli.main(["bell-angles", "fig2c", "--state", "psi-"])
     assert code == 0

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spdcpol as sp
 from spdcpol import measurement
@@ -225,6 +226,104 @@ def test_visibility_undefined_when_counts_vanish(bare_config, monkeypatch):
                         lambda theta, settings, config: 0.0)
     with pytest.raises(sp.UndefinedVisibilityError):
         sp.visibility(sp.AngularWindow(0.0, 0.0), bare_config)
+
+
+# ------------------------------------------- window accuracy: mpmath oracle
+
+def _oracle_window(config, lo, hi):
+    """(C_pp, C_pm, V, concurrence) of [lo, hi] from 30-digit mpmath.
+
+    C_pp = int w cos^2(phi/2), C_pm = int w sin^2(phi/2) and
+    Im M1 = int w sin(phi), w = sinc^2(a theta), each by tanh-sinh on
+    sub-intervals cut at the sinc zeros and at every period of e^{i phi}.
+    """
+    with mpmath.workdps(30):
+        a = mpmath.mpf(config.envelope_slope)
+        k = mpmath.mpf(config.phase_slope)
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        cuts = [lo]
+        n = int(mpmath.floor(lo * a / mpmath.pi)) + 1
+        while n * mpmath.pi / a < hi:
+            if n != 0:
+                cuts.append(n * mpmath.pi / a)
+            n += 1
+        cuts.append(hi)
+        points = [lo]
+        for left, right in zip(cuts, cuts[1:]):
+            pieces = max(1, int(mpmath.ceil((right - left) * abs(k)
+                                            / (2 * mpmath.pi))))
+            points += [left + (right - left) * j / pieces
+                       for j in range(1, pieces + 1)]
+
+        def weight(theta):
+            return (mpmath.sin(a * theta) / (a * theta)) ** 2 if theta \
+                else mpmath.mpf(1)
+
+        c_pp = mpmath.quad(lambda t: weight(t) * mpmath.cos(k * t / 2) ** 2,
+                           points)
+        c_pm = mpmath.quad(lambda t: weight(t) * mpmath.sin(k * t / 2) ** 2,
+                           points)
+        imag = mpmath.quad(lambda t: weight(t) * mpmath.sin(k * t), points)
+        m0 = c_pp + c_pm
+        return (float(c_pp), float(c_pm), float(abs(c_pp - c_pm) / m0),
+                float(abs(mpmath.mpc(c_pp - c_pm, imag)) / m0))
+
+
+# V and concurrence are differences of the two counts over M0 near V = 0,
+# so below this size they are judged on absolute error.
+_UNIT_FLOOR = 1e-3
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(["bare", "compensated", "anticompensated"]),
+       kind=st.sampled_from(["narrow", "wide", "far"]),
+       center_share=st.floats(-1.0, 1.0),
+       width_exp=st.floats(-7.0, -1.0))
+@example(source="anticompensated", kind="fig2c", center_share=0.0,
+         width_exp=0.0)
+def test_window_observables_match_mpmath(source, kind, center_share,
+                                         width_exp, bare_config,
+                                         compensated_config,
+                                         anticompensated_config):
+    config = {"bare": bare_config, "compensated": compensated_config,
+              "anticompensated": anticompensated_config}[source]
+    if kind == "fig2c":  # the fig2c window, 6.75 +- 0.57 mrad internal
+        center, halfwidth = 6.75e-3, 0.57e-3
+    elif kind == "narrow":  # pinholes down to 1e-9 rad near the axis
+        center, halfwidth = 5e-3 * center_share, 10.0 ** (width_exp - 2.0)
+    elif kind == "wide":  # many sinc lobes and phase periods
+        center = 0.02 * center_share
+        halfwidth = 0.079 * 10.0 ** (width_exp / 6.0)
+    else:  # far off axis, up to the 0.1 rad edge of the domain
+        center = math.copysign(0.05 + 0.045 * abs(center_share),
+                               center_share)
+        halfwidth = min(10.0 ** width_exp, 0.0999 - abs(center))
+    window = sp.AngularWindow(center, halfwidth)
+    got = (sp.window_coincidences(sp.PolarizerSettings(P45, P45), window,
+                                  config),
+           sp.window_coincidences(sp.PolarizerSettings(P45, -P45), window,
+                                  config),
+           sp.visibility(window, config),
+           sp.concurrence(sp.aperture_density_matrix(window, config)))
+    want = _oracle_window(config, center - halfwidth, center + halfwidth)
+    for index, (value, ref) in enumerate(zip(got, want)):
+        size = abs(ref) if index < 2 else max(abs(ref), _UNIT_FLOOR)
+        assert abs(value - ref) <= 1e-12 * size, (index, value, ref)
+
+
+def test_window_kernel_reports_unmet_tolerance(anticompensated_config):
+    window = sp.AngularWindow(0.05, 0.04)
+    with pytest.raises(sp.QuadratureError) as info:
+        sp.window_coincidences(sp.PolarizerSettings(P45, P45), window,
+                               anticompensated_config, tol=1e-30)
+    assert info.value.requested == 1e-30
+    # the estimate is relative to M0 and sits near rounding level
+    assert 1e-30 < info.value.achieved < 1e-12
+    # edges that coincide in floating point leave no window to integrate
+    with pytest.raises(sp.QuadratureError) as info:
+        sp.visibility(sp.AngularWindow(1e-3, 1e-20), anticompensated_config)
+    assert info.value.achieved == math.inf
+    assert info.value.requested == measurement.QUAD_TOL
 
 
 # -------------------------------------------- concurrence / bell fidelity
