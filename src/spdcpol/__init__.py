@@ -16,11 +16,10 @@ external angles, related by theta_ext = n_o(lambda_deg) * theta_int in the
 small-angle regime. Units are SI everywhere inside the library.
 """
 
-from .biphoton import (BASIS, AngularSample, BellAngle, BellAngleSet,
-                       BellState, CompensatorPlacement, Orientation,
-                       SourceConfig, TwoPhotonState, angular_envelope,
-                       bell_angles, bell_state, relative_phase, sample_at,
-                       sinc, state_at_angle)
+from .biphoton import (BASIS, BellAngle, BellAngleSet, BellState,
+                       CompensatorPlacement, Orientation, SourceConfig,
+                       TwoPhotonState, angular_envelope, bell_angles,
+                       bell_state, relative_phase, sinc, state_at_angle)
 from .crystal import (SellmeierCoefficients, UniaxialCrystal,
                       WalkoffParameters, WalkoffReport, dne_dtheta,
                       group_mismatch_D, index_extraordinary, index_ordinary,
@@ -35,10 +34,9 @@ from .geometry import (GeometryConfig, external_to_internal_angle,
                        pinhole_to_internal_angle)
 from .materials import (MaterialRecord, builtin_materials, get_material,
                         load_materials, parse_materials)
-from .measurement import (AngularScan, AngularWindow, CountRecord,
-                          DensityMatrix4, PolarizerSettings,
-                          aperture_density_matrix, bell_fidelity,
-                          coincidence_rate, concurrence, scan,
+from .measurement import (AngularWindow, CountRecord, DensityMatrix4,
+                          PolarizerSettings, aperture_density_matrix,
+                          bell_fidelity, coincidence_rate, concurrence,
                           simulate_counts, visibility,
                           visibility_from_counts, window_coincidences)
 from .output import Table, from_csv, to_csv, to_json, write_table

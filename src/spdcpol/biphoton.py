@@ -173,21 +173,6 @@ def state_at_angle(theta: float, config: SourceConfig) -> TwoPhotonState:
 
 
 @dataclass(frozen=True)
-class AngularSample:
-    theta: float     # rad, internal scattering angle
-    envelope: float  # sinc amplitude
-    phase: float     # rad
-    state: TwoPhotonState
-
-
-def sample_at(theta: float, config: SourceConfig) -> AngularSample:
-    return AngularSample(theta=theta,
-                         envelope=angular_envelope(theta, config),
-                         phase=relative_phase(theta, config),
-                         state=state_at_angle(theta, config))
-
-
-@dataclass(frozen=True)
 class BellAngle:
     theta: float     # rad, internal; the mirror angle -theta is implied
     envelope: float

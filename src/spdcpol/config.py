@@ -12,6 +12,7 @@ raise ConfigError pointing at the exact line when a value fails to resolve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -37,29 +38,32 @@ class Section:
     def has(self, key: str) -> bool:
         return key in self.entries
 
+    def _default(self, key: str, default):
+        if default is None:
+            raise self.error(f"missing required key '{key}' in [{self.name}]")
+        return default
+
     def get_str(self, key: str, default: str | None = None) -> str:
         if key not in self.entries:
-            if default is None:
-                raise self.error(f"missing required key '{key}' in [{self.name}]")
-            return default
+            return self._default(key, default)
         return self.entries[key].value
 
     def get_float(self, key: str, default: float | None = None) -> float:
         if key not in self.entries:
-            if default is None:
-                raise self.error(f"missing required key '{key}' in [{self.name}]")
-            return default
+            return self._default(key, default)
         raw = self.entries[key].value
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise self.error(f"expected a number for '{key}', got '{raw}'", key)
+        if not math.isfinite(value):
+            raise self.error(f"expected a finite number for '{key}', "
+                             f"got '{raw}'", key)
+        return value
 
     def get_int(self, key: str, default: int | None = None) -> int:
         if key not in self.entries:
-            if default is None:
-                raise self.error(f"missing required key '{key}' in [{self.name}]")
-            return default
+            return self._default(key, default)
         raw = self.entries[key].value
         try:
             return int(raw)
@@ -68,9 +72,7 @@ class Section:
 
     def get_bool(self, key: str, default: bool | None = None) -> bool:
         if key not in self.entries:
-            if default is None:
-                raise self.error(f"missing required key '{key}' in [{self.name}]")
-            return default
+            return self._default(key, default)
         raw = self.entries[key].value.lower()
         if raw in ("true", "yes", "on", "1"):
             return True

@@ -25,7 +25,6 @@ SMALL_ANGLE_LIMIT = 0.1  # |offset|/f bound for the linearized mapping
 class GeometryConfig:
     lens_focal_length: float   # m
     pinhole_diameter: float = 0.0  # m, 0 = ideal point detector
-    pinhole_offset: float = 0.0    # m, transverse position in the focal plane
     ambient_index: float = 1.0
 
     def __post_init__(self):

@@ -84,32 +84,6 @@ def coincidence_rate(theta: float, settings: PolarizerSettings,
 
 
 @dataclass(frozen=True)
-class AngularScan:
-    """Point-sampled coincidence curve: the unit of CSV output."""
-
-    settings: PolarizerSettings
-    thetas: tuple[float, ...]
-    envelopes: tuple[float, ...]
-    phases: tuple[float, ...]
-    rates: tuple[float, ...]
-
-
-def scan(settings: PolarizerSettings, config: SourceConfig,
-         grid) -> AngularScan:
-    """Evaluate envelope, phase and rate on a strictly increasing theta grid."""
-    thetas = tuple(float(t) for t in grid)
-    if not thetas:
-        raise ValueError("empty scan grid")
-    if any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise ValueError("scan grid must be strictly increasing")
-    envelopes = tuple(angular_envelope(t, config) for t in thetas)
-    phases = tuple(relative_phase(t, config) for t in thetas)
-    rates = tuple(coincidence_rate(t, settings, config) for t in thetas)
-    return AngularScan(settings=settings, thetas=thetas, envelopes=envelopes,
-                       phases=phases, rates=rates)
-
-
-@dataclass(frozen=True)
 class DensityMatrix4:
     """4x4 Hermitian unit-trace positive matrix over (HH, HV, VH, VV)."""
 
@@ -148,6 +122,9 @@ class DensityMatrix4:
 # half-order rule whose difference from it is the error estimate.
 _GL_ORDER = 32
 _GL_CHECK_ORDER = 16
+# Panels per window: 2**13 panels of 48 nodes keep the kernel's arrays
+# near 20 MB and cover a 12 cm BBO crystal over the whole model domain.
+_MAX_PANELS = 1 << 13
 
 
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,6 +208,13 @@ def _window_moments(window: AngularWindow, config: SourceConfig,
     lo = window.center - window.halfwidth
     hi = window.center + window.halfwidth
     a = config.envelope_slope
+    # A long crystal or a steep phase law would ask for unbounded memory.
+    panels = (hi - lo) * (a / math.pi + abs(config.phase_slope)
+                          / (2.0 * math.pi)) + 2.0
+    if not panels <= _MAX_PANELS:
+        raise QuadratureError(
+            f"window quadrature on [{lo}, {hi}] rad needs about {panels:.3g} "
+            f"panels, more than the limit of {_MAX_PANELS}")
     edges = np.array([lo, hi])
     if a > 0.0:
         n = np.arange(math.floor(lo * a / math.pi) + 1,
@@ -378,29 +362,28 @@ def bell_fidelity(rho: DensityMatrix4, which: BellState) -> float:
 
 @dataclass(frozen=True)
 class CountRecord:
-    settings: PolarizerSettings | None
-    window: AngularWindow | None
-    true_rate: float        # 1/s
-    accidental_rate: float  # 1/s
-    duration: float         # s
-    counts: int
+    true_rate: float | np.ndarray  # 1/s, one per count
+    accidental_rate: float         # 1/s
+    duration: float                # s
+    counts: int | np.ndarray
 
 
-def simulate_counts(true_rate: float, accidental_rate: float, duration: float,
-                    seed: int, settings: PolarizerSettings | None = None,
-                    window: AngularWindow | None = None) -> CountRecord:
+def simulate_counts(true_rate: float | np.ndarray, accidental_rate: float,
+                    duration: float,
+                    seed: int | np.random.SeedSequence) -> CountRecord:
     """Poisson coincidence counts with mean (true + accidental) * duration.
 
+    ``true_rate`` is one rate (the count is an ``int``) or an array of rates
+    (the counts are an integer array, drawn in order from one generator).
     Deterministic per seed; every call owns its generator, so concurrent
     simulations never share state.
     """
-    if true_rate < 0.0 or accidental_rate < 0.0:
+    if np.any(np.asarray(true_rate) < 0.0) or accidental_rate < 0.0:
         raise ValueError("rates must be >= 0")
     if duration < 0.0:
         raise ValueError("duration must be >= 0")
     rng = np.random.default_rng(seed)
-    mean = (true_rate + accidental_rate) * duration
-    counts = int(rng.poisson(mean))
-    return CountRecord(settings=settings, window=window, true_rate=true_rate,
-                       accidental_rate=accidental_rate, duration=duration,
-                       counts=counts)
+    counts = rng.poisson((true_rate + accidental_rate) * duration)
+    return CountRecord(true_rate=true_rate, accidental_rate=accidental_rate,
+                       duration=duration,
+                       counts=counts if np.ndim(counts) else int(counts))

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,10 @@ COUNTS_COLUMNS = ("theta_ext_rad", "theta_int_rad", "true_rate_hz",
                   "accidental_rate_hz", "duration_s", "counts")
 
 FIRST_SINGLET = "first_singlet"
+
+# Bound on scan and sweep points and on bell_max_order: every size read from
+# a scenario allocates in proportion to it.
+MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -138,11 +143,14 @@ def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
                 f"settings_deg expects 'T1 T2; T1 T2; ...' in degrees, "
                 f"got '{raw}'", key="settings_deg")
         try:
-            pairs.append((float(parts[0]), float(parts[1])))
+            pair = (float(parts[0]), float(parts[1]))
+            if not all(math.isfinite(angle) for angle in pair):
+                raise ValueError
         except ValueError:
             raise section.error(
-                f"settings_deg values must be numbers, got '{chunk.strip()}'",
-                key="settings_deg")
+                f"settings_deg values must be finite numbers, got "
+                f"'{chunk.strip()}'", key="settings_deg")
+        pairs.append(pair)
     if not pairs:
         raise section.error("settings_deg is empty", key="settings_deg")
     return tuple(pairs)
@@ -183,8 +191,15 @@ def load_scenario(source: str | Path, seed: int | None = None,
         sec.reject_unknown({"name", "seed", "bell_max_order"})
         name = sec.get_str("name", name)
         seed_value = sec.get_int("seed", 0)
+        if seed_value < 0:
+            raise sec.error("seed must be >= 0", key="seed")
         bell_max_order = sec.get_int("bell_max_order", 8)
+        if not 1 <= bell_max_order <= MAX_POINTS:
+            raise sec.error(f"bell_max_order must lie in [1, {MAX_POINTS}]",
+                            key="bell_max_order")
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         seed_value = seed
 
     src = by_name["source"]
@@ -253,11 +268,20 @@ def load_scenario(source: str | Path, seed: int | None = None,
         lo = sec.get_float("theta_ext_min_mrad") * 1e-3
         hi = sec.get_float("theta_ext_max_mrad") * 1e-3
         points = sec.get_int("points")
-        if points < 2:
-            raise sec.error("scan needs at least 2 points", key="points")
+        if not 2 <= points <= MAX_POINTS:
+            raise sec.error(f"scan needs 2 to {MAX_POINTS} points",
+                            key="points")
         if not lo < hi:
             raise sec.error("theta_ext_min_mrad must be below "
                             "theta_ext_max_mrad")
+        edge_key = "theta_ext_min_mrad" if -lo > hi else "theta_ext_max_mrad"
+        edge_int = external_to_internal_angle(max(-lo, hi), geometry,
+                                              production, 2.0 * pump)
+        if edge_int > MAX_SUPPORTED_ANGLE:
+            raise sec.error(
+                f"scan reaches {edge_int:.4g} rad internal, beyond the "
+                f"supported |theta| <= {MAX_SUPPORTED_ANGLE} rad",
+                key=edge_key)
         scan_spec = ScanSpec(theta_ext_min=lo, theta_ext_max=hi,
                              points=points,
                              settings_deg=_parse_settings(sec))
@@ -268,9 +292,9 @@ def load_scenario(source: str | Path, seed: int | None = None,
         sec.reject_unknown({"points", "max_halfwidth", "max_halfwidth_mrad",
                             "center_mrad", "compare_uncompensated"})
         points = sec.get_int("points")
-        if points < 1:
-            raise sec.error("visibility sweep needs at least 1 point",
-                            key="points")
+        if not 1 <= points <= MAX_POINTS:
+            raise sec.error(f"visibility sweep needs 1 to {MAX_POINTS} "
+                            f"points", key="points")
         if sec.has("max_halfwidth") and sec.has("max_halfwidth_mrad"):
             raise sec.error("give either max_halfwidth or max_halfwidth_mrad,"
                             " not both")
@@ -295,6 +319,12 @@ def load_scenario(source: str | Path, seed: int | None = None,
         center = sec.get_float("center_mrad", 0.0) * 1e-3
         center_int = abs(external_to_internal_angle(center, geometry,
                                                     production, 2.0 * pump))
+        narrowest = halfwidth_int / points
+        if center_int - narrowest == center_int + narrowest:
+            raise sec.error(
+                f"the narrowest window, {center_int:.4g} +- {narrowest:.4g} "
+                f"rad internal, has no width in floating point",
+                key=halfwidth_key)
         if center_int + halfwidth_int > MAX_SUPPORTED_ANGLE:
             # Blame the halfwidth when it alone leaves the domain, else the
             # center that moved the window out.
@@ -321,6 +351,14 @@ def load_scenario(source: str | Path, seed: int | None = None,
         if counts_spec.duration < 0.0 or counts_spec.peak_rate < 0.0 \
                 or counts_spec.accidental_rate < 0.0:
             raise sec.error("counts durations and rates must be >= 0")
+        # rate_arb <= 1 bounds each mean; counts <= 2**53 are exact as floats.
+        mean = ((counts_spec.peak_rate + counts_spec.accidental_rate)
+                * counts_spec.duration)
+        if mean > 2.0 ** 53:
+            raise sec.error(
+                f"(peak_rate_hz + accidental_rate_hz) * duration_s = "
+                f"{mean:.4g} exceeds 2**53, the largest exact count",
+                key="duration_s")
 
     return ScenarioSpec(name=name, seed=seed_value, source=source_config,
                         geometry=geometry, scan=scan_spec,
@@ -369,43 +407,37 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
     wl = spec.source.degenerate_wavelength
 
     if spec.scan is not None:
-        ext_grid = np.linspace(spec.scan.theta_ext_min,
-                               spec.scan.theta_ext_max, spec.scan.points)
-        int_grid = [external_to_internal_angle(float(t), spec.geometry,
-                                               crystal, wl)
-                    for t in ext_grid]
+        grid = np.linspace(spec.scan.theta_ext_min, spec.scan.theta_ext_max,
+                           spec.scan.points)
+        ext_grid = grid.tolist()
+        int_grid = external_to_internal_angle(grid, spec.geometry, crystal,
+                                              wl).tolist()
+        envelopes = [angular_envelope(t, spec.source) for t in int_grid]
+        phases = [relative_phase(t, spec.source) for t in int_grid]
         gauss_offset = _pinhole_gauss_offset(spec)
         for table_index, pair in enumerate(spec.scan.settings_deg):
             settings = PolarizerSettings(math.radians(pair[0]),
                                          math.radians(pair[1]))
-            rows = []
-            for t_ext, t_int in zip(ext_grid, int_grid):
-                rows.append((float(t_ext), t_int,
-                             angular_envelope(t_int, spec.source),
-                             relative_phase(t_int, spec.source),
-                             _averaged_rate(t_int, settings, spec,
-                                            gauss_offset)))
+            rates = [_averaged_rate(t, settings, spec, gauss_offset)
+                     for t in int_grid]
             tables.append(Table(
                 name=f"{spec.name}_scan_{_settings_label(pair)}",
-                columns=SCAN_COLUMNS, rows=rows))
+                columns=SCAN_COLUMNS,
+                rows=list(zip(ext_grid, int_grid, envelopes, phases, rates))))
             if spec.counts is not None:
-                seeds = np.random.SeedSequence(
-                    (spec.seed, table_index)).generate_state(
-                        spec.scan.points, dtype=np.uint64)
-                count_rows = []
-                for k, (t_ext, t_int) in enumerate(zip(ext_grid, int_grid)):
-                    true_rate = spec.counts.peak_rate * _averaged_rate(
-                        t_int, settings, spec, gauss_offset)
-                    record = simulate_counts(
-                        true_rate, spec.counts.accidental_rate,
-                        spec.counts.duration, int(seeds[k]),
-                        settings=settings)
-                    count_rows.append((float(t_ext), t_int, record.true_rate,
-                                       record.accidental_rate,
-                                       record.duration, record.counts))
+                counts = spec.counts
+                record = simulate_counts(
+                    counts.peak_rate * np.array(rates),
+                    counts.accidental_rate, counts.duration,
+                    np.random.SeedSequence((spec.seed, table_index)))
                 tables.append(Table(
                     name=f"{spec.name}_counts_{_settings_label(pair)}",
-                    columns=COUNTS_COLUMNS, rows=count_rows))
+                    columns=COUNTS_COLUMNS,
+                    rows=list(zip(ext_grid, int_grid,
+                                  record.true_rate.tolist(),
+                                  repeat(counts.accidental_rate),
+                                  repeat(counts.duration),
+                                  record.counts.tolist()))))
 
     if spec.visibility is not None:
         vspec = spec.visibility

@@ -132,16 +132,6 @@ def test_state_invariant_errors():
         sp.TwoPhotonState(np.array([1.0, 0.0, 0.0]))  # wrong shape
 
 
-def test_angular_sample_bundles_consistently(bare_config):
-    theta = 2.5e-3
-    sample = sp.sample_at(theta, bare_config)
-    assert sample.theta == theta
-    assert sample.envelope == sp.angular_envelope(theta, bare_config)
-    assert sample.phase == sp.relative_phase(theta, bare_config)
-    # envelope recomputable from the config to full precision
-    assert sample.envelope == sp.sinc(bare_config.envelope_slope * theta)
-
-
 # -------------------------------------------------------------- bell angles
 
 def test_bell_angles_anticompensated_singlets(anticompensated_config):

@@ -4,9 +4,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spdcpol
 import spdcpol.cli as cli
@@ -102,6 +105,93 @@ center_mrad = 200
     assert f"{scenario}:11:" in run.stderr
     assert "supported" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_oversized_count_mean_exits_2(tmp_path):
+    scenario = tmp_path / "huge.cfg"
+    scenario.write_text("""\
+[source]
+material = bbo
+pump_wavelength_nm = 351
+length_mm = 1.0
+
+[geometry]
+lens_focal_length_mm = 500
+
+[scan]
+theta_ext_min_mrad = -2
+theta_ext_max_mrad = 2
+points = 5
+settings_deg = 45 45
+
+[counts]
+peak_rate_hz = 1
+duration_s = 1e60
+""")
+    run = _run_console_script("spdcpol.cli:main",
+                              ["run", str(scenario), "--out",
+                               str(tmp_path / "out")])
+    assert run.returncode == 2, run.stderr
+    assert f"{scenario}:17:" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+FUZZ_BASE = """\
+[scenario]
+name = fuzz
+seed = 3
+bell_max_order = 4
+
+[source]
+material = bbo
+pump_wavelength_nm = 351
+length_mm = 1.0
+
+[compensator]
+material = bbo
+length_mm = 0.5
+orientation = anticompensating
+cut_angle_deg = 49
+
+[geometry]
+lens_focal_length_mm = 500
+pinhole_diameter_um = 200
+ambient_index = 1.0
+
+[scan]
+theta_ext_min_mrad = -6
+theta_ext_max_mrad = 6
+points = 9
+settings_deg = 45 45; 45 -45
+
+[visibility]
+points = 3
+max_halfwidth_mrad = 2
+center_mrad = 1
+compare_uncompensated = true
+
+[counts]
+duration_s = 1.5
+peak_rate_hz = 1000
+accidental_rate_hz = 5
+"""
+FUZZ_KEY_LINES = [i for i, line in enumerate(FUZZ_BASE.splitlines())
+                  if "=" in line]
+HOSTILE = ("nan", "inf", "-1", "0", "1e60", "1e-20", str(10**12), "abc")
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.sampled_from(FUZZ_KEY_LINES), value=st.sampled_from(HOSTILE))
+def test_hostile_values_exit_cleanly(line, value):
+    lines = FUZZ_BASE.splitlines()
+    key = lines[line].partition("=")[0].strip()
+    lines[line] = f"{key} = {value}"
+    with tempfile.TemporaryDirectory() as directory:
+        scenario = Path(directory) / "fuzz.cfg"
+        scenario.write_text("\n".join(lines) + "\n")
+        code = cli.main(["run", str(scenario), "--out",
+                         str(Path(directory) / "out")])
+    assert code in (0, 2, 3)
 
 
 def test_bell_angles_stdout(capsys):

@@ -75,3 +75,12 @@ def test_bool_values():
     assert section.get_bool("b") is False
     with pytest.raises(ConfigError):
         section.get_bool("c")
+
+
+def test_non_finite_numbers_point_at_their_line():
+    for raw in ("nan", "inf", "-inf", "NaN", "1e400"):
+        section = parse_config(f"[s]\n\nx = {raw}\n", "f.cfg")[0]
+        with pytest.raises(ConfigError) as info:
+            section.get_float("x")
+        assert info.value.line == 3
+        assert "finite" in str(info.value)

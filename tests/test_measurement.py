@@ -69,20 +69,6 @@ def _config():
 
 # ------------------------------------------------------------------- scan
 
-def test_scan_even_with_peak_on_axis(bare_config):
-    grid = np.linspace(-6e-3, 6e-3, 241)
-    result = sp.scan(sp.PolarizerSettings(P45, P45), bare_config, grid)
-    rates = np.array(result.rates)
-    assert np.allclose(rates, rates[::-1], atol=1e-14)
-    assert rates.argmax() == len(grid) // 2
-
-
-def test_scan_compensated_suppression(compensated_config):
-    grid = np.linspace(-6e-3, 6e-3, 241)
-    result = sp.scan(sp.PolarizerSettings(P45, -P45), compensated_config, grid)
-    assert max(result.rates) < 1e-12
-
-
 def test_scan_anticompensated_first_zero_at_half_angle(
         bare_config, anticompensated_config):
     settings = sp.PolarizerSettings(P45, P45)
@@ -114,14 +100,6 @@ def _first_zero(rate, upper=5e-3):
     best = 0.5 * (lo + hi)
     assert rate(best) < 1e-12
     return best
-
-
-def test_scan_grid_validation(bare_config):
-    settings = sp.PolarizerSettings(P45, P45)
-    with pytest.raises(ValueError):
-        sp.scan(settings, bare_config, [])
-    with pytest.raises(ValueError):
-        sp.scan(settings, bare_config, [0.0, 0.0, 1e-3])
 
 
 # -------------------------------------------------- aperture density matrix
@@ -324,6 +302,15 @@ def test_window_kernel_reports_unmet_tolerance(anticompensated_config):
         sp.visibility(sp.AngularWindow(1e-3, 1e-20), anticompensated_config)
     assert info.value.achieved == math.inf
     assert info.value.requested == measurement.QUAD_TOL
+    # a 25 cm crystal over the whole domain needs about twice the panels
+    # the kernel builds; it refuses before allocating them
+    bbo = sp.get_material("bbo")
+    cut = anticompensated_config.production.cut_angle
+    long_source = sp.SourceConfig(
+        production=bbo.crystal(cut_angle=cut, length=0.25),
+        pump_wavelength=351e-9)
+    with pytest.raises(sp.QuadratureError, match="panels"):
+        sp.visibility(sp.AngularWindow(0.0, 0.1), long_source)
 
 
 # -------------------------------------------- concurrence / bell fidelity
@@ -435,3 +422,19 @@ def test_counts_validation():
         sp.simulate_counts(-1.0, 0.0, 1.0, seed=0)
     with pytest.raises(ValueError):
         sp.simulate_counts(1.0, 0.0, -1.0, seed=0)
+    with pytest.raises(ValueError):
+        sp.simulate_counts(np.array([1.0, -1.0]), 0.0, 1.0, seed=0)
+
+
+def test_counts_for_an_array_of_rates():
+    rates = np.array([0.0, 10.0, 1000.0, 5.0])
+    record = sp.simulate_counts(rates, 2.0, 3.0, seed=np.random.SeedSequence(9))
+    again = sp.simulate_counts(rates, 2.0, 3.0, seed=np.random.SeedSequence(9))
+    assert record.counts.shape == rates.shape
+    assert np.array_equal(record.counts, again.counts)
+    assert record.true_rate is rates
+    # one generator per call: the draws follow that generator's stream
+    expected = np.random.default_rng(np.random.SeedSequence(9)).poisson(
+        (rates + 2.0) * 3.0)
+    assert np.array_equal(record.counts, expected)
+    assert type(sp.simulate_counts(10.0, 2.0, 3.0, seed=9).counts) is int

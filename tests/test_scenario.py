@@ -119,9 +119,11 @@ def test_bad_orientation_reports_line(tmp_path):
 
 
 def test_bad_settings_pair(tmp_path):
-    with pytest.raises(sp.ConfigError):
-        _load_text(tmp_path, BASE.replace("settings_deg = 45 45",
-                                          "settings_deg = 45"))
+    for value in ("45", "45 nan", "inf 45"):
+        with pytest.raises(sp.ConfigError) as info:
+            _load_text(tmp_path, BASE.replace("settings_deg = 45 45",
+                                              f"settings_deg = {value}"))
+        assert info.value.line == 16
 
 
 def test_scan_bounds_validated(tmp_path):
@@ -364,3 +366,72 @@ def test_invalid_compensator_length_is_config_error(tmp_path):
     with pytest.raises(sp.ConfigError) as info:
         _load_text(tmp_path, text)
     assert "compensator" in str(info.value)
+
+
+def test_non_finite_values_point_at_their_key(tmp_path):
+    text = BASE.replace("pump_wavelength_nm = 351", "pump_wavelength_nm = nan")
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert info.value.line == 6
+    text = BASE + "\n[counts]\nduration_s = nan\npeak_rate_hz = 10\n"
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert info.value.line == 19
+
+
+def test_scan_edges_outside_domain_are_config_errors(tmp_path):
+    # 400 mrad external is about 0.24 rad internal in BBO
+    for key, line in (("theta_ext_min_mrad", 13), ("theta_ext_max_mrad", 14)):
+        sign = "-" if key == "theta_ext_min_mrad" else ""
+        text = BASE.replace(f"{key} = {sign}2", f"{key} = {sign}400")
+        with pytest.raises(sp.ConfigError) as info:
+            _load_text(tmp_path, text)
+        assert info.value.line == line
+        assert "supported" in str(info.value)
+
+
+def test_sizes_are_capped(tmp_path):
+    from spdcpol.scenario import MAX_POINTS
+    text = BASE.replace("points = 11", f"points = {MAX_POINTS + 1}")
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert info.value.line == 15
+    text = BASE + f"\n[visibility]\npoints = {10**12}\n"
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert info.value.line == 19
+    text = BASE.replace("name = demo", f"name = demo\nbell_max_order = {10**12}")
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert info.value.line == 3
+    text = BASE.replace("name = demo", "name = demo\nseed = -1")
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert info.value.line == 3
+    with pytest.raises(sp.ConfigError):
+        _load_text(tmp_path, BASE, seed=-1)
+
+
+def test_sub_resolution_window_is_config_error(tmp_path):
+    text = BASE + ("\n[visibility]\npoints = 3\ncenter_mrad = 1\n"
+                   "max_halfwidth_mrad = 1e-20\n")
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert info.value.line == 21
+    # the same width on axis is a window
+    assert _load_text(tmp_path, text.replace("center_mrad = 1",
+                                             "center_mrad = 0")).visibility
+
+
+def test_oversized_count_mean_is_config_error(tmp_path):
+    for duration in ("1e60", "1e13"):
+        text = COUNTS.replace("duration_s = 1.0", f"duration_s = {duration}")
+        with pytest.raises(sp.ConfigError) as info:
+            _load_text(tmp_path, text)
+        assert info.value.line == 19
+        assert "2**53" in str(info.value)
+    # (1000 + 10) * 8e12 is just below 2**53 and still runs
+    text = COUNTS.replace("duration_s = 1.0", "duration_s = 8e12")
+    counts = _column(_table(sp.run_scenario(_load_text(tmp_path, text)),
+                            "demo_counts_45_45"), "counts")
+    assert counts.max() < 2.0 ** 53
