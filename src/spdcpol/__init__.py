@@ -20,25 +20,23 @@ from .biphoton import (BASIS, BellAngle, BellAngleSet, BellState,
                        CompensatorPlacement, Orientation, SourceConfig,
                        TwoPhotonState, angular_envelope, bell_angles,
                        bell_state, relative_phase, sinc, state_at_angle)
-from .crystal import (SellmeierCoefficients, UniaxialCrystal,
-                      WalkoffParameters, WalkoffReport, dne_dtheta,
-                      group_mismatch_D, index_extraordinary, index_ordinary,
-                      longitudinal_walkoff_check, phase_matching_cut_angle,
-                      phase_matching_mismatch, transverse_walkoff_B,
-                      walkoff_parameters)
+from .crystal import (SellmeierCoefficients, UniaxialCrystal, WalkoffReport,
+                      dne_dtheta, group_mismatch_D, index_extraordinary,
+                      index_ordinary, longitudinal_walkoff_check,
+                      phase_matching_cut_angle, phase_matching_mismatch,
+                      transverse_walkoff_B)
 from .errors import (ConfigError, OutOfBandError, PhaseMatchingError,
                      QuadratureError, SpdcpolError, StateInvariantError,
                      UndefinedVisibilityError, UniformStateError)
 from .geometry import (GeometryConfig, external_to_internal_angle,
-                       internal_angle_to_offset, internal_to_external_angle,
-                       pinhole_to_internal_angle)
+                       internal_to_external_angle)
 from .materials import (MaterialRecord, builtin_materials, get_material,
                         load_materials, parse_materials)
 from .measurement import (AngularWindow, CountRecord, DensityMatrix4,
                           PolarizerSettings, aperture_density_matrix,
-                          bell_fidelity, coincidence_rate, concurrence,
-                          simulate_counts, visibility,
-                          visibility_from_counts, window_coincidences)
+                          coincidence_rate, concurrence, simulate_counts,
+                          visibility, visibility_from_counts,
+                          window_coincidences)
 from .output import Table, from_csv, to_csv, to_json, write_table
 from .quadrature import adaptive_simpson
 from .scenario import (PRESETS, CountsSpec, ScanSpec, ScenarioSpec,

@@ -256,27 +256,6 @@ def group_mismatch_D(crystal: UniaxialCrystal, wavelength: float,
 
 
 @dataclass(frozen=True)
-class WalkoffParameters:
-    """Walk-off parameters of one crystal at one wavelength."""
-
-    B: float           # 1/(m rad), transverse
-    D: float           # s/m, group-velocity mismatch
-    wavelength: float  # m
-    cut_angle: float   # rad
-
-
-def walkoff_parameters(crystal: UniaxialCrystal, wavelength: float,
-                       cut_angle: float | None = None) -> WalkoffParameters:
-    """Both walk-off parameters at ``wavelength`` (cut angle defaults to the crystal's)."""
-    theta = crystal.cut_angle if cut_angle is None else cut_angle
-    return WalkoffParameters(
-        B=transverse_walkoff_B(crystal, wavelength, theta),
-        D=group_mismatch_D(crystal, wavelength, theta),
-        wavelength=wavelength,
-        cut_angle=theta)
-
-
-@dataclass(frozen=True)
 class WalkoffReport:
     walkoff_time: float    # s, |D| * length
     coherence_time: float  # s, lambda^2 / (c * filter FWHM)

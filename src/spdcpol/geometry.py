@@ -1,8 +1,9 @@
-"""Lab-frame geometry: pinhole position <-> internal scattering angle.
+"""Lab-frame geometry: external (lab) <-> internal scattering angle.
 
-A pinhole displaced by ``offset`` in the focal plane of the collection lens
-selects the external (lab) angle theta_ext = offset / f. Refraction at the
-crystal exit face maps it to the internal angle used by the physics,
+A point displaced by ``offset`` in the focal plane of the collection lens
+sees the external angle theta_ext = offset / f, so a pinhole of diameter d
+subtends the external width d / f. Refraction at the crystal exit face maps
+external angles to the internal ones used by the physics,
 
     theta_int = theta_ext * n_ambient / n_o(lambda_deg),
 
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crystal import UniaxialCrystal, index_ordinary
-
-SMALL_ANGLE_LIMIT = 0.1  # |offset|/f bound for the linearized mapping
 
 
 @dataclass(frozen=True)
@@ -36,16 +35,6 @@ class GeometryConfig:
             raise ValueError("ambient index must be > 0")
 
 
-def external_angle(offset: float, geometry: GeometryConfig) -> float:
-    """External angle selected by a pinhole at ``offset`` from the axis."""
-    ratio = offset / geometry.lens_focal_length
-    if abs(ratio) >= SMALL_ANGLE_LIMIT:
-        raise ValueError(
-            f"|offset|/f = {abs(ratio):.4g} outside the small-angle regime "
-            f"(< {SMALL_ANGLE_LIMIT})")
-    return ratio
-
-
 def external_to_internal_angle(theta_ext: float, geometry: GeometryConfig,
                                crystal: UniaxialCrystal,
                                wavelength: float) -> float:
@@ -57,20 +46,3 @@ def internal_to_external_angle(theta_int: float, geometry: GeometryConfig,
                                crystal: UniaxialCrystal,
                                wavelength: float) -> float:
     return theta_int * index_ordinary(crystal, wavelength) / geometry.ambient_index
-
-
-def pinhole_to_internal_angle(offset: float, geometry: GeometryConfig,
-                              crystal: UniaxialCrystal,
-                              wavelength: float) -> float:
-    """Internal scattering angle selected by a pinhole at ``offset`` (meters)."""
-    return external_to_internal_angle(external_angle(offset, geometry),
-                                      geometry, crystal, wavelength)
-
-
-def internal_angle_to_offset(theta_int: float, geometry: GeometryConfig,
-                             crystal: UniaxialCrystal,
-                             wavelength: float) -> float:
-    """Inverse of pinhole_to_internal_angle."""
-    theta_ext = internal_to_external_angle(theta_int, geometry, crystal,
-                                           wavelength)
-    return theta_ext * geometry.lens_focal_length

@@ -11,11 +11,13 @@ Aperture (pinhole) integration happens over a hard-edged internal-angle
 window with the sinc^2 envelope w as weight. Every window observable is a
 closed function of two moments, M0 = int w and M1 = int w e^{i phi}: the
 integrated rate, the visibility V = |(C++ - C+-)/(C++ + C+-)| = |Re M1| / M0
-and the aperture-averaged density matrix, whose only coherence is
-M1 / (2 M0). One vectorized composite Gauss-Legendre pass per window gives
-both moments, with an error estimate held to ``tol`` relative to M0; the
-Wootters concurrence of that matrix quantifies how the coherent phase spread
-degrades polarization entanglement.
+and the aperture-averaged density matrix, the {HV, VH} block with 1/2 on its
+diagonal and coherence M1 / (2 M0). Its Wootters concurrence, 2 |rho_HV,VH| =
+|M1| / M0, quantifies how the coherent phase spread degrades polarization
+entanglement, and its Bell fidelities are F(Psi+-) = C++ / M0 and C+- / M0.
+One vectorized composite Gauss-Legendre pass per window gives both moments,
+with an error estimate held to ``tol`` relative to M0. ``concurrence``
+evaluates Wootters' formula for any two-qubit density matrix.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .biphoton import (BASIS, BellState, SourceConfig, angular_envelope,
-                       bell_state, relative_phase, state_at_angle)
+from .biphoton import (BASIS, SourceConfig, angular_envelope, relative_phase,
+                       state_at_angle)
 from .errors import (QuadratureError, StateInvariantError,
                      UndefinedVisibilityError)
 
@@ -113,9 +115,6 @@ class DensityMatrix4:
     def element(self, row: str, col: str) -> complex:
         """Matrix element by basis labels, e.g. element('HV', 'VH')."""
         return complex(self.matrix[BASIS.index(row), BASIS.index(col)])
-
-    def purity(self) -> float:
-        return float((self.matrix @ self.matrix).trace().real)
 
 
 # Gauss-Legendre orders of the window kernel: the integral and the
@@ -262,16 +261,6 @@ def _window_moments(window: AngularWindow, config: SourceConfig,
     return moments
 
 
-def _moments_density_matrix(moments: _Moments) -> DensityMatrix4:
-    """The {HV, VH} block [[1/2, conj(m)/2], [m/2, 1/2]], m = M1 / M0."""
-    coherence = 0.5 * moments.m1 / moments.m0
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[1, 1] = mat[2, 2] = 0.5
-    mat[1, 2] = coherence.conjugate()
-    mat[2, 1] = coherence
-    return DensityMatrix4(mat).validate()
-
-
 def aperture_density_matrix(window: AngularWindow, config: SourceConfig,
                             tol: float = QUAD_TOL) -> DensityMatrix4:
     """Polarization state collected through a hard-edged angular window.
@@ -285,8 +274,14 @@ def aperture_density_matrix(window: AngularWindow, config: SourceConfig,
     """
     if window.halfwidth == 0.0:
         mat = state_at_angle(window.center, config).projector()
-        return DensityMatrix4(mat).validate()
-    return _moments_density_matrix(_window_moments(window, config, tol))
+    else:
+        moments = _window_moments(window, config, tol)
+        coherence = 0.5 * moments.m1 / moments.m0
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[1, 1] = mat[2, 2] = 0.5
+        mat[1, 2] = coherence.conjugate()
+        mat[2, 1] = coherence
+    return DensityMatrix4(mat).validate()
 
 
 def window_coincidences(settings: PolarizerSettings, window: AngularWindow,
@@ -351,13 +346,6 @@ def concurrence(rho: DensityMatrix4) -> float:
     lambdas = np.linalg.svd(sqrt_rho @ _SIGMA_Y_PAIR @ sqrt_rho.conj(),
                             compute_uv=False)
     return float(max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
-
-
-def bell_fidelity(rho: DensityMatrix4, which: BellState) -> float:
-    """<Bell| rho |Bell> for Psi+ or Psi-."""
-    rho.validate()
-    target = bell_state(which).amplitudes
-    return float(np.vdot(target, rho.matrix @ target).real)
 
 
 @dataclass(frozen=True)

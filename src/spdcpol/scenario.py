@@ -26,7 +26,10 @@ vs pinhole halfwidth, compensated with uncompensated baseline) ship with the
 package and can be passed to the CLI by name.
 
 Scan rates average the two-point Gauss rule across the angular width the
-pinhole diameter subtends (point evaluation for a zero-diameter pinhole).
+pinhole diameter subtends (point evaluation for a zero-diameter pinhole);
+a scan edge plus half that width must stay inside the model domain. The
+visibility sweep reads every column from the two window moments M0 and M1:
+concurrence is |M1| / M0.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
 the bare production crystal, pi / (|B| L) internal.
 """
@@ -46,14 +49,15 @@ from .biphoton import (BellState, CompensatorPlacement, Orientation,
                        relative_phase)
 from .config import Section, parse_config
 from .crystal import phase_matching_cut_angle
-from .errors import ConfigError, PhaseMatchingError, UniformStateError
+from .errors import (ConfigError, PhaseMatchingError, StateInvariantError,
+                     UniformStateError)
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import MaterialRecord, builtin_materials
-from .measurement import (MAX_SUPPORTED_ANGLE, QUAD_TOL, AngularWindow,
-                          PolarizerSettings, _moments_density_matrix,
-                          _window_moments, coincidence_rate, concurrence,
-                          simulate_counts, visibility_from_counts)
+from .measurement import (MAX_SUPPORTED_ANGLE, PSD_TOL, QUAD_TOL,
+                          AngularWindow, PolarizerSettings, _window_moments,
+                          coincidence_rate, simulate_counts,
+                          visibility_from_counts)
 from .output import Table
 
 PRESETS = ("fig2a", "fig2b", "fig2c", "fig3")
@@ -282,6 +286,15 @@ def load_scenario(source: str | Path, seed: int | None = None,
                 f"scan reaches {edge_int:.4g} rad internal, beyond the "
                 f"supported |theta| <= {MAX_SUPPORTED_ANGLE} rad",
                 key=edge_key)
+        # Scan rates sample the pinhole's width around every scan point;
+        # its half-width is sqrt(3) times the Gauss node offset.
+        reach = edge_int + math.sqrt(3.0) * _pinhole_gauss_offset(
+            geometry, source_config)
+        if reach > MAX_SUPPORTED_ANGLE:
+            raise geo.error(
+                f"the pinhole reaches {reach:.4g} rad internal at the scan "
+                f"edge, beyond the supported |theta| <= "
+                f"{MAX_SUPPORTED_ANGLE} rad", key="pinhole_diameter_um")
         scan_spec = ScanSpec(theta_ext_min=lo, theta_ext_max=hi,
                              points=points,
                              settings_deg=_parse_settings(sec))
@@ -380,15 +393,13 @@ def _averaged_rate(theta_int: float, settings: PolarizerSettings,
                                      spec.source))
 
 
-def _pinhole_gauss_offset(spec: ScenarioSpec) -> float:
+def _pinhole_gauss_offset(geometry: GeometryConfig,
+                          source: SourceConfig) -> float:
     # Two-point Gauss rule across the internal angular width the pinhole
     # diameter subtends: nodes at +/- width / (2 sqrt(3)).
-    if spec.geometry.pinhole_diameter == 0.0:
-        return 0.0
-    width_ext = spec.geometry.pinhole_diameter / spec.geometry.lens_focal_length
     width_int = external_to_internal_angle(
-        width_ext, spec.geometry, spec.source.production,
-        spec.source.degenerate_wavelength)
+        geometry.pinhole_diameter / geometry.lens_focal_length, geometry,
+        source.production, source.degenerate_wavelength)
     return width_int / (2.0 * math.sqrt(3.0))
 
 
@@ -414,7 +425,7 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                                               wl).tolist()
         envelopes = [angular_envelope(t, spec.source) for t in int_grid]
         phases = [relative_phase(t, spec.source) for t in int_grid]
-        gauss_offset = _pinhole_gauss_offset(spec)
+        gauss_offset = _pinhole_gauss_offset(spec.geometry, spec.source)
         for table_index, pair in enumerate(spec.scan.settings_deg):
             settings = PolarizerSettings(math.radians(pair[0]),
                                          math.radians(pair[1]))
@@ -461,7 +472,15 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                 moments = _window_moments(window, config, QUAD_TOL)
                 c_pp, c_pm = moments.even, moments.odd
                 vis = visibility_from_counts(c_pp, c_pm)
-                conc = concurrence(_moments_density_matrix(moments))
+                # The averaged state is the {HV, VH} block with 1/2 on its
+                # diagonal and coherence M1 / (2 M0): its eigenvalues are
+                # (1 +- |M1| / M0) / 2, and Wootters reduces to 2 |rho_HV,VH|.
+                abs_m1 = abs(moments.m1)
+                if abs_m1 > (1.0 + 2.0 * PSD_TOL) * moments.m0:
+                    raise StateInvariantError(
+                        f"aperture-averaged state not positive: |M1| / M0 = "
+                        f"{abs_m1 / moments.m0!r} exceeds 1")
+                conc = abs_m1 / moments.m0
                 rows.append((internal_to_external_angle(halfwidth,
                                                         spec.geometry,
                                                         crystal, wl),

@@ -242,15 +242,6 @@ def test_group_mismatch_step_leaving_band(production):
         sp.group_mismatch_D(production, 1.09999e-6, production.cut_angle)
 
 
-def test_walkoff_parameters_bundle(production):
-    params = sp.walkoff_parameters(production, DEGENERATE)
-    assert params.cut_angle == production.cut_angle
-    assert params.B == sp.transverse_walkoff_B(production, DEGENERATE,
-                                               production.cut_angle)
-    assert params.D == sp.group_mismatch_D(production, DEGENERATE,
-                                           production.cut_angle)
-
-
 # --------------------------------------------- longitudinal walk-off check
 
 def test_longitudinal_check_zero_mismatch(production):

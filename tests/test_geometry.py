@@ -4,44 +4,33 @@ import spdcpol as sp
 
 
 def test_zero_offset(geometry, production):
-    assert sp.pinhole_to_internal_angle(0.0, geometry, production,
-                                        702e-9) == 0.0
-
-
-def test_singlet_offset_matches_lab_angle(geometry):
-    # 2.75 mm in the focal plane of the 500 mm lens: 0.0055 rad external
-    assert sp.geometry.external_angle(2.75e-3, geometry) == pytest.approx(
-        0.0055, rel=1e-12)
+    assert sp.external_to_internal_angle(0.0, geometry, production,
+                                         702e-9) == 0.0
 
 
 def test_internal_angle_is_external_over_ordinary_index(geometry, production):
-    theta_int = sp.pinhole_to_internal_angle(2.75e-3, geometry, production,
-                                             702e-9)
+    theta_int = sp.external_to_internal_angle(0.0055, geometry, production,
+                                              702e-9)
     n_o = sp.index_ordinary(production, 702e-9)
     assert theta_int == pytest.approx(0.0055 / n_o, rel=1e-12)
     assert theta_int < 0.0055  # refraction compresses the internal angle
 
 
 def test_round_trip_identity(geometry, production):
-    for offset in (1e-4, -2.3e-3, 4.0e-3):
-        theta = sp.pinhole_to_internal_angle(offset, geometry, production,
+    for theta_ext in (2e-4, -4.6e-3, 8.0e-3):
+        theta = sp.external_to_internal_angle(theta_ext, geometry, production,
+                                              702e-9)
+        back = sp.internal_to_external_angle(theta, geometry, production,
                                              702e-9)
-        back = sp.internal_angle_to_offset(theta, geometry, production,
-                                           702e-9)
-        assert abs(back - offset) <= 1e-12 * abs(offset)
-
-
-def test_small_angle_bound(geometry, production):
-    with pytest.raises(ValueError):
-        sp.pinhole_to_internal_angle(0.06, geometry, production, 702e-9)
+        assert abs(back - theta_ext) <= 1e-12 * abs(theta_ext)
 
 
 def test_ambient_index_scales_map(production):
     geometry = sp.GeometryConfig(lens_focal_length=0.5, ambient_index=1.5)
-    theta = sp.pinhole_to_internal_angle(1e-3, geometry, production, 702e-9)
+    theta = sp.external_to_internal_angle(2e-3, geometry, production, 702e-9)
     vacuum = sp.GeometryConfig(lens_focal_length=0.5)
     assert theta == pytest.approx(
-        1.5 * sp.pinhole_to_internal_angle(1e-3, vacuum, production, 702e-9),
+        1.5 * sp.external_to_internal_angle(2e-3, vacuum, production, 702e-9),
         rel=1e-12)
 
 

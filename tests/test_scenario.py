@@ -155,7 +155,7 @@ def test_fig2a_tables(geometry):
     # on axis the crossed rate is tiny but not zero: the finite pinhole
     # admits neighbouring modes whose phase already differs
     from spdcpol.scenario import _pinhole_gauss_offset
-    delta = _pinhole_gauss_offset(spec)
+    delta = _pinhole_gauss_offset(spec.geometry, spec.source)
     expected_center = math.sin(spec.source.phase_slope * delta / 2.0) ** 2 \
         * sp.sinc(spec.source.envelope_slope * delta) ** 2
     assert rate_pm[center] == pytest.approx(expected_center, rel=1e-12)
@@ -181,7 +181,7 @@ def test_fig2b_scan_suppressed_and_envelope_shaped():
     parallel = _table(tables, "fig2b_scan_45_45")
     # with a flat phase the parallel curve is the pinhole-averaged envelope^2
     from spdcpol.scenario import _pinhole_gauss_offset
-    delta = _pinhole_gauss_offset(spec)
+    delta = _pinhole_gauss_offset(spec.geometry, spec.source)
     for row in parallel.rows[:: len(parallel.rows) // 17]:
         theta_int = row[1]
         expected = 0.5 * (sp.angular_envelope(theta_int - delta, spec.source) ** 2
@@ -216,7 +216,8 @@ def test_scan_grid_is_external_mrad_spec():
 # --------------------------------------------------------- run: visibility
 
 def test_fig3_visibility_tables():
-    tables = sp.run_scenario(sp.load_scenario("fig3"))
+    spec = sp.load_scenario("fig3")
+    tables = sp.run_scenario(spec)
     names = sorted(t.name for t in tables)
     assert names == ["fig3_visibility", "fig3_visibility_uncompensated"]
     compensated = _table(tables, "fig3_visibility")
@@ -233,6 +234,26 @@ def test_fig3_visibility_tables():
     # crossed counts never exceed parallel ones
     assert np.all(_column(baseline, "C_pm_arb")
                   <= _column(baseline, "C_pp_arb"))
+    # the closed form |M1| / M0 is the Wootters concurrence of the window
+    crystal, wl = spec.source.production, spec.source.degenerate_wavelength
+    bare = sp.SourceConfig(production=crystal,
+                           pump_wavelength=spec.source.pump_wavelength)
+    for table, config in ((compensated, spec.source), (baseline, bare)):
+        halfwidths = sp.external_to_internal_angle(
+            _column(table, "halfwidth_ext_rad"), spec.geometry, crystal, wl)
+        wootters = [sp.concurrence(sp.aperture_density_matrix(
+            sp.AngularWindow(0.0, float(h)), config)) for h in halfwidths]
+        assert np.max(np.abs(_column(table, "concurrence") - wootters)) \
+            <= 1e-14
+
+
+def test_sweep_rejects_a_non_positive_state(monkeypatch):
+    # |M1| > M0 would give the averaged state a negative eigenvalue
+    from spdcpol import measurement, scenario
+    monkeypatch.setattr(scenario, "_window_moments",
+                        lambda *args: measurement._Moments(1.0, 0.0, 1e-4))
+    with pytest.raises(sp.StateInvariantError):
+        sp.run_scenario(sp.load_scenario("fig3"))
 
 
 def test_visibility_explicit_halfwidth(tmp_path):
@@ -388,6 +409,19 @@ def test_scan_edges_outside_domain_are_config_errors(tmp_path):
             _load_text(tmp_path, text)
         assert info.value.line == line
         assert "supported" in str(info.value)
+    # the fence adds half the pinhole's internal width to the 2 mrad edge:
+    # a 164 mm pinhole behind the 500 mm lens still fits, 165 mm does not,
+    # nor does a huge pinhole or a tiny lens
+    def with_pinhole(focal_mm, diameter_um):
+        return BASE.replace("lens_focal_length_mm = 500",
+                            f"lens_focal_length_mm = {focal_mm}\n"
+                            f"pinhole_diameter_um = {diameter_um}")
+    assert _load_text(tmp_path, with_pinhole(500, 164000)).scan is not None
+    for focal_mm, diameter_um in ((500, 165000), (500, 1e60), (1e-20, 1)):
+        with pytest.raises(sp.ConfigError) as info:
+            _load_text(tmp_path, with_pinhole(focal_mm, diameter_um))
+        assert info.value.line == 11
+        assert "pinhole" in str(info.value)
 
 
 def test_sizes_are_capped(tmp_path):
