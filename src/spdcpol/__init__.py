@@ -32,11 +32,10 @@ from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import (MaterialRecord, builtin_materials, get_material,
                         load_materials, parse_materials)
-from .measurement import (AngularWindow, CountRecord, DensityMatrix4,
-                          PolarizerSettings, aperture_density_matrix,
-                          coincidence_rate, concurrence, simulate_counts,
-                          visibility, visibility_from_counts,
-                          window_coincidences)
+from .measurement import (AngularWindow, DensityMatrix4, PolarizerSettings,
+                          aperture_density_matrix, coincidence_rate,
+                          concurrence, simulate_counts, visibility,
+                          visibility_from_counts, window_coincidences)
 from .output import Table, from_csv, to_csv, to_json, write_table
 from .quadrature import adaptive_simpson
 from .scenario import (PRESETS, CountsSpec, ScanSpec, ScenarioSpec,

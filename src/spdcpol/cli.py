@@ -5,8 +5,10 @@
     spdcpol materials list
 
 ``<spec>`` is a scenario file path or a preset name (fig2a, fig2b, fig2c,
-fig3). Exit codes: 0 success, 2 configuration error, 3 numerical-convergence
-error.
+fig3). ``bell-angles`` without ``--out`` prints the table to stdout in the
+chosen format and any note to stderr. Exit codes: 0 success, 2 configuration
+error (an unreadable scenario or an unwritable ``--out`` included),
+3 numerical-convergence error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from .biphoton import BellState
 from .errors import ConfigError, PhaseMatchingError, QuadratureError
 from .materials import builtin_materials
-from .output import to_csv, write_table
+from .output import _serialize, write_table
 from .scenario import PRESETS, list_bell_angles, load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -54,12 +56,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(table, args) -> None:
+    try:
+        path = write_table(table, args.out, fmt=args.format)
+    except OSError as exc:
+        raise ConfigError(f"cannot write '{exc.filename or args.out}': "
+                          f"{exc.strerror or exc}")
+    print(f"wrote {path}")
+
+
 def _cmd_run(args) -> int:
     spec = load_scenario(args.spec, seed=args.seed)
-    tables = run_scenario(spec)
-    for table in tables:
-        path = write_table(table, args.out, fmt=args.format)
-        print(f"wrote {path}")
+    for table in run_scenario(spec):
+        _write(table, args)
     return EXIT_OK
 
 
@@ -68,12 +77,13 @@ def _cmd_bell_angles(args) -> int:
     which = BellState.PSI_PLUS if args.state == "psi+" else BellState.PSI_MINUS
     table = list_bell_angles(spec, which)
     if table.note:
-        print(f"note: {table.note}")
+        # stdout stays a clean table when the table itself goes there
+        print(f"note: {table.note}",
+              file=sys.stderr if args.out is None else sys.stdout)
     if args.out is None:
-        sys.stdout.write(to_csv(table))
+        sys.stdout.write(_serialize(table, args.format))
     else:
-        path = write_table(table, args.out, fmt=args.format)
-        print(f"wrote {path}")
+        _write(table, args)
     return EXIT_OK
 
 

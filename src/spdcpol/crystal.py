@@ -137,20 +137,14 @@ def dne_dtheta(crystal: UniaxialCrystal, wavelength: float,
             * (1.0 / n_eb ** 2 - 1.0 / n_o ** 2))
 
 
-def _bracketed_root(func, lo: float, hi: float, xtol: float = 1e-15) -> float:
-    """Root of ``func`` on a sign-changing bracket [lo, hi].
+def _bracketed_root(func, lo: float, hi: float, f_lo: float, f_hi: float,
+                    xtol: float = 1e-15) -> float:
+    """Root of ``func`` on a bracket [lo, hi] whose endpoint values
+    ``f_lo`` and ``f_hi`` are nonzero and of opposite sign.
 
     Alternates false-position (secant through the bracket endpoints) with
     plain bisection, so convergence is guaranteed and fully deterministic.
     """
-    f_lo = func(lo)
-    f_hi = func(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
     use_secant = True
     while hi - lo > xtol:
         x = None
@@ -209,7 +203,7 @@ def phase_matching_cut_angle(crystal: UniaxialCrystal,
             f"no phase matching: mismatch does not change sign on [0, pi/2] "
             f"for pump {pump_wavelength * 1e9:.6g} nm "
             f"(endpoints {f_lo:.3e}, {f_hi:.3e})")
-    root = _bracketed_root(mismatch, 0.0, math.pi / 2.0)
+    root = _bracketed_root(mismatch, 0.0, math.pi / 2.0, f_lo, f_hi)
     residual = abs(mismatch(root))
     if residual >= 1e-12:
         raise PhaseMatchingError(

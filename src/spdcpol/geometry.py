@@ -8,7 +8,9 @@ external angles to the internal ones used by the physics,
     theta_int = theta_ext * n_ambient / n_o(lambda_deg),
 
 in the small-angle regime (the H photon, ordinary polarized, defines the
-detected direction in the scan plane). NOTE: the conversion rescales every
+detected direction in the scan plane). Both conversions take the source and
+read n_o of its production crystal at its degenerate wavelength, so this
+module is the one place the rule lives. NOTE: the conversion rescales every
 angular position by a factor of about n_o ~ 1.66 for BBO; emitted tables
 carry both columns so there is no ambiguity about which angle is which.
 """
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crystal import UniaxialCrystal, index_ordinary
+from .biphoton import SourceConfig
+from .crystal import index_ordinary
 
 
 @dataclass(frozen=True)
@@ -36,13 +39,12 @@ class GeometryConfig:
 
 
 def external_to_internal_angle(theta_ext: float, geometry: GeometryConfig,
-                               crystal: UniaxialCrystal,
-                               wavelength: float) -> float:
-    return theta_ext * geometry.ambient_index / index_ordinary(crystal,
-                                                               wavelength)
+                               source: SourceConfig) -> float:
+    return theta_ext * geometry.ambient_index / index_ordinary(
+        source.production, source.degenerate_wavelength)
 
 
 def internal_to_external_angle(theta_int: float, geometry: GeometryConfig,
-                               crystal: UniaxialCrystal,
-                               wavelength: float) -> float:
-    return theta_int * index_ordinary(crystal, wavelength) / geometry.ambient_index
+                               source: SourceConfig) -> float:
+    return theta_int * index_ordinary(
+        source.production, source.degenerate_wavelength) / geometry.ambient_index

@@ -348,17 +348,9 @@ def concurrence(rho: DensityMatrix4) -> float:
     return float(max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    true_rate: float | np.ndarray  # 1/s, one per count
-    accidental_rate: float         # 1/s
-    duration: float                # s
-    counts: int | np.ndarray
-
-
 def simulate_counts(true_rate: float | np.ndarray, accidental_rate: float,
                     duration: float,
-                    seed: int | np.random.SeedSequence) -> CountRecord:
+                    seed: int | np.random.SeedSequence) -> int | np.ndarray:
     """Poisson coincidence counts with mean (true + accidental) * duration.
 
     ``true_rate`` is one rate (the count is an ``int``) or an array of rates
@@ -372,6 +364,4 @@ def simulate_counts(true_rate: float | np.ndarray, accidental_rate: float,
         raise ValueError("duration must be >= 0")
     rng = np.random.default_rng(seed)
     counts = rng.poisson((true_rate + accidental_rate) * duration)
-    return CountRecord(true_rate=true_rate, accidental_rate=accidental_rate,
-                       duration=duration,
-                       counts=counts if np.ndim(counts) else int(counts))
+    return counts if np.ndim(counts) else int(counts)

@@ -77,15 +77,18 @@ def to_json(table: Table) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _serialize(table: Table, fmt: str) -> str:
+    if fmt == "csv":
+        return to_csv(table)
+    if fmt == "json":
+        return to_json(table)
+    raise ValueError(f"unknown format '{fmt}' (use csv or json)")
+
+
 def write_table(table: Table, directory: str | Path, fmt: str = "csv") -> Path:
+    text = _serialize(table, fmt)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path = directory / f"{table.name}.csv"
-        path.write_text(to_csv(table))
-    elif fmt == "json":
-        path = directory / f"{table.name}.json"
-        path.write_text(to_json(table))
-    else:
-        raise ValueError(f"unknown format '{fmt}' (use csv or json)")
+    path = directory / f"{table.name}.{fmt}"
+    path.write_text(text)
     return path

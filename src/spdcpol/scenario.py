@@ -3,7 +3,8 @@
 A scenario is a line-oriented ``key = value`` file (see `spdcpol.config`)
 with the sections below. Lab-facing quantities use nm/mm/um/mrad and
 external (lab) angles; everything is converted to SI and internal angles at
-this boundary. Emitted scan tables carry both angle columns.
+this boundary, through `spdcpol.geometry` and the scenario's source. Emitted
+scan tables carry both angle columns.
 
     [scenario]   name, seed, bell_max_order (optional)
     [source]     material, pump_wavelength_nm, length_mm
@@ -31,7 +32,9 @@ a scan edge plus half that width must stay inside the model domain. The
 visibility sweep reads every column from the two window moments M0 and M1:
 concurrence is |M1| / M0.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
-the bare production crystal, pi / (|B| L) internal.
+the bare production crystal, pi / (|B| L) internal. Each sweep window and
+the pinhole are resolved to internal angles once, by one helper each, and
+`load_scenario` fences the domain on the same values `run_scenario` uses.
 """
 
 from __future__ import annotations
@@ -119,7 +122,14 @@ def preset_text(name: str) -> str:
 def _resolve_source_text(source: str | Path) -> tuple[str, str]:
     path = Path(source)
     if path.exists():
-        return path.read_text(), str(path)
+        try:
+            return path.read_text(), str(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read scenario: {exc.strerror}",
+                              path=str(path))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"scenario is not UTF-8 text ({exc.reason} at "
+                              f"byte {exc.start})", path=str(path))
     if str(source) in PRESETS:
         return preset_text(str(source)), f"<preset {source}>"
     raise ConfigError(
@@ -280,21 +290,13 @@ def load_scenario(source: str | Path, seed: int | None = None,
                             "theta_ext_max_mrad")
         edge_key = "theta_ext_min_mrad" if -lo > hi else "theta_ext_max_mrad"
         edge_int = external_to_internal_angle(max(-lo, hi), geometry,
-                                              production, 2.0 * pump)
-        if edge_int > MAX_SUPPORTED_ANGLE:
-            raise sec.error(
-                f"scan reaches {edge_int:.4g} rad internal, beyond the "
-                f"supported |theta| <= {MAX_SUPPORTED_ANGLE} rad",
-                key=edge_key)
+                                              source_config)
+        _fence(sec, edge_key, "scan", edge_int)
         # Scan rates sample the pinhole's width around every scan point;
         # its half-width is sqrt(3) times the Gauss node offset.
-        reach = edge_int + math.sqrt(3.0) * _pinhole_gauss_offset(
-            geometry, source_config)
-        if reach > MAX_SUPPORTED_ANGLE:
-            raise geo.error(
-                f"the pinhole reaches {reach:.4g} rad internal at the scan "
-                f"edge, beyond the supported |theta| <= "
-                f"{MAX_SUPPORTED_ANGLE} rad", key="pinhole_diameter_um")
+        _fence(geo, "pinhole_diameter_um", "the pinhole at the scan edge",
+               edge_int + math.sqrt(3.0) * _pinhole_gauss_offset(
+                   geometry, source_config))
         scan_spec = ScanSpec(theta_ext_min=lo, theta_ext_max=hi,
                              points=points,
                              settings_deg=_parse_settings(sec))
@@ -318,8 +320,6 @@ def load_scenario(source: str | Path, seed: int | None = None,
                 raise sec.error("max_halfwidth_mrad must be > 0",
                                 key="max_halfwidth_mrad")
             halfwidth_key = "max_halfwidth_mrad"
-            halfwidth_int = external_to_internal_angle(
-                max_hw, geometry, production, 2.0 * pump)
         else:
             keyword = sec.get_str("max_halfwidth", FIRST_SINGLET)
             if keyword != FIRST_SINGLET:
@@ -328,29 +328,23 @@ def load_scenario(source: str | Path, seed: int | None = None,
                     f"(or use max_halfwidth_mrad)", key="max_halfwidth")
             max_hw = None
             halfwidth_key = "max_halfwidth"
-            halfwidth_int = _bare_singlet_halfwidth(source_config)
-        center = sec.get_float("center_mrad", 0.0) * 1e-3
-        center_int = abs(external_to_internal_angle(center, geometry,
-                                                    production, 2.0 * pump))
-        narrowest = halfwidth_int / points
+        visibility_spec = VisibilitySpec(
+            points=points, max_halfwidth_ext=max_hw,
+            center_ext=sec.get_float("center_mrad", 0.0) * 1e-3,
+            compare_uncompensated=sec.get_bool("compare_uncompensated", False))
+        center_int, hmax_int = _sweep_window(visibility_spec, geometry,
+                                             source_config)
+        center_int = abs(center_int)
+        narrowest = hmax_int / points
         if center_int - narrowest == center_int + narrowest:
             raise sec.error(
                 f"the narrowest window, {center_int:.4g} +- {narrowest:.4g} "
                 f"rad internal, has no width in floating point",
                 key=halfwidth_key)
-        if center_int + halfwidth_int > MAX_SUPPORTED_ANGLE:
-            # Blame the halfwidth when it alone leaves the domain, else the
-            # center that moved the window out.
-            raise sec.error(
-                f"window reaches {center_int + halfwidth_int:.4g} rad "
-                f"internal, beyond the supported |theta| <= "
-                f"{MAX_SUPPORTED_ANGLE} rad",
-                key=(halfwidth_key if halfwidth_int > MAX_SUPPORTED_ANGLE
-                     else "center_mrad"))
-        visibility_spec = VisibilitySpec(
-            points=points, max_halfwidth_ext=max_hw,
-            center_ext=center,
-            compare_uncompensated=sec.get_bool("compare_uncompensated", False))
+        # Blame the halfwidth when it alone leaves the domain, else the
+        # center that moved the window out.
+        _fence(sec, (halfwidth_key if hmax_int > MAX_SUPPORTED_ANGLE
+                     else "center_mrad"), "window", center_int + hmax_int)
 
     counts_spec = None
     if "counts" in by_name:
@@ -379,6 +373,14 @@ def load_scenario(source: str | Path, seed: int | None = None,
                         bell_max_order=bell_max_order)
 
 
+def _fence(section: Section, key: str, what: str, reach: float) -> None:
+    # The model domain, checked on the internal angle a table will reach.
+    if reach > MAX_SUPPORTED_ANGLE:
+        raise section.error(
+            f"{what} reaches {reach:.4g} rad internal, beyond the supported "
+            f"|theta| <= {MAX_SUPPORTED_ANGLE} rad", key=key)
+
+
 def _settings_label(pair: tuple[float, float]) -> str:
     return f"{pair[0]:g}_{pair[1]:g}"
 
@@ -399,13 +401,22 @@ def _pinhole_gauss_offset(geometry: GeometryConfig,
     # diameter subtends: nodes at +/- width / (2 sqrt(3)).
     width_int = external_to_internal_angle(
         geometry.pinhole_diameter / geometry.lens_focal_length, geometry,
-        source.production, source.degenerate_wavelength)
+        source)
     return width_int / (2.0 * math.sqrt(3.0))
 
 
-def _bare_singlet_halfwidth(source: SourceConfig) -> float:
-    # First Psi- angle of the bare production crystal (internal).
-    return math.pi / (abs(source.walkoff_B) * source.production.length)
+def _sweep_window(vspec: VisibilitySpec, geometry: GeometryConfig,
+                  source: SourceConfig) -> tuple[float, float]:
+    # Internal center and largest halfwidth of a sweep: what load_scenario
+    # fences is what run_scenario sweeps. first_singlet is the first Psi-
+    # angle of the bare production crystal.
+    center_int = external_to_internal_angle(vspec.center_ext, geometry,
+                                            source)
+    if vspec.max_halfwidth_ext is None:
+        return center_int, math.pi / (abs(source.walkoff_B)
+                                      * source.production.length)
+    return center_int, external_to_internal_angle(vspec.max_halfwidth_ext,
+                                                  geometry, source)
 
 
 def run_scenario(spec: ScenarioSpec) -> list[Table]:
@@ -414,15 +425,13 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
         raise ConfigError(
             f"scenario '{spec.name}' defines neither [scan] nor [visibility]")
     tables: list[Table] = []
-    crystal = spec.source.production
-    wl = spec.source.degenerate_wavelength
 
     if spec.scan is not None:
         grid = np.linspace(spec.scan.theta_ext_min, spec.scan.theta_ext_max,
                            spec.scan.points)
         ext_grid = grid.tolist()
-        int_grid = external_to_internal_angle(grid, spec.geometry, crystal,
-                                              wl).tolist()
+        int_grid = external_to_internal_angle(grid, spec.geometry,
+                                              spec.source).tolist()
         envelopes = [angular_envelope(t, spec.source) for t in int_grid]
         phases = [relative_phase(t, spec.source) for t in int_grid]
         gauss_offset = _pinhole_gauss_offset(spec.geometry, spec.source)
@@ -436,33 +445,27 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                 columns=SCAN_COLUMNS,
                 rows=list(zip(ext_grid, int_grid, envelopes, phases, rates))))
             if spec.counts is not None:
-                counts = spec.counts
-                record = simulate_counts(
-                    counts.peak_rate * np.array(rates),
-                    counts.accidental_rate, counts.duration,
+                cspec = spec.counts
+                true_rates = cspec.peak_rate * np.array(rates)
+                counts = simulate_counts(
+                    true_rates, cspec.accidental_rate, cspec.duration,
                     np.random.SeedSequence((spec.seed, table_index)))
                 tables.append(Table(
                     name=f"{spec.name}_counts_{_settings_label(pair)}",
                     columns=COUNTS_COLUMNS,
-                    rows=list(zip(ext_grid, int_grid,
-                                  record.true_rate.tolist(),
-                                  repeat(counts.accidental_rate),
-                                  repeat(counts.duration),
-                                  record.counts.tolist()))))
+                    rows=list(zip(ext_grid, int_grid, true_rates.tolist(),
+                                  repeat(cspec.accidental_rate),
+                                  repeat(cspec.duration),
+                                  counts.tolist()))))
 
     if spec.visibility is not None:
         vspec = spec.visibility
-        center_int = external_to_internal_angle(vspec.center_ext,
-                                                spec.geometry, crystal, wl)
-        if vspec.max_halfwidth_ext is None:
-            hmax_int = _bare_singlet_halfwidth(spec.source)
-        else:
-            hmax_int = external_to_internal_angle(vspec.max_halfwidth_ext,
-                                                  spec.geometry, crystal, wl)
+        center_int, hmax_int = _sweep_window(vspec, spec.geometry,
+                                             spec.source)
         variants: list[tuple[str, SourceConfig]] = [("", spec.source)]
         if vspec.compare_uncompensated:
             variants.append(("_uncompensated",
-                             SourceConfig(production=crystal,
+                             SourceConfig(production=spec.source.production,
                                           pump_wavelength=spec.source.pump_wavelength)))
         for suffix, config in variants:
             rows = []
@@ -481,9 +484,8 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                         f"aperture-averaged state not positive: |M1| / M0 = "
                         f"{abs_m1 / moments.m0!r} exceeds 1")
                 conc = abs_m1 / moments.m0
-                rows.append((internal_to_external_angle(halfwidth,
-                                                        spec.geometry,
-                                                        crystal, wl),
+                rows.append((internal_to_external_angle(
+                                 halfwidth, spec.geometry, spec.source),
                              c_pp, c_pm, vis, conc))
             tables.append(Table(name=f"{spec.name}_visibility{suffix}",
                                 columns=VISIBILITY_COLUMNS, rows=rows))
@@ -501,8 +503,7 @@ def list_bell_angles(spec: ScenarioSpec, which: BellState) -> Table:
         return Table(name=name, columns=BELL_COLUMNS, rows=[], note=str(exc))
     rows = [(entry.theta,
              internal_to_external_angle(entry.theta, spec.geometry,
-                                        spec.source.production,
-                                        spec.source.degenerate_wavelength),
+                                        spec.source),
              entry.envelope)
             for entry in result.angles]
     note = ("state is uniform across the line-shape: Psi+ everywhere"

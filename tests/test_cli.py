@@ -195,20 +195,60 @@ def test_hostile_values_exit_cleanly(line, value):
 
 
 def test_bell_angles_stdout(capsys):
-    code = cli.main(["bell-angles", "fig2c", "--state", "psi-"])
-    assert code == 0
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert lines[0] == "theta_int_rad,theta_ext_rad,envelope"
-    assert len(lines) > 1
+    columns = ("theta_int_rad", "theta_ext_rad", "envelope")
+    assert cli.main(["bell-angles", "fig2c", "--state", "psi-"]) == 0
+    table = spdcpol.from_csv(capsys.readouterr().out)
+    assert table.columns == columns
+    assert len(table.rows) > 0
+    assert cli.main(["bell-angles", "fig2c", "--state", "psi-",
+                     "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert tuple(payload["columns"]) == columns
+    assert [tuple(row) for row in payload["rows"]] == table.rows
 
 
 def test_bell_angles_uniform_notice(capsys):
     code = cli.main(["bell-angles", "fig2b", "--state", "psi-"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "note:" in out
-    assert "uniform" in out
+    captured = capsys.readouterr()
+    assert "note:" in captured.err
+    assert "uniform" in captured.err
+    assert spdcpol.from_csv(captured.out).columns == (
+        "theta_int_rad", "theta_ext_rad", "envelope")
+
+
+def _file_fault(kind, tmp_path):
+    """argv that meets a file-system fault, and the path it must name."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    if kind == "run_out_is_file":
+        return ["run", "fig2a", "--out", str(blocker)], blocker
+    if kind == "bell_out_is_file":
+        return (["bell-angles", "fig2a", "--state", "psi+", "--out",
+                 str(blocker)], blocker)
+    if kind == "spec_is_directory":
+        return ["run", str(tmp_path), "--out", str(tmp_path / "out")], tmp_path
+    scenario = tmp_path / "latin1.cfg"
+    scenario.write_bytes("[source]\nmaterial = b\xe9b\n".encode("latin-1"))
+    return ["run", str(scenario), "--out", str(tmp_path / "out")], scenario
+
+
+@pytest.mark.parametrize("kind", ["run_out_is_file", "bell_out_is_file",
+                                  "spec_is_directory", "spec_not_utf8"])
+def test_file_faults_exit_2(tmp_path, capsys, kind):
+    argv, path = _file_fault(kind, tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert str(path) in err
+
+
+def test_file_fault_has_no_traceback(tmp_path):
+    argv, path = _file_fault("run_out_is_file", tmp_path)
+    run = _run_console_script("spdcpol.cli:main", argv)
+    assert run.returncode == 2, run.stderr
+    assert str(path) in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_bell_angles_to_file(tmp_path):

@@ -3,34 +3,32 @@ import pytest
 import spdcpol as sp
 
 
-def test_zero_offset(geometry, production):
-    assert sp.external_to_internal_angle(0.0, geometry, production,
-                                         702e-9) == 0.0
+def test_zero_offset(geometry, bare_config):
+    assert sp.external_to_internal_angle(0.0, geometry, bare_config) == 0.0
 
 
-def test_internal_angle_is_external_over_ordinary_index(geometry, production):
-    theta_int = sp.external_to_internal_angle(0.0055, geometry, production,
-                                              702e-9)
-    n_o = sp.index_ordinary(production, 702e-9)
+def test_internal_angle_is_external_over_ordinary_index(geometry,
+                                                        bare_config):
+    theta_int = sp.external_to_internal_angle(0.0055, geometry, bare_config)
+    n_o = sp.index_ordinary(bare_config.production, 702e-9)
     assert theta_int == pytest.approx(0.0055 / n_o, rel=1e-12)
     assert theta_int < 0.0055  # refraction compresses the internal angle
 
 
-def test_round_trip_identity(geometry, production):
+def test_round_trip_identity(geometry, bare_config):
     for theta_ext in (2e-4, -4.6e-3, 8.0e-3):
-        theta = sp.external_to_internal_angle(theta_ext, geometry, production,
-                                              702e-9)
-        back = sp.internal_to_external_angle(theta, geometry, production,
-                                             702e-9)
+        theta = sp.external_to_internal_angle(theta_ext, geometry,
+                                              bare_config)
+        back = sp.internal_to_external_angle(theta, geometry, bare_config)
         assert abs(back - theta_ext) <= 1e-12 * abs(theta_ext)
 
 
-def test_ambient_index_scales_map(production):
+def test_ambient_index_scales_map(bare_config):
     geometry = sp.GeometryConfig(lens_focal_length=0.5, ambient_index=1.5)
-    theta = sp.external_to_internal_angle(2e-3, geometry, production, 702e-9)
+    theta = sp.external_to_internal_angle(2e-3, geometry, bare_config)
     vacuum = sp.GeometryConfig(lens_focal_length=0.5)
     assert theta == pytest.approx(
-        1.5 * sp.external_to_internal_angle(2e-3, vacuum, production, 702e-9),
+        1.5 * sp.external_to_internal_angle(2e-3, vacuum, bare_config),
         rel=1e-12)
 
 

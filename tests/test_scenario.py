@@ -235,12 +235,11 @@ def test_fig3_visibility_tables():
     assert np.all(_column(baseline, "C_pm_arb")
                   <= _column(baseline, "C_pp_arb"))
     # the closed form |M1| / M0 is the Wootters concurrence of the window
-    crystal, wl = spec.source.production, spec.source.degenerate_wavelength
-    bare = sp.SourceConfig(production=crystal,
+    bare = sp.SourceConfig(production=spec.source.production,
                            pump_wavelength=spec.source.pump_wavelength)
     for table, config in ((compensated, spec.source), (baseline, bare)):
         halfwidths = sp.external_to_internal_angle(
-            _column(table, "halfwidth_ext_rad"), spec.geometry, crystal, wl)
+            _column(table, "halfwidth_ext_rad"), spec.geometry, spec.source)
         wootters = [sp.concurrence(sp.aperture_density_matrix(
             sp.AngularWindow(0.0, float(h)), config)) for h in halfwidths]
         assert np.max(np.abs(_column(table, "concurrence") - wootters)) \
