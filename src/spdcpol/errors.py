@@ -14,7 +14,7 @@ class PhaseMatchingError(SpdcpolError):
 
 
 class QuadratureError(SpdcpolError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """The window kernel or adaptive Simpson missed its tolerance."""
 
     def __init__(self, message: str, achieved: float | None = None,
                  requested: float | None = None):

@@ -16,8 +16,9 @@ diagonal and coherence M1 / (2 M0). Its Wootters concurrence, 2 |rho_HV,VH| =
 |M1| / M0, quantifies how the coherent phase spread degrades polarization
 entanglement, and its Bell fidelities are F(Psi+-) = C++ / M0 and C+- / M0.
 One vectorized composite Gauss-Legendre pass per window gives both moments,
-with an error estimate held to ``tol`` relative to M0. ``concurrence``
-evaluates Wootters' formula for any two-qubit density matrix.
+with an error estimate held to ``QUAD_TOL`` relative to M0; a window of
+halfwidth 0 is a point. ``concurrence`` evaluates Wootters' formula for any
+two-qubit density matrix.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .biphoton import (BASIS, SourceConfig, angular_envelope, relative_phase,
-                       state_at_angle)
+from .biphoton import SourceConfig, angular_envelope, relative_phase
 from .errors import (QuadratureError, StateInvariantError,
                      UndefinedVisibilityError)
 
@@ -67,10 +67,6 @@ class AngularWindow:
                 f"window [{self.center - self.halfwidth}, "
                 f"{self.center + self.halfwidth}] rad exceeds the supported "
                 f"range |theta| <= {MAX_SUPPORTED_ANGLE} rad")
-
-
-_PARALLEL = PolarizerSettings(math.pi / 4.0, math.pi / 4.0)
-_CROSSED = PolarizerSettings(math.pi / 4.0, -math.pi / 4.0)
 
 
 def coincidence_rate(theta: float, settings: PolarizerSettings,
@@ -111,10 +107,6 @@ class DensityMatrix4:
                 f"density matrix not positive: min eigenvalue "
                 f"{eigenvalues.min():.3e}")
         return self
-
-    def element(self, row: str, col: str) -> complex:
-        """Matrix element by basis labels, e.g. element('HV', 'VH')."""
-        return complex(self.matrix[BASIS.index(row), BASIS.index(col)])
 
 
 # Gauss-Legendre orders of the window kernel: the integral and the
@@ -190,8 +182,7 @@ class _Moments(NamedTuple):
         return complex(self.even - self.odd, self.imag)
 
 
-def _window_moments(window: AngularWindow, config: SourceConfig,
-                    tol: float) -> _Moments:
+def _window_moments(window: AngularWindow, config: SourceConfig) -> _Moments:
     """Both window moments from one composite Gauss-Legendre pass.
 
     Panels are cut at the sinc zeros n pi / a (n != 0) inside the window and
@@ -199,11 +190,19 @@ def _window_moments(window: AngularWindow, config: SourceConfig,
     theta}; on such a panel the integrands are entire functions of small
     bandwidth. The 16-point rule on the same panels estimates the error of
     the 32-point one; QuadratureError is raised when that estimate exceeds
-    ``tol`` * M0, or when M0 is not positive (a window narrower than float
-    resolution).
+    ``QUAD_TOL`` * M0, or when M0 is not positive (a window narrower than
+    float resolution). At halfwidth 0 the moments are the integrands at the
+    center, the h -> 0 limit of each moment over the width 2 h.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if window.halfwidth == 0.0:
+        envelope = angular_envelope(window.center, config)
+        weight = envelope * envelope
+        half_phase = 0.5 * relative_phase(window.center, config)
+        cos_half = math.cos(half_phase)
+        weighted_sin = weight * math.sin(half_phase)
+        return _Moments(weight * cos_half * cos_half,
+                        weighted_sin * math.sin(half_phase),
+                        2.0 * weighted_sin * cos_half)
     lo = window.center - window.halfwidth
     hi = window.center + window.halfwidth
     a = config.envelope_slope
@@ -251,50 +250,45 @@ def _window_moments(window: AngularWindow, config: SourceConfig,
     estimate = float(np.abs(fine - coarse).sum(axis=1).max())
     # A window narrower than float resolution leaves M0 = 0: no tolerance
     # relative to it can be met.
-    if not (moments.m0 > 0.0 and estimate <= tol * moments.m0):
+    if not (moments.m0 > 0.0 and estimate <= QUAD_TOL * moments.m0):
         achieved = estimate / moments.m0 if moments.m0 > 0.0 else math.inf
         raise QuadratureError(
             f"window quadrature on [{lo}, {hi}] rad failed: M0 = "
             f"{moments.m0:.3e}, error estimate {achieved:.3e} of M0 against "
-            f"the requested relative tolerance {tol:.3e}",
-            achieved=achieved, requested=tol)
+            f"the requested relative tolerance {QUAD_TOL:.3e}",
+            achieved=achieved, requested=QUAD_TOL)
     return moments
 
 
-def aperture_density_matrix(window: AngularWindow, config: SourceConfig,
-                            tol: float = QUAD_TOL) -> DensityMatrix4:
+def aperture_density_matrix(window: AngularWindow,
+                            config: SourceConfig) -> DensityMatrix4:
     """Polarization state collected through a hard-edged angular window.
 
     rho = int_window w(theta) |psi(theta)><psi(theta)| dtheta / normalization
     with weight w = sinc^2(|B| L theta / 2). Every |psi><psi| lives on the
     {HV, VH} block with 1/2 on its diagonal, so rho is that block with the
-    coherence M1 / (2 M0) from the two window moments; ``tol`` bounds the
-    quadrature error estimate relative to M0. Halfwidth 0 returns the pure
-    projector at the window center.
+    coherence M1 / (2 M0) from the two window moments, computed to
+    ``QUAD_TOL`` relative to M0. Halfwidth 0 gives the pure state at the
+    window center.
     """
-    if window.halfwidth == 0.0:
-        mat = state_at_angle(window.center, config).projector()
-    else:
-        moments = _window_moments(window, config, tol)
-        coherence = 0.5 * moments.m1 / moments.m0
-        mat = np.zeros((4, 4), dtype=complex)
-        mat[1, 1] = mat[2, 2] = 0.5
-        mat[1, 2] = coherence.conjugate()
-        mat[2, 1] = coherence
+    moments = _window_moments(window, config)
+    coherence = 0.5 * moments.m1 / moments.m0
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[1, 1] = mat[2, 2] = 0.5
+    mat[1, 2] = coherence.conjugate()
+    mat[2, 1] = coherence
     return DensityMatrix4(mat).validate()
 
 
 def window_coincidences(settings: PolarizerSettings, window: AngularWindow,
-                        config: SourceConfig, tol: float = QUAD_TOL) -> float:
+                        config: SourceConfig) -> float:
     """Coincidence rate integrated over the window (point rate at halfwidth 0).
 
     Equals 1/2 (s+^2 + s-^2) M0 + 1/2 (s+^2 - s-^2) Re M1 with
-    s+- = sin(Theta1 +- Theta2); ``tol`` bounds the quadrature error estimate
-    relative to M0.
+    s+- = sin(Theta1 +- Theta2); ``QUAD_TOL`` bounds the quadrature error
+    estimate relative to M0.
     """
-    if window.halfwidth == 0.0:
-        return coincidence_rate(window.center, settings, config)
-    moments = _window_moments(window, config, tol)
+    moments = _window_moments(window, config)
     s_sum = math.sin(settings.theta1 + settings.theta2)
     s_diff = math.sin(settings.theta1 - settings.theta2)
     return s_sum * s_sum * moments.even + s_diff * s_diff * moments.odd
@@ -309,20 +303,32 @@ def visibility_from_counts(c_pp: float, c_pm: float) -> float:
     return abs((c_pp - c_pm) / denominator)
 
 
-def visibility(window: AngularWindow, config: SourceConfig,
-               tol: float = QUAD_TOL) -> float:
+def visibility(window: AngularWindow, config: SourceConfig) -> float:
     """Polarization-interference visibility over the window.
 
-    V = |(C(45,45) - C(45,-45)) / (C(45,45) + C(45,-45))|; over a window of
-    nonzero width both counts come from one pair of window moments,
-    C(45,45) = (M0 + Re M1) / 2 and C(45,-45) = (M0 - Re M1) / 2.
+    V = |(C(45,45) - C(45,-45)) / (C(45,45) + C(45,-45))|; both counts come
+    from one pair of window moments, C(45,45) = (M0 + Re M1) / 2 and
+    C(45,-45) = (M0 - Re M1) / 2.
     """
-    if window.halfwidth == 0.0:
-        return visibility_from_counts(
-            coincidence_rate(window.center, _PARALLEL, config),
-            coincidence_rate(window.center, _CROSSED, config))
-    moments = _window_moments(window, config, tol)
+    moments = _window_moments(window, config)
     return visibility_from_counts(moments.even, moments.odd)
+
+
+def _window_observables(window: AngularWindow,
+                        config: SourceConfig) -> tuple[float, ...]:
+    """(C_pp, C_pm, V, concurrence) of one window: a visibility sweep row."""
+    moments = _window_moments(window, config)
+    # The averaged state is the {HV, VH} block with 1/2 on its diagonal and
+    # coherence M1 / (2 M0): its eigenvalues are (1 +- |M1| / M0) / 2, and
+    # Wootters reduces to 2 |rho_HV,VH|.
+    abs_m1 = abs(moments.m1)
+    if abs_m1 > (1.0 + 2.0 * PSD_TOL) * moments.m0:
+        raise StateInvariantError(
+            f"aperture-averaged state not positive: |M1| / M0 = "
+            f"{abs_m1 / moments.m0!r} exceeds 1")
+    return (moments.even, moments.odd,
+            visibility_from_counts(moments.even, moments.odd),
+            abs_m1 / moments.m0)
 
 
 _SIGMA_Y_PAIR = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]),

@@ -52,15 +52,13 @@ from .biphoton import (BellState, CompensatorPlacement, Orientation,
                        relative_phase)
 from .config import Section, parse_config
 from .crystal import phase_matching_cut_angle
-from .errors import (ConfigError, PhaseMatchingError, StateInvariantError,
-                     UniformStateError)
+from .errors import ConfigError, PhaseMatchingError, UniformStateError
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import MaterialRecord, builtin_materials
-from .measurement import (MAX_SUPPORTED_ANGLE, PSD_TOL, QUAD_TOL,
-                          AngularWindow, PolarizerSettings, _window_moments,
-                          coincidence_rate, simulate_counts,
-                          visibility_from_counts)
+from .measurement import (MAX_SUPPORTED_ANGLE, AngularWindow,
+                          PolarizerSettings, _window_observables,
+                          coincidence_rate, simulate_counts)
 from .output import Table
 
 PRESETS = ("fig2a", "fig2b", "fig2c", "fig3")
@@ -471,22 +469,11 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
             rows = []
             for k in range(1, vspec.points + 1):
                 halfwidth = hmax_int * k / vspec.points
-                window = AngularWindow(center=center_int, halfwidth=halfwidth)
-                moments = _window_moments(window, config, QUAD_TOL)
-                c_pp, c_pm = moments.even, moments.odd
-                vis = visibility_from_counts(c_pp, c_pm)
-                # The averaged state is the {HV, VH} block with 1/2 on its
-                # diagonal and coherence M1 / (2 M0): its eigenvalues are
-                # (1 +- |M1| / M0) / 2, and Wootters reduces to 2 |rho_HV,VH|.
-                abs_m1 = abs(moments.m1)
-                if abs_m1 > (1.0 + 2.0 * PSD_TOL) * moments.m0:
-                    raise StateInvariantError(
-                        f"aperture-averaged state not positive: |M1| / M0 = "
-                        f"{abs_m1 / moments.m0!r} exceeds 1")
-                conc = abs_m1 / moments.m0
                 rows.append((internal_to_external_angle(
                                  halfwidth, spec.geometry, spec.source),
-                             c_pp, c_pm, vis, conc))
+                             *_window_observables(
+                                 AngularWindow(center_int, halfwidth),
+                                 config)))
             tables.append(Table(name=f"{spec.name}_visibility{suffix}",
                                 columns=VISIBILITY_COLUMNS, rows=rows))
 

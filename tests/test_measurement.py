@@ -129,7 +129,7 @@ def test_offdiagonal_against_dense_trapezoid(bare_config):
     weights = np.sinc(bare_config.envelope_slope * thetas / math.pi) ** 2
     oracle = (np.trapezoid(weights * np.exp(-1j * slope * thetas), thetas)
               / (2.0 * np.trapezoid(weights, thetas)))
-    assert abs(rho.element("HV", "VH") - oracle) < 1e-8
+    assert abs(rho.matrix[1, 2] - oracle) < 1e-8
 
 
 def test_density_matrix_invariants_random_windows(bare_config,
@@ -199,8 +199,8 @@ def test_visibility_against_dense_trapezoid(bare_config):
 
 
 def test_visibility_undefined_when_counts_vanish(bare_config, monkeypatch):
-    monkeypatch.setattr(measurement, "coincidence_rate",
-                        lambda theta, settings, config: 0.0)
+    monkeypatch.setattr(measurement, "angular_envelope",
+                        lambda theta, config: 0.0)
     with pytest.raises(sp.UndefinedVisibilityError):
         sp.visibility(sp.AngularWindow(0.0, 0.0), bare_config)
 
@@ -282,8 +282,7 @@ def test_window_observables_match_mpmath(source, kind, center_share,
                                   config),
            sp.visibility(window, config),
            sp.concurrence(sp.aperture_density_matrix(window, config)))
-    moments = measurement._window_moments(window, config,
-                                          measurement.QUAD_TOL)
+    moments = measurement._window_moments(window, config)
     got += (abs(moments.m1) / moments.m0,)  # the sweep's closed form
     want = _oracle_window(config, center - halfwidth, center + halfwidth)
     want += (want[3],)
@@ -292,11 +291,14 @@ def test_window_observables_match_mpmath(source, kind, center_share,
         assert abs(value - ref) <= 1e-12 * size, (index, value, ref)
 
 
-def test_window_kernel_reports_unmet_tolerance(anticompensated_config):
+def test_window_kernel_reports_unmet_tolerance(anticompensated_config,
+                                               monkeypatch):
     window = sp.AngularWindow(0.05, 0.04)
-    with pytest.raises(sp.QuadratureError) as info:
+    with monkeypatch.context() as patch, \
+            pytest.raises(sp.QuadratureError) as info:
+        patch.setattr(measurement, "QUAD_TOL", 1e-30)
         sp.window_coincidences(sp.PolarizerSettings(P45, P45), window,
-                               anticompensated_config, tol=1e-30)
+                               anticompensated_config)
     assert info.value.requested == 1e-30
     # the estimate is relative to M0 and sits near rounding level
     assert 1e-30 < info.value.achieved < 1e-12

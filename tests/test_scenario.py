@@ -213,6 +213,40 @@ def test_scan_grid_is_external_mrad_spec():
                                                             rel=1e-12)
 
 
+def test_scan_at_general_settings_is_linear_in_the_reference_rates(tmp_path):
+    # R(Theta1, Theta2) = sin^2(Theta1 + Theta2) R(45, 45)
+    #                   + sin^2(Theta1 - Theta2) R(45, -45), pinhole or not
+    text = (BASE.replace("lens_focal_length_mm = 500",
+                         "lens_focal_length_mm = 500\npinhole_diameter_um = 150")
+            .replace("theta_ext_min_mrad = -2", "theta_ext_min_mrad = -8")
+            .replace("theta_ext_max_mrad = 2", "theta_ext_max_mrad = 8")
+            .replace("points = 11", "points = 41")
+            .replace("settings_deg = 45 45",
+                     "settings_deg = 45 45; 45 -45; 0 90; 30 -60; 100 25"))
+    spec = _load_text(tmp_path, text)
+    from spdcpol.scenario import _pinhole_gauss_offset
+    delta = _pinhole_gauss_offset(spec.geometry, spec.source)
+    assert delta > 0.0
+    tables = sp.run_scenario(spec)
+    reference = {pair: _column(_table(tables, f"demo_scan_{pair}"), "rate_arb")
+                 for pair in ("45_45", "45_-45")}
+    for deg1, deg2 in spec.scan.settings_deg:
+        table = _table(tables, f"demo_scan_{deg1:g}_{deg2:g}")
+        rates = _column(table, "rate_arb")
+        settings = sp.PolarizerSettings(math.radians(deg1),
+                                        math.radians(deg2))
+        averaged = np.array([
+            0.5 * (sp.coincidence_rate(t - delta, settings, spec.source)
+                   + sp.coincidence_rate(t + delta, settings, spec.source))
+            for t in _column(table, "theta_int_rad")])
+        assert np.all(np.abs(rates - averaged) <= 1e-15 * np.abs(averaged))
+        linear = (math.sin(settings.theta1 + settings.theta2) ** 2
+                  * reference["45_45"]
+                  + math.sin(settings.theta1 - settings.theta2) ** 2
+                  * reference["45_-45"])
+        assert np.max(np.abs(rates - linear)) <= 1e-15
+
+
 # --------------------------------------------------------- run: visibility
 
 def test_fig3_visibility_tables():
@@ -248,8 +282,8 @@ def test_fig3_visibility_tables():
 
 def test_sweep_rejects_a_non_positive_state(monkeypatch):
     # |M1| > M0 would give the averaged state a negative eigenvalue
-    from spdcpol import measurement, scenario
-    monkeypatch.setattr(scenario, "_window_moments",
+    from spdcpol import measurement
+    monkeypatch.setattr(measurement, "_window_moments",
                         lambda *args: measurement._Moments(1.0, 0.0, 1e-4))
     with pytest.raises(sp.StateInvariantError):
         sp.run_scenario(sp.load_scenario("fig3"))
