@@ -83,12 +83,13 @@ def parse_materials(text: str, path: str = "<materials>") -> dict[str, MaterialR
 
 def load_materials(path: str | Path) -> dict[str, MaterialRecord]:
     path = Path(path)
-    return parse_materials(path.read_text(), str(path))
+    return parse_materials(path.read_text(encoding="utf-8"), str(path))
 
 
 @lru_cache(maxsize=1)
 def builtin_materials() -> dict[str, MaterialRecord]:
-    text = resources.files("spdcpol.data").joinpath("materials.txt").read_text()
+    text = resources.files("spdcpol.data").joinpath("materials.txt").read_text(
+        encoding="utf-8")
     return parse_materials(text, "spdcpol/data/materials.txt")
 
 

@@ -1,9 +1,11 @@
 """Result tables with exact decimal round-trip serialization.
 
 Floats are written with 17 significant digits so ``float(text)`` reproduces
-the in-memory value bit for bit; integers stay integers. CSV files carry a
-single header line naming columns and units; the JSON mirror holds the same
-columns/rows for machine consumption.
+the in-memory value bit for bit; integers stay integers. ``format_cell`` is
+that rule for one cell, and ``to_csv`` reproduces it byte for byte through
+one printf template per table. CSV files carry a single header line naming
+columns and units; the JSON mirror holds the same columns/rows for machine
+consumption. Files are written as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -49,10 +51,29 @@ def parse_cell(text: str):
         return text
 
 
+# printf conversions that give the same text as format_cell for a cell of
+# exactly this type: "%.17g" % x == format(x, ".17g") for every float (nan,
+# ±inf, -0.0 and subnormals included) and "%d" % n == str(n) for every int.
+_CELL_CONVERSIONS = {float: "%.17g", int: "%d"}
+
+
 def to_csv(table: Table) -> str:
+    """CSV text of ``table``: a header line, then one line per row.
+
+    Each cell reads as ``format_cell`` writes it. The first row's cell types
+    pick one printf template for the table, used on every row whose cells
+    have exactly those types; ``bool``, ``str``, numpy scalars, other
+    subclasses and rows of another width or type mix take ``format_cell``.
+    """
+    rows = table.rows
+    types = tuple(map(type, rows[0])) if rows else ()
+    if types and all(t in _CELL_CONVERSIONS for t in types):
+        template = ",".join(_CELL_CONVERSIONS[t] for t in types)
+    else:
+        types, template = None, ""   # no row takes the template
     lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(format_cell(v) for v in row))
+    lines.extend([template % tuple(row) if tuple(map(type, row)) == types
+                  else ",".join(map(format_cell, row)) for row in rows])
     return "\n".join(lines) + "\n"
 
 
@@ -90,5 +111,5 @@ def write_table(table: Table, directory: str | Path, fmt: str = "csv") -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{table.name}.{fmt}"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path

@@ -114,14 +114,15 @@ class ScenarioSpec:
 
 
 def preset_text(name: str) -> str:
-    return resources.files("spdcpol.data.presets").joinpath(f"{name}.cfg").read_text()
+    return resources.files("spdcpol.data.presets").joinpath(f"{name}.cfg").read_text(
+        encoding="utf-8")
 
 
 def _resolve_source_text(source: str | Path) -> tuple[str, str]:
     path = Path(source)
     if path.exists():
         try:
-            return path.read_text(), str(path)
+            return path.read_text(encoding="utf-8"), str(path)
         except OSError as exc:
             raise ConfigError(f"cannot read scenario: {exc.strerror}",
                               path=str(path))

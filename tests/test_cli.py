@@ -276,16 +276,21 @@ def _declared_console_scripts():
         return tomllib.load(fh)["project"].get("scripts", {})
 
 
-def _run_console_script(target, args):
-    """Run ``module:attr`` the way a setuptools console script does."""
+def _run_console_script(target, args, options=(), env_overrides=None):
+    """Run ``module:attr`` the way a setuptools console script does.
+
+    ``options`` go to the interpreter; ``env_overrides`` to its environment.
+    """
     module, attr = target.split(":")
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     package_root = Path(spdcpol.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(package_root), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    env.update(env_overrides or {})
+    return subprocess.run([sys.executable, *options, "-c", code, *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def test_entry_point_installed(tmp_path):
@@ -316,3 +321,23 @@ def test_entry_point_installed(tmp_path):
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout == listed.stdout
+
+
+def test_text_is_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale without UTF-8 mode the default encoding is ASCII:
+    # every read and write of text must name UTF-8 itself.
+    scenario = tmp_path / "comment.cfg"
+    scenario.write_text(
+        "# 0.5 mm BBO compensator \u2014 200 \u00b5m pinhole\n"
+        + spdcpol.scenario.preset_text("fig2c").replace("name = fig2c",
+                                                         "name = comment"),
+        encoding="utf-8")
+    strict = dict(options=["-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning"],
+                  env_overrides={"PYTHONUTF8": "0", "LC_ALL": "C"})
+    for argv in (["run", str(scenario), "--out", str(tmp_path / "out")],
+                 ["materials", "list"],
+                 ["bell-angles", "fig2a", "--state", "psi-"]):
+        run = _run_console_script("spdcpol.cli:main", argv, **strict)
+        assert run.returncode == 0, (argv, run.stderr)
+    assert (tmp_path / "out" / "comment_scan_45_45.csv").exists()

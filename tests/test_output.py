@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from spdcpol.output import Table, format_cell, from_csv, to_csv, to_json, write_table
 
@@ -23,6 +24,47 @@ def test_csv_round_trip_exact():
     assert back.columns == table.columns
     assert back.rows == table.rows
     assert isinstance(back.rows[0][2], int)
+
+
+# One strategy per cell kind to_csv must write as format_cell does: floats
+# with nan and infinities (so -0.0 and subnormals come up), ints beyond
+# 64 bits, bools, text and numpy scalars.
+CELLS = (st.floats(),
+         st.integers(min_value=-2**70, max_value=2**70),
+         st.booleans(),
+         st.text(st.characters(exclude_characters=",\n\r"), max_size=4),
+         st.floats().map(np.float64),
+         st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64))
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        cells = [draw(st.sampled_from(CELLS)) for _ in range(width)]
+    else:
+        cells = [st.one_of(CELLS)] * width
+    rows = draw(st.lists(st.tuples(*cells), max_size=6))
+    return Table(name="t", columns=tuple(f"c{i}" for i in range(width)),
+                 rows=rows)
+
+
+def _with_row(table, row):
+    table.rows.append(row)
+    return table
+
+
+@given(tables())
+@example(Table(name="t", columns=("phase_rad",),
+               rows=[(0.0,), (-0.0,), (0.0,)]))
+@example(_with_row(Table(name="t", columns=("a", "n"), rows=[(0.5, 2)]),
+                   (0.25,)))
+@example(_with_row(Table(name="t", columns=("a", "n"), rows=[(0.5, 2)]),
+                   [0.25, 3]))
+def test_csv_text_is_format_cell_per_cell(table):
+    expected = ",".join(table.columns) + "\n" + "".join(
+        ",".join(map(format_cell, row)) + "\n" for row in table.rows)
+    assert to_csv(table) == expected
 
 
 def test_json_mirror():
