@@ -180,7 +180,6 @@ class BellAngle:
 
 @dataclass(frozen=True)
 class BellAngleSet:
-    which: BellState
     uniform: bool  # flat phase law: Psi+ everywhere, no discrete angles
     angles: tuple[BellAngle, ...]
 
@@ -202,7 +201,7 @@ def bell_angles(config: SourceConfig, which: BellState,
             raise UniformStateError(
                 "state is uniform, no such angle: the compensated phase law "
                 "is identically zero, Psi- never appears")
-        return BellAngleSet(which=which, uniform=True,
+        return BellAngleSet(uniform=True,
                             angles=(BellAngle(theta=0.0, envelope=1.0),))
     if which is BellState.PSI_PLUS:
         targets = [2.0 * math.pi * k for k in range(max_order)]
@@ -211,4 +210,4 @@ def bell_angles(config: SourceConfig, which: BellState,
     angles = tuple(BellAngle(theta=t / slope,
                              envelope=angular_envelope(t / slope, config))
                    for t in targets)
-    return BellAngleSet(which=which, uniform=False, angles=angles)
+    return BellAngleSet(uniform=False, angles=angles)

@@ -62,6 +62,9 @@ def _write(table, args) -> None:
     except OSError as exc:
         raise ConfigError(f"cannot write '{exc.filename or args.out}': "
                           f"{exc.strerror or exc}")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"cannot write table '{table.name}' to "
+                          f"'{args.out}': the name is not {exc.encoding}")
     print(f"wrote {path}")
 
 

@@ -17,6 +17,16 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
 
 @dataclass
 class Entry:
@@ -38,54 +48,38 @@ class Section:
     def has(self, key: str) -> bool:
         return key in self.entries
 
-    def _default(self, key: str, default):
-        if default is None:
-            raise self.error(f"missing required key '{key}' in [{self.name}]")
-        return default
+    def _get(self, key: str, default, convert, expected: str):
+        # A missing key takes the default or is an error at the section
+        # line; text that does not convert is an error at its key's line.
+        if key not in self.entries:
+            if default is None:
+                raise self.error(
+                    f"missing required key '{key}' in [{self.name}]")
+            return default
+        raw = self.entries[key].value
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise self.error(f"expected {expected} for '{key}', got '{raw}'",
+                             key)
 
     def get_str(self, key: str, default: str | None = None) -> str:
-        if key not in self.entries:
-            return self._default(key, default)
-        return self.entries[key].value
+        return self._get(key, default, str, "text")
 
     def get_float(self, key: str, default: float | None = None) -> float:
-        if key not in self.entries:
-            return self._default(key, default)
-        raw = self.entries[key].value
-        try:
-            value = float(raw)
-        except ValueError:
-            raise self.error(f"expected a number for '{key}', got '{raw}'", key)
-        if not math.isfinite(value):
-            raise self.error(f"expected a finite number for '{key}', "
-                             f"got '{raw}'", key)
-        return value
+        return self._get(key, default, _finite_float, "a finite number")
 
     def get_int(self, key: str, default: int | None = None) -> int:
-        if key not in self.entries:
-            return self._default(key, default)
-        raw = self.entries[key].value
-        try:
-            return int(raw)
-        except ValueError:
-            raise self.error(f"expected an integer for '{key}', got '{raw}'", key)
+        return self._get(key, default, int, "an integer")
 
     def get_bool(self, key: str, default: bool | None = None) -> bool:
-        if key not in self.entries:
-            return self._default(key, default)
-        raw = self.entries[key].value.lower()
-        if raw in ("true", "yes", "on", "1"):
-            return True
-        if raw in ("false", "no", "off", "0"):
-            return False
-        raise self.error(f"expected true/false for '{key}', got '{raw}'", key)
+        return self._get(key, default, lambda raw: _BOOLS[raw.lower()],
+                         "true/false")
 
     def reject_unknown(self, allowed: set[str]) -> None:
-        for key, entry in self.entries.items():
+        for key in self.entries:
             if key not in allowed:
-                raise ConfigError(
-                    f"unknown key '{key}' in [{self.name}]",
-                    path=self.path, line=entry.line)
+                raise self.error(f"unknown key '{key}' in [{self.name}]", key)
 
 
 def parse_config(text: str, path: str = "<config>") -> list[Section]:

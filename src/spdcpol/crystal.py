@@ -13,7 +13,8 @@ follows the index ellipse
 
 where ``n_eb`` is the principal extraordinary index. For a negative uniaxial
 crystal (n_o > n_eb) the angular derivative dn_e/dtheta is negative on
-(0, pi/2); downstream phase laws use its magnitude.
+(0, pi/2); downstream phase laws use its magnitude. The principal indices
+are read once per wavelength per call: a cut-angle solve reads four.
 """
 
 from __future__ import annotations
@@ -107,19 +108,28 @@ def index_ordinary(crystal: UniaxialCrystal, wavelength: float) -> float:
     return crystal.ordinary.index(wavelength * 1e6)
 
 
-def index_extraordinary(crystal: UniaxialCrystal, wavelength: float,
-                        angle_from_axis: float) -> float:
-    """Extraordinary index n_e(theta) at ``angle_from_axis`` from the optic axis."""
+def _principal_indices(crystal: UniaxialCrystal,
+                       wavelength: float) -> tuple[float, float]:
+    """(n_o, n_eb) at ``wavelength`` (meters), each evaluated once."""
     _check_band(crystal, wavelength)
+    wl_um = wavelength * 1e6
+    return crystal.ordinary.index(wl_um), crystal.extraordinary.index(wl_um)
+
+
+def _ellipse(n_o: float, n_eb: float, angle_from_axis: float) -> float:
+    """n_e(theta) on the index ellipse of the principal indices."""
     if not 0.0 <= angle_from_axis <= math.pi:
         raise ValueError(
             f"angle from axis must lie in [0, pi], got {angle_from_axis}")
-    wl_um = wavelength * 1e6
-    n_o = crystal.ordinary.index(wl_um)
-    n_eb = crystal.extraordinary.index(wl_um)
     cos_t = math.cos(angle_from_axis)
     sin_t = math.sin(angle_from_axis)
     return 1.0 / math.sqrt((cos_t / n_o) ** 2 + (sin_t / n_eb) ** 2)
+
+
+def index_extraordinary(crystal: UniaxialCrystal, wavelength: float,
+                        angle_from_axis: float) -> float:
+    """Extraordinary index n_e(theta) at ``angle_from_axis`` from the optic axis."""
+    return _ellipse(*_principal_indices(crystal, wavelength), angle_from_axis)
 
 
 def dne_dtheta(crystal: UniaxialCrystal, wavelength: float,
@@ -128,11 +138,8 @@ def dne_dtheta(crystal: UniaxialCrystal, wavelength: float,
 
     dn_e/dtheta = -(n_e(theta)^3 / 2) sin(2 theta) (1/n_eb^2 - 1/n_o^2)
     """
-    _check_band(crystal, wavelength)
-    wl_um = wavelength * 1e6
-    n_o = crystal.ordinary.index(wl_um)
-    n_eb = crystal.extraordinary.index(wl_um)
-    n_e = index_extraordinary(crystal, wavelength, angle_from_axis)
+    n_o, n_eb = _principal_indices(crystal, wavelength)
+    n_e = _ellipse(n_o, n_eb, angle_from_axis)
     return (-(n_e ** 3 / 2.0) * math.sin(2.0 * angle_from_axis)
             * (1.0 / n_eb ** 2 - 1.0 / n_o ** 2))
 
@@ -165,6 +172,19 @@ def _bracketed_root(func, lo: float, hi: float, f_lo: float, f_hi: float,
     return 0.5 * (lo + hi)
 
 
+def _mismatch(crystal: UniaxialCrystal, pump_wavelength: float):
+    # phase_matching_mismatch as a function of theta, indices read once.
+    pump_o, pump_eb = _principal_indices(crystal, pump_wavelength)
+    degenerate_o, degenerate_eb = _principal_indices(crystal,
+                                                     2.0 * pump_wavelength)
+
+    def mismatch(theta: float) -> float:
+        return (2.0 * _ellipse(pump_o, pump_eb, theta) - degenerate_o
+                - _ellipse(degenerate_o, degenerate_eb, theta))
+
+    return mismatch
+
+
 def phase_matching_mismatch(crystal: UniaxialCrystal, pump_wavelength: float,
                             cut_angle: float) -> float:
     """Collinear degenerate type-II mismatch in index units.
@@ -172,10 +192,7 @@ def phase_matching_mismatch(crystal: UniaxialCrystal, pump_wavelength: float,
     2 n_e(theta, lambda_p) - n_o(lambda_d) - n_e(theta, lambda_d), with
     lambda_d = 2 lambda_p; the phase-matched cut angle is its root.
     """
-    degenerate = 2.0 * pump_wavelength
-    return (2.0 * index_extraordinary(crystal, pump_wavelength, cut_angle)
-            - index_ordinary(crystal, degenerate)
-            - index_extraordinary(crystal, degenerate, cut_angle))
+    return _mismatch(crystal, pump_wavelength)(cut_angle)
 
 
 def phase_matching_cut_angle(crystal: UniaxialCrystal,
@@ -186,12 +203,7 @@ def phase_matching_cut_angle(crystal: UniaxialCrystal,
     by bracketed bisection/secant; the residual mismatch at the returned
     angle is below 1e-12 (index units).
     """
-    _check_band(crystal, pump_wavelength)
-    _check_band(crystal, 2.0 * pump_wavelength)
-
-    def mismatch(theta: float) -> float:
-        return phase_matching_mismatch(crystal, pump_wavelength, theta)
-
+    mismatch = _mismatch(crystal, pump_wavelength)
     f_lo = mismatch(0.0)
     f_hi = mismatch(math.pi / 2.0)
     if f_lo == 0.0:

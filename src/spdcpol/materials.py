@@ -31,11 +31,10 @@ from .config import parse_config
 from .crystal import SellmeierCoefficients, UniaxialCrystal
 from .errors import ConfigError
 
-_RECORD_KEYS = {
-    "ordinary_a", "ordinary_b", "ordinary_c", "ordinary_d",
-    "extraordinary_a", "extraordinary_b", "extraordinary_c", "extraordinary_d",
-    "band_min_um", "band_max_um",
-}
+_KINDS = ("ordinary", "extraordinary")
+_COEFFICIENTS = ("a", "b", "c", "d")
+_RECORD_KEYS = ({f"{kind}_{c}" for kind in _KINDS for c in _COEFFICIENTS}
+                | {"band_min_um", "band_max_um"})
 
 
 @dataclass(frozen=True)
@@ -60,16 +59,10 @@ def parse_materials(text: str, path: str = "<materials>") -> dict[str, MaterialR
         if name in records:
             raise section.error(f"duplicate material '{name}'")
         section.reject_unknown(_RECORD_KEYS)
-        ordinary = SellmeierCoefficients(
-            a=section.get_float("ordinary_a"),
-            b=section.get_float("ordinary_b"),
-            c=section.get_float("ordinary_c"),
-            d=section.get_float("ordinary_d"))
-        extraordinary = SellmeierCoefficients(
-            a=section.get_float("extraordinary_a"),
-            b=section.get_float("extraordinary_b"),
-            c=section.get_float("extraordinary_c"),
-            d=section.get_float("extraordinary_d"))
+        ordinary, extraordinary = (
+            SellmeierCoefficients(*(section.get_float(f"{kind}_{c}")
+                                    for c in _COEFFICIENTS))
+            for kind in _KINDS)
         band = (section.get_float("band_min_um") * 1e-6,
                 section.get_float("band_max_um") * 1e-6)
         if not 0.0 < band[0] < band[1]:

@@ -1,10 +1,12 @@
 """Scenario files: map a tabletop layout onto emitted result tables.
 
 A scenario is a line-oriented ``key = value`` file (see `spdcpol.config`)
-with the sections below. Lab-facing quantities use nm/mm/um/mrad and
-external (lab) angles; everything is converted to SI and internal angles at
-this boundary, through `spdcpol.geometry` and the scenario's source. Emitted
-scan tables carry both angle columns.
+with the sections below; each but ``[compensator]`` appears at most once,
+and an unknown section or key is an error at its line. Lab-facing
+quantities use nm/mm/um/mrad and external (lab) angles; everything is
+converted to SI and internal angles at this boundary, through
+`spdcpol.geometry` and the scenario's source. Emitted scan tables carry
+both angle columns.
 
     [scenario]   name, seed, bell_max_order (optional)
     [source]     material, pump_wavelength_nm, length_mm
@@ -55,7 +57,7 @@ from .crystal import phase_matching_cut_angle
 from .errors import ConfigError, PhaseMatchingError, UniformStateError
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
-from .materials import MaterialRecord, builtin_materials
+from .materials import MaterialRecord, get_material
 from .measurement import (MAX_SUPPORTED_ANGLE, AngularWindow,
                           PolarizerSettings, _window_observables,
                           coincidence_rate, simulate_counts)
@@ -76,6 +78,21 @@ FIRST_SINGLET = "first_singlet"
 # Bound on scan and sweep points and on bell_max_order: every size read from
 # a scenario allocates in proportion to it.
 MAX_POINTS = 100_000
+
+# The sections a scenario may hold and the keys each may carry. Every
+# section but [compensator] appears at most once.
+_SECTION_KEYS = {
+    "scenario": {"name", "seed", "bell_max_order"},
+    "source": {"material", "pump_wavelength_nm", "length_mm"},
+    "compensator": {"material", "length_mm", "orientation", "cut_angle_deg"},
+    "geometry": {"lens_focal_length_mm", "pinhole_diameter_um",
+                 "ambient_index"},
+    "scan": {"theta_ext_min_mrad", "theta_ext_max_mrad", "points",
+             "settings_deg"},
+    "visibility": {"points", "max_halfwidth", "max_halfwidth_mrad",
+                   "center_mrad", "compare_uncompensated"},
+    "counts": {"duration_s", "peak_rate_hz", "accidental_rate_hz"},
+}
 
 
 @dataclass(frozen=True)
@@ -137,13 +154,11 @@ def _resolve_source_text(source: str | Path) -> tuple[str, str]:
 
 
 def _pick_material(section: Section,
-                   catalogue: dict[str, MaterialRecord]) -> MaterialRecord:
-    name = section.get_str("material").lower()
-    if name not in catalogue:
-        raise section.error(
-            f"unknown material '{name}' (known: {', '.join(sorted(catalogue))})",
-            key="material")
-    return catalogue[name]
+                   catalogue: dict[str, MaterialRecord] | None) -> MaterialRecord:
+    try:
+        return get_material(section.get_str("material"), catalogue)
+    except KeyError as exc:
+        raise section.error(exc.args[0], key="material")
 
 
 def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
@@ -173,50 +188,39 @@ def load_scenario(source: str | Path, seed: int | None = None,
                   catalogue: dict[str, MaterialRecord] | None = None) -> ScenarioSpec:
     """Load a scenario file or preset name into a resolved ScenarioSpec."""
     text, path = _resolve_source_text(source)
-    catalogue = builtin_materials() if catalogue is None else catalogue
-    sections = parse_config(text, path)
 
     by_name: dict[str, Section] = {}
     compensator_sections: list[Section] = []
-    for section in sections:
+    for section in parse_config(text, path):
+        if section.name not in _SECTION_KEYS:
+            raise section.error(f"unknown section [{section.name}]")
         if section.name == "compensator":
             compensator_sections.append(section)
-            continue
-        if section.name not in ("scenario", "source", "geometry", "scan",
-                                "visibility", "counts"):
-            raise ConfigError(f"unknown section [{section.name}]",
-                              path=path, line=section.line)
-        if section.name in by_name:
-            raise ConfigError(f"duplicate section [{section.name}]",
-                              path=path, line=section.line)
-        by_name[section.name] = section
+        elif by_name.setdefault(section.name, section) is not section:
+            raise section.error(f"duplicate section [{section.name}]")
+        section.reject_unknown(_SECTION_KEYS[section.name])
 
     for required in ("source", "geometry"):
         if required not in by_name:
             raise ConfigError(f"missing required section [{required}]",
                               path=path)
 
-    name = str(source) if path.startswith("<preset") else Path(path).stem
-    seed_value = 0
-    bell_max_order = 8
-    if "scenario" in by_name:
-        sec = by_name["scenario"]
-        sec.reject_unknown({"name", "seed", "bell_max_order"})
-        name = sec.get_str("name", name)
-        seed_value = sec.get_int("seed", 0)
-        if seed_value < 0:
-            raise sec.error("seed must be >= 0", key="seed")
-        bell_max_order = sec.get_int("bell_max_order", 8)
-        if not 1 <= bell_max_order <= MAX_POINTS:
-            raise sec.error(f"bell_max_order must lie in [1, {MAX_POINTS}]",
-                            key="bell_max_order")
+    sec = by_name.get("scenario", Section(name="scenario", line=0, path=path))
+    name = sec.get_str("name", str(source) if path.startswith("<preset")
+                       else Path(path).stem)
+    seed_value = sec.get_int("seed", 0)
+    if seed_value < 0:
+        raise sec.error("seed must be >= 0", key="seed")
+    bell_max_order = sec.get_int("bell_max_order", 8)
+    if not 1 <= bell_max_order <= MAX_POINTS:
+        raise sec.error(f"bell_max_order must lie in [1, {MAX_POINTS}]",
+                        key="bell_max_order")
     if seed is not None:
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         seed_value = seed
 
     src = by_name["source"]
-    src.reject_unknown({"material", "pump_wavelength_nm", "length_mm"})
     material = _pick_material(src, catalogue)
     pump = src.get_float("pump_wavelength_nm") * 1e-9
     length = src.get_float("length_mm") * 1e-3
@@ -232,19 +236,15 @@ def load_scenario(source: str | Path, seed: int | None = None,
 
     compensators = []
     for sec in compensator_sections:
-        sec.reject_unknown({"material", "length_mm", "orientation",
-                            "cut_angle_deg"})
         comp_material = _pick_material(sec, catalogue)
         comp_length = sec.get_float("length_mm") * 1e-3
-        orientation_raw = sec.get_str("orientation").lower()
-        if orientation_raw == "compensating":
-            orientation = Orientation.COMPENSATING
-        elif orientation_raw == "anticompensating":
-            orientation = Orientation.ANTICOMPENSATING
-        else:
+        orientation_raw = sec.get_str("orientation")
+        try:
+            orientation = Orientation[orientation_raw.upper()]
+        except KeyError:
             raise sec.error(
                 f"orientation must be compensating or anticompensating, "
-                f"got '{orientation_raw}'", key="orientation")
+                f"got '{orientation_raw.lower()}'", key="orientation")
         # Default to the production cut angle verbatim: a degrees round-trip
         # would break the exact phase cancellation of the compensated case.
         if sec.has("cut_angle_deg"):
@@ -263,8 +263,6 @@ def load_scenario(source: str | Path, seed: int | None = None,
                                  compensators=tuple(compensators))
 
     geo = by_name["geometry"]
-    geo.reject_unknown({"lens_focal_length_mm", "pinhole_diameter_um",
-                        "ambient_index"})
     try:
         geometry = GeometryConfig(
             lens_focal_length=geo.get_float("lens_focal_length_mm") * 1e-3,
@@ -276,8 +274,6 @@ def load_scenario(source: str | Path, seed: int | None = None,
     scan_spec = None
     if "scan" in by_name:
         sec = by_name["scan"]
-        sec.reject_unknown({"theta_ext_min_mrad", "theta_ext_max_mrad",
-                            "points", "settings_deg"})
         lo = sec.get_float("theta_ext_min_mrad") * 1e-3
         hi = sec.get_float("theta_ext_max_mrad") * 1e-3
         points = sec.get_int("points")
@@ -303,8 +299,6 @@ def load_scenario(source: str | Path, seed: int | None = None,
     visibility_spec = None
     if "visibility" in by_name:
         sec = by_name["visibility"]
-        sec.reject_unknown({"points", "max_halfwidth", "max_halfwidth_mrad",
-                            "center_mrad", "compare_uncompensated"})
         points = sec.get_int("points")
         if not 1 <= points <= MAX_POINTS:
             raise sec.error(f"visibility sweep needs 1 to {MAX_POINTS} "
@@ -348,8 +342,6 @@ def load_scenario(source: str | Path, seed: int | None = None,
     counts_spec = None
     if "counts" in by_name:
         sec = by_name["counts"]
-        sec.reject_unknown({"duration_s", "peak_rate_hz",
-                            "accidental_rate_hz"})
         counts_spec = CountsSpec(
             duration=sec.get_float("duration_s"),
             peak_rate=sec.get_float("peak_rate_hz"),

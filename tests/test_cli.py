@@ -341,3 +341,24 @@ def test_text_is_utf8_whatever_the_locale(tmp_path):
         run = _run_console_script("spdcpol.cli:main", argv, **strict)
         assert run.returncode == 0, (argv, run.stderr)
     assert (tmp_path / "out" / "comment_scan_45_45.csv").exists()
+
+
+def test_name_outside_the_file_system_encoding_exits_2(tmp_path):
+    # Under the C locale without UTF-8 mode, file names are ASCII: a table
+    # named after scenario "café" cannot be written, and that is reported as
+    # one configuration error naming the table and the --out directory.
+    scenario = tmp_path / "cafe.cfg"
+    scenario.write_text(spdcpol.scenario.preset_text("fig2a").replace(
+        "name = fig2a", "name = café"), encoding="utf-8")
+    out = tmp_path / "out"
+    for argv in (["run", str(scenario), "--out", str(out)],
+                 ["bell-angles", str(scenario), "--state", "psi-",
+                  "--out", str(out)]):
+        run = _run_console_script(
+            "spdcpol.cli:main", argv,
+            env_overrides={"PYTHONUTF8": "0", "LC_ALL": "C"})
+        assert run.returncode == 2, (argv, run.stderr)
+        assert "Traceback" not in run.stderr
+        assert len(run.stderr.splitlines()) == 1
+        assert str(out) in run.stderr
+        assert "caf" in run.stderr

@@ -161,6 +161,35 @@ def test_phase_matching_shift_direction(production):
     assert math.copysign(1.0, shifted - cut) == predicted_sign
 
 
+def test_cut_solve_reads_each_principal_index_once(bbo, monkeypatch):
+    # Two principal indices at lambda_p and two at lambda_d, however many
+    # angles the solve tries; the root keeps its bits.
+    crystal = bbo.crystal(cut_angle=0.0, length=1e-3)
+    calls = []
+    index = sp.SellmeierCoefficients.index
+
+    def counted(self, wavelength_um):
+        calls.append(wavelength_um)
+        return index(self, wavelength_um)
+
+    monkeypatch.setattr(sp.SellmeierCoefficients, "index", counted)
+    assert sp.phase_matching_cut_angle(crystal, PUMP) == 0.8538525780754935
+    assert len(calls) == 4
+    calls.clear()
+    sp.dne_dtheta(crystal, DEGENERATE, 0.8538525780754935)
+    assert len(calls) == 2
+
+
+def test_mismatch_is_built_from_the_public_indices(production):
+    angles = [0.0, math.pi / 2.0, *np.linspace(0.0, math.pi / 2.0, 37)[1:-1],
+              production.cut_angle]
+    for theta in angles:
+        assert phase_matching_mismatch(production, PUMP, theta) == (
+            2 * sp.index_extraordinary(production, PUMP, theta)
+            - sp.index_ordinary(production, DEGENERATE)
+            - sp.index_extraordinary(production, DEGENERATE, theta))
+
+
 def test_no_phase_matching_for_isotropic_data(bbo):
     iso = sp.UniaxialCrystal(ordinary=bbo.ordinary, extraordinary=bbo.ordinary,
                              cut_angle=0.3, length=1e-3, band=bbo.band)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import spdcpol as sp
+from spdcpol import scenario
 from spdcpol.output import from_csv, to_csv
 
 P45 = math.pi / 4.0
@@ -502,3 +504,68 @@ def test_oversized_count_mean_is_config_error(tmp_path):
     counts = _column(_table(sp.run_scenario(_load_text(tmp_path, text)),
                             "demo_counts_45_45"), "counts")
     assert counts.max() < 2.0 ** 53
+
+
+# ----------------------------------------------------- the section table
+
+COMPENSATOR = """
+[compensator]
+material = bbo
+length_mm = {length}
+orientation = {orientation}
+"""
+
+
+def test_repeated_section_is_reported_at_its_own_line(tmp_path):
+    text = BASE + "\n[scan]\npoints = 3\n"
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert "duplicate section [scan]" in str(info.value)
+    assert info.value.line == text.splitlines().index("[scan]", 13) + 1
+
+
+def test_compensator_sections_add_their_phase_contributions(tmp_path):
+    def source(*placements):
+        return _load_text(tmp_path, BASE + "".join(
+            COMPENSATOR.format(length=length, orientation=orientation)
+            for length, orientation in placements)).source
+
+    bare = source().phase_slope
+    first = source(("0.2", "compensating")).phase_slope - bare
+    second = source(("0.3", "anticompensating")).phase_slope - bare
+    both = source(("0.2", "compensating"), ("0.3", "anticompensating"))
+    assert [p.orientation for p in both.compensators] == [
+        sp.Orientation.COMPENSATING, sp.Orientation.ANTICOMPENSATING]
+    assert [p.crystal.length for p in both.compensators] == [0.2e-3, 0.3e-3]
+    assert first < 0.0 < second
+    assert both.phase_slope == pytest.approx(bare + first + second,
+                                             rel=1e-12)
+
+
+def test_unknown_key_in_a_repeated_compensator_is_reported_at_its_line(
+        tmp_path):
+    text = (BASE + COMPENSATOR.format(length="0.2", orientation="compensating")
+            + COMPENSATOR.format(length="0.3", orientation="compensating")
+            + "colour = red\n")
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert "unknown key 'colour' in [compensator]" in str(info.value)
+    assert info.value.line == text.splitlines().index("colour = red") + 1
+
+
+def test_scenario_section_is_optional(tmp_path):
+    path = tmp_path / "headless.cfg"
+    path.write_text(BASE.replace("[scenario]\nname = demo\n", ""))
+    spec = sp.load_scenario(path)
+    assert (spec.name, spec.seed, spec.bell_max_order) == ("headless", 0, 8)
+
+
+def test_scenario_docstring_lists_every_section_key():
+    # Each "[section]" line of the module docstring, with its indented
+    # continuation lines, must name every key the loader accepts there.
+    blocks = {name: set(re.findall(r"\w+", body)) for name, body in
+              re.findall(r"^    \[(\w+)\](.*(?:\n {6,}\S.*)*)",
+                         scenario.__doc__, re.MULTILINE)}
+    assert set(blocks) == set(scenario._SECTION_KEYS)
+    for name, keys in scenario._SECTION_KEYS.items():
+        assert keys <= blocks[name], (name, keys - blocks[name])
