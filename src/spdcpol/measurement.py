@@ -15,10 +15,10 @@ and the aperture-averaged density matrix, the {HV, VH} block with 1/2 on its
 diagonal and coherence M1 / (2 M0). Its Wootters concurrence, 2 |rho_HV,VH| =
 |M1| / M0, quantifies how the coherent phase spread degrades polarization
 entanglement, and its Bell fidelities are F(Psi+-) = C++ / M0 and C+- / M0.
-One vectorized composite Gauss-Legendre pass per window gives both moments,
-with an error estimate held to ``QUAD_TOL`` relative to M0; a window of
-halfwidth 0 is a point. ``concurrence`` evaluates Wootters' formula for any
-two-qubit density matrix.
+One batched composite Gauss-Legendre pass per sweep gives both moments of
+every window, each with an error estimate held to ``QUAD_TOL`` relative to
+its M0; a window of halfwidth 0 is a point. ``concurrence`` evaluates
+Wootters' formula for any two-qubit density matrix.
 """
 
 from __future__ import annotations
@@ -60,13 +60,19 @@ class AngularWindow:
     halfwidth: float
 
     def __post_init__(self):
-        if self.halfwidth < 0.0:
-            raise ValueError(f"halfwidth must be >= 0, got {self.halfwidth}")
-        if abs(self.center) + self.halfwidth > MAX_SUPPORTED_ANGLE:
-            raise ValueError(
-                f"window [{self.center - self.halfwidth}, "
-                f"{self.center + self.halfwidth}] rad exceeds the supported "
-                f"range |theta| <= {MAX_SUPPORTED_ANGLE} rad")
+        _check_domain(self.center, self.halfwidth)
+
+
+def _check_domain(center: float, halfwidth: float) -> None:
+    """ValueError unless [center - halfwidth, center + halfwidth] is a window
+    inside the model domain (a NaN edge is not)."""
+    if not halfwidth >= 0.0:
+        raise ValueError(f"halfwidth must be >= 0, got {halfwidth}")
+    if not abs(center) + halfwidth <= MAX_SUPPORTED_ANGLE:
+        raise ValueError(
+            f"window [{center - halfwidth}, {center + halfwidth}] rad "
+            f"exceeds the supported range |theta| <= {MAX_SUPPORTED_ANGLE} "
+            f"rad")
 
 
 def coincidence_rate(theta: float, settings: PolarizerSettings,
@@ -113,8 +119,9 @@ class DensityMatrix4:
 # half-order rule whose difference from it is the error estimate.
 _GL_ORDER = 32
 _GL_CHECK_ORDER = 16
-# Panels per window: 2**13 panels of 48 nodes keep the kernel's arrays
-# near 20 MB and cover a 12 cm BBO crystal over the whole model domain.
+# Panels per pass: 2**13 panels of 48 nodes keep the kernel's arrays near
+# 20 MB, and one window of a 12 cm BBO crystal over the whole model domain
+# fits in a pass.
 _MAX_PANELS = 1 << 13
 
 
@@ -160,104 +167,173 @@ def _kernel_rule() -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Moments(NamedTuple):
-    """M0 = int w and M1 = int w e^{i phi} over a window, w = sinc^2(a theta).
+    """M0 = int w and M1 = int w e^{i phi} over windows, w = sinc^2(a theta).
 
     M0 and Re M1 are carried as their halves ``even`` = (M0 + Re M1) / 2 =
     int w cos^2(phi/2) and ``odd`` = (M0 - Re M1) / 2 = int w sin^2(phi/2):
     both integrands are nonnegative, so each half keeps its relative accuracy
     where the difference M0 - Re M1 would cancel (narrow windows on a small
-    phase, or windows around a Psi- angle).
+    phase, or windows around a Psi- angle). The kernel returns one array
+    entry per window; the one-window functions hold floats.
     """
 
-    even: float
-    odd: float
-    imag: float  # Im M1 = int w sin(phi)
+    even: np.ndarray
+    odd: np.ndarray
+    imag: np.ndarray  # Im M1 = int w sin(phi)
 
     @property
-    def m0(self) -> float:
+    def m0(self) -> np.ndarray:
         return self.even + self.odd
 
     @property
-    def m1(self) -> complex:
-        return complex(self.even - self.odd, self.imag)
+    def m1(self) -> np.ndarray:
+        return (self.even - self.odd) + 1j * self.imag
 
 
-def _window_moments(window: AngularWindow, config: SourceConfig) -> _Moments:
-    """Both window moments from one composite Gauss-Legendre pass.
+def _integrands(theta: np.ndarray, envelope_slope: float,
+                phase_slope: float) -> np.ndarray:
+    """w cos^2(phi/2), w sin^2(phi/2) and w sin(phi) at every ``theta``,
+    stacked along a new first axis."""
+    arg = envelope_slope * theta
+    envelope = np.divide(np.sin(arg), arg, out=np.ones_like(arg),
+                         where=arg != 0.0)
+    weight = envelope * envelope
+    half_phase = 0.5 * phase_slope * theta
+    cos_half = np.cos(half_phase)
+    sin_half = np.sin(half_phase)
+    weighted_sin = weight * sin_half
+    return np.array((weight * cos_half * cos_half, weighted_sin * sin_half,
+                     2.0 * weighted_sin * cos_half))
 
-    Panels are cut at the sinc zeros n pi / a (n != 0) inside the window and
-    split so that none spans more than one period 2 pi / |k| of e^{i k
-    theta}; on such a panel the integrands are entire functions of small
-    bandwidth. The 16-point rule on the same panels estimates the error of
-    the 32-point one; QuadratureError is raised when that estimate exceeds
-    ``QUAD_TOL`` * M0, or when M0 is not positive (a window narrower than
-    float resolution). At halfwidth 0 the moments are the integrands at the
-    center, the h -> 0 limit of each moment over the width 2 h.
-    """
-    if window.halfwidth == 0.0:
-        envelope = angular_envelope(window.center, config)
-        weight = envelope * envelope
-        half_phase = 0.5 * relative_phase(window.center, config)
-        cos_half = math.cos(half_phase)
-        weighted_sin = weight * math.sin(half_phase)
-        return _Moments(weight * cos_half * cos_half,
-                        weighted_sin * math.sin(half_phase),
-                        2.0 * weighted_sin * cos_half)
-    lo = window.center - window.halfwidth
-    hi = window.center + window.halfwidth
-    a = config.envelope_slope
-    # A long crystal or a steep phase law would ask for unbounded memory.
-    panels = (hi - lo) * (a / math.pi + abs(config.phase_slope)
-                          / (2.0 * math.pi)) + 2.0
-    if not panels <= _MAX_PANELS:
-        raise QuadratureError(
-            f"window quadrature on [{lo}, {hi}] rad needs about {panels:.3g} "
-            f"panels, more than the limit of {_MAX_PANELS}")
-    edges = np.array([lo, hi])
-    if a > 0.0:
-        n = np.arange(math.floor(lo * a / math.pi) + 1,
-                      math.ceil(hi * a / math.pi))
-        zeros = n[n != 0] * (math.pi / a)
-        edges = np.concatenate(([lo], zeros[(zeros > lo) & (zeros < hi)],
-                                [hi]))
-    widths = np.diff(edges)
+
+def _panel_pass(lo: np.ndarray, hi: np.ndarray, envelope_slope: float,
+                phase_slope: float) -> tuple[np.ndarray, np.ndarray]:
+    """32-point sums (even, odd, imag) of the windows [lo_i, hi_i], shape
+    (3, windows), and each window's error estimate: the largest over the
+    three integrands of its summed |32-point - 16-point| panel values."""
+    a = envelope_slope
+    # Each window's candidate sinc zeros n pi / a, n from
+    # floor(lo a / pi) + 1 to ceil(hi a / pi) - 1, sit by index between its
+    # two edges, so every window's edges come out in order without a sort.
+    first = np.floor(lo * a / math.pi) + 1.0
+    counts = np.maximum(np.ceil(hi * a / math.pi) - first, 0.0).astype(int)
+    sizes = counts + 2
+    starts = np.cumsum(sizes) - sizes
+    ends = starts + sizes - 1
+    owner = np.repeat(np.arange(lo.size), sizes)
+    n = first[owner] + (np.arange(owner.size) - starts[owner] - 1)
+    edges = n * (math.pi / a if a > 0.0 else 0.0)
+    keep = (n != 0.0) & (edges > lo[owner]) & (edges < hi[owner])
+    edges[starts] = lo
+    edges[ends] = hi
+    keep[starts] = keep[ends] = True
+    edges, owner = edges[keep], owner[keep]
+    inside = owner[1:] == owner[:-1]  # both edges in one window
+    lefts = edges[:-1][inside]
+    widths = (edges[1:] - edges[:-1])[inside]
     pieces = np.maximum(
-        np.ceil(widths * abs(config.phase_slope) / (2.0 * math.pi)),
+        np.ceil(widths * abs(phase_slope) / (2.0 * math.pi)),
         1.0).astype(int)
-    # sub-panel j of panel p starts at edges[p] + j * widths[p] / pieces[p]
+    # sub-panel j of panel p starts at lefts[p] + j * widths[p] / pieces[p]
     steps = np.repeat(widths / pieces, pieces)
     index = np.arange(steps.size) - np.repeat(np.cumsum(pieces) - pieces,
                                               pieces)
     halves = 0.5 * steps
-    mids = np.repeat(edges[:-1], pieces) + index * steps + halves
+    mids = np.repeat(lefts, pieces) + index * steps + halves
+    # Every window has at least one panel, so its first panel index is
+    # where its run of owners begins.
+    window_starts = np.searchsorted(np.repeat(owner[:-1][inside], pieces),
+                                    np.arange(lo.size))
 
     nodes, weights = _kernel_rule()
     theta = mids[:, None] + halves[:, None] * nodes
-    arg = a * theta
-    envelope = np.divide(np.sin(arg), arg, out=np.ones_like(arg),
-                         where=arg != 0.0)
-    weight = envelope * envelope
-    half_phase = 0.5 * config.phase_slope * theta
-    cos_half = np.cos(half_phase)
-    weighted_sin = weight * np.sin(half_phase)
-    integrands = np.array((weight * cos_half * cos_half,
-                           weighted_sin * np.sin(half_phase),
-                           2.0 * weighted_sin * cos_half))
-    panels = (integrands @ weights) * halves[:, None]  # (3, panels, 2)
+    panels = (_integrands(theta, a, phase_slope) @ weights) \
+        * halves[:, None]  # (3, panels, 2)
     fine, coarse = panels[..., 0], panels[..., 1]
-    even, odd, imag = (float(v) for v in fine.sum(axis=1))
-    moments = _Moments(even, odd, imag)
-    estimate = float(np.abs(fine - coarse).sum(axis=1).max())
+    sums = np.add.reduceat(fine, window_starts, axis=1)
+    errors = np.add.reduceat(np.abs(fine - coarse), window_starts, axis=1)
+    return sums, errors.max(axis=0)
+
+
+def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
+                    envelope_slope: float, phase_slope: float) -> _Moments:
+    """Both moments of every window [c_i - h_i, c_i + h_i], in one batch.
+
+    The weight is w = sinc^2(a theta) with a = ``envelope_slope`` and the
+    phase phi = k theta with k = ``phase_slope``. Panels are cut at the sinc
+    zeros n pi / a (n != 0) inside each window and split so that none spans
+    more than one period 2 pi / |k| of e^{i k theta}; on such a panel the
+    integrands are entire functions of small bandwidth. The panels of all
+    windows go through one 32-point Gauss-Legendre pass, cut into passes of
+    at most ``_MAX_PANELS`` panels, and per-window sums; the 16-point rule on
+    the same panels estimates the error of the 32-point one.
+
+    Every check applies per window, and an error names the first window
+    that fails it: ValueError when a window leaves the model domain;
+    QuadratureError when one would need more than ``_MAX_PANELS`` panels,
+    when its error estimate exceeds ``QUAD_TOL`` * M0, or when its M0 is not
+    positive (a window narrower than float resolution). At halfwidth 0 the
+    moments are the integrands at the center, the h -> 0 limit of each
+    moment over the width 2 h.
+    """
+    centers = np.asarray(centers, dtype=float)
+    halfwidths = np.asarray(halfwidths, dtype=float)
+    inside = (halfwidths >= 0.0) \
+        & (np.abs(centers) + halfwidths <= MAX_SUPPORTED_ANGLE)
+    if not inside.all():
+        outside = int(np.argmin(inside))
+        _check_domain(float(centers[outside]), float(halfwidths[outside]))
+    lo = centers - halfwidths
+    hi = centers + halfwidths
+    # An upper bound on each window's panels: a long crystal or a steep
+    # phase law would ask for unbounded memory.
+    panels = (hi - lo) * (envelope_slope / math.pi
+                          + abs(phase_slope) / (2.0 * math.pi)) + 2.0
+    fits = panels <= _MAX_PANELS
+    if not fits.all():
+        big = int(np.argmin(fits))
+        raise QuadratureError(
+            f"window quadrature on [{lo[big]}, {hi[big]}] rad needs about "
+            f"{panels[big]:.3g} panels, more than the limit of {_MAX_PANELS}")
+    moments = np.empty((3, centers.size))
+    errors = np.zeros(centers.size)
+    points = halfwidths == 0.0
+    if points.any():
+        moments[:, points] = _integrands(centers[points], envelope_slope,
+                                         phase_slope)
+    spans = np.flatnonzero(~points)
+    reach = np.cumsum(panels[spans])
+    start = 0
+    while start < spans.size:
+        # Each window fits alone, so every pass takes at least one.
+        stop = int(np.searchsorted(
+            reach, (reach[start - 1] if start else 0.0) + _MAX_PANELS,
+            side="right"))
+        batch = spans[start:stop]
+        moments[:, batch], errors[batch] = _panel_pass(
+            lo[batch], hi[batch], envelope_slope, phase_slope)
+        start = stop
+    m0 = moments[0] + moments[1]
     # A window narrower than float resolution leaves M0 = 0: no tolerance
     # relative to it can be met.
-    if not (moments.m0 > 0.0 and estimate <= QUAD_TOL * moments.m0):
-        achieved = estimate / moments.m0 if moments.m0 > 0.0 else math.inf
+    failed = ~points & ~((m0 > 0.0) & (errors <= QUAD_TOL * m0))
+    if failed.any():
+        bad = int(np.argmax(failed))
+        achieved = errors[bad] / m0[bad] if m0[bad] > 0.0 else math.inf
         raise QuadratureError(
-            f"window quadrature on [{lo}, {hi}] rad failed: M0 = "
-            f"{moments.m0:.3e}, error estimate {achieved:.3e} of M0 against "
+            f"window quadrature on [{lo[bad]}, {hi[bad]}] rad failed: M0 = "
+            f"{m0[bad]:.3e}, error estimate {achieved:.3e} of M0 against "
             f"the requested relative tolerance {QUAD_TOL:.3e}",
-            achieved=achieved, requested=QUAD_TOL)
-    return moments
+            achieved=float(achieved), requested=QUAD_TOL)
+    return _Moments(*moments)
+
+
+def _one_window(window: AngularWindow, config: SourceConfig) -> _Moments:
+    """The kernel's moments of one window, as floats."""
+    moments = _window_moments(np.array([window.center]),
+                              np.array([window.halfwidth]),
+                              config.envelope_slope, config.phase_slope)
+    return _Moments(*(float(column[0]) for column in moments))
 
 
 def aperture_density_matrix(window: AngularWindow,
@@ -271,7 +347,7 @@ def aperture_density_matrix(window: AngularWindow,
     ``QUAD_TOL`` relative to M0. Halfwidth 0 gives the pure state at the
     window center.
     """
-    moments = _window_moments(window, config)
+    moments = _one_window(window, config)
     coherence = 0.5 * moments.m1 / moments.m0
     mat = np.zeros((4, 4), dtype=complex)
     mat[1, 1] = mat[2, 2] = 0.5
@@ -288,7 +364,7 @@ def window_coincidences(settings: PolarizerSettings, window: AngularWindow,
     s+- = sin(Theta1 +- Theta2); ``QUAD_TOL`` bounds the quadrature error
     estimate relative to M0.
     """
-    moments = _window_moments(window, config)
+    moments = _one_window(window, config)
     s_sum = math.sin(settings.theta1 + settings.theta2)
     s_diff = math.sin(settings.theta1 - settings.theta2)
     return s_sum * s_sum * moments.even + s_diff * s_diff * moments.odd
@@ -310,25 +386,31 @@ def visibility(window: AngularWindow, config: SourceConfig) -> float:
     from one pair of window moments, C(45,45) = (M0 + Re M1) / 2 and
     C(45,-45) = (M0 - Re M1) / 2.
     """
-    moments = _window_moments(window, config)
+    moments = _one_window(window, config)
     return visibility_from_counts(moments.even, moments.odd)
 
 
-def _window_observables(window: AngularWindow,
-                        config: SourceConfig) -> tuple[float, ...]:
-    """(C_pp, C_pm, V, concurrence) of one window: a visibility sweep row."""
-    moments = _window_moments(window, config)
+def _sweep_columns(centers: np.ndarray, halfwidths: np.ndarray,
+                   envelope_slope: float,
+                   phase_slope: float) -> tuple[np.ndarray, ...]:
+    """(C_pp, C_pm, V, concurrence) of every window: the visibility sweep
+    columns, from one kernel call."""
+    moments = _window_moments(centers, halfwidths, envelope_slope,
+                              phase_slope)
+    m0 = moments.m0
+    re_m1 = moments.even - moments.odd
     # The averaged state is the {HV, VH} block with 1/2 on its diagonal and
     # coherence M1 / (2 M0): its eigenvalues are (1 +- |M1| / M0) / 2, and
     # Wootters reduces to 2 |rho_HV,VH|.
-    abs_m1 = abs(moments.m1)
-    if abs_m1 > (1.0 + 2.0 * PSD_TOL) * moments.m0:
+    abs_m1 = np.hypot(re_m1, moments.imag)
+    excess = abs_m1 > (1.0 + 2.0 * PSD_TOL) * m0
+    if excess.any():
+        bad = int(np.argmax(excess))
         raise StateInvariantError(
             f"aperture-averaged state not positive: |M1| / M0 = "
-            f"{abs_m1 / moments.m0!r} exceeds 1")
-    return (moments.even, moments.odd,
-            visibility_from_counts(moments.even, moments.odd),
-            abs_m1 / moments.m0)
+            f"{float(abs_m1[bad] / m0[bad])!r} exceeds 1")
+    # The kernel holds M0 > 0 on every window of nonzero width.
+    return moments.even, moments.odd, np.abs(re_m1 / m0), abs_m1 / m0
 
 
 _SIGMA_Y_PAIR = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]),

@@ -31,8 +31,11 @@ package and can be passed to the CLI by name.
 Scan rates average the two-point Gauss rule across the angular width the
 pinhole diameter subtends (point evaluation for a zero-diameter pinhole);
 a scan edge plus half that width must stay inside the model domain. The
-visibility sweep reads every column from the two window moments M0 and M1:
-concurrence is |M1| / M0.
+visibility sweep reads every column from the two window moments M0 and M1
+(concurrence is |M1| / M0), and each of its tables takes the moments of all
+its windows from one batched kernel call; the uncompensated baseline is the
+same production crystal with the bare phase slope |B| L, so it needs no
+second cut solve.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
 the bare production crystal, pi / (|B| L) internal. Each sweep window and
 the pinhole are resolved to internal angles once, by one helper each, and
@@ -58,9 +61,8 @@ from .errors import ConfigError, PhaseMatchingError, UniformStateError
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import MaterialRecord, get_material
-from .measurement import (MAX_SUPPORTED_ANGLE, AngularWindow,
-                          PolarizerSettings, _window_observables,
-                          coincidence_rate, simulate_counts)
+from .measurement import (MAX_SUPPORTED_ANGLE, PolarizerSettings,
+                          _sweep_columns, coincidence_rate, simulate_counts)
 from .output import Table
 
 PRESETS = ("fig2a", "fig2b", "fig2c", "fig3")
@@ -453,22 +455,24 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
         vspec = spec.visibility
         center_int, hmax_int = _sweep_window(vspec, spec.geometry,
                                              spec.source)
-        variants: list[tuple[str, SourceConfig]] = [("", spec.source)]
+        halfwidths = hmax_int * np.arange(1, vspec.points + 1) / vspec.points
+        halfwidths_ext = internal_to_external_angle(
+            halfwidths, spec.geometry, spec.source).tolist()
+        centers = np.full(vspec.points, center_int)
+        envelope_slope = spec.source.envelope_slope
+        variants = [("", spec.source.phase_slope)]
         if vspec.compare_uncompensated:
-            variants.append(("_uncompensated",
-                             SourceConfig(production=spec.source.production,
-                                          pump_wavelength=spec.source.pump_wavelength)))
-        for suffix, config in variants:
-            rows = []
-            for k in range(1, vspec.points + 1):
-                halfwidth = hmax_int * k / vspec.points
-                rows.append((internal_to_external_angle(
-                                 halfwidth, spec.geometry, spec.source),
-                             *_window_observables(
-                                 AngularWindow(center_int, halfwidth),
-                                 config)))
-            tables.append(Table(name=f"{spec.name}_visibility{suffix}",
-                                columns=VISIBILITY_COLUMNS, rows=rows))
+            # The bare production crystal: its phase slope |B| L is twice
+            # its envelope slope |B| L / 2, bit for bit.
+            variants.append(("_uncompensated", 2.0 * envelope_slope))
+        for suffix, phase_slope in variants:
+            columns = _sweep_columns(centers, halfwidths, envelope_slope,
+                                     phase_slope)
+            tables.append(Table(
+                name=f"{spec.name}_visibility{suffix}",
+                columns=VISIBILITY_COLUMNS,
+                rows=list(zip(halfwidths_ext,
+                              *(column.tolist() for column in columns)))))
 
     return tables
 

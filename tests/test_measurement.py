@@ -199,8 +199,9 @@ def test_visibility_against_dense_trapezoid(bare_config):
 
 
 def test_visibility_undefined_when_counts_vanish(bare_config, monkeypatch):
-    monkeypatch.setattr(measurement, "angular_envelope",
-                        lambda theta, config: 0.0)
+    # the kernel finds no weight at the point
+    monkeypatch.setattr(measurement, "_window_moments",
+                        lambda *args: measurement._Moments(*np.zeros((3, 1))))
     with pytest.raises(sp.UndefinedVisibilityError):
         sp.visibility(sp.AngularWindow(0.0, 0.0), bare_config)
 
@@ -282,12 +283,14 @@ def test_window_observables_match_mpmath(source, kind, center_share,
                                   config),
            sp.visibility(window, config),
            sp.concurrence(sp.aperture_density_matrix(window, config)))
-    moments = measurement._window_moments(window, config)
-    got += (abs(moments.m1) / moments.m0,)  # the sweep's closed form
+    # the sweep's columns, concurrence in its closed form |M1| / M0
+    got += tuple(float(column[0]) for column in measurement._sweep_columns(
+        np.array([center]), np.array([halfwidth]), config.envelope_slope,
+        config.phase_slope))
     want = _oracle_window(config, center - halfwidth, center + halfwidth)
-    want += (want[3],)
+    want += want
     for index, (value, ref) in enumerate(zip(got, want)):
-        size = abs(ref) if index < 2 else max(abs(ref), _UNIT_FLOOR)
+        size = abs(ref) if index % 4 < 2 else max(abs(ref), _UNIT_FLOOR)
         assert abs(value - ref) <= 1e-12 * size, (index, value, ref)
 
 
@@ -316,6 +319,98 @@ def test_window_kernel_reports_unmet_tolerance(anticompensated_config,
         pump_wavelength=351e-9)
     with pytest.raises(sp.QuadratureError, match="panels"):
         sp.visibility(sp.AngularWindow(0.0, 0.1), long_source)
+
+
+# --------------------------------------------------- batched window kernel
+
+# (center, halfwidth) internal: a point, a window straddling theta = 0, one
+# far off axis, a wide one and fig2c's 6.75 +- 0.57 mrad.
+_MIXED_WINDOWS = ((2e-3, 0.0), (1e-3, 3e-3), (0.09, 0.005), (0.02, 0.079),
+                  (6.75e-3, 0.57e-3))
+
+
+def _one_by_one(centers, halfwidths, envelope_slope, phase_slope):
+    """The sweep columns from one kernel call per window."""
+    rows = [[float(column[0]) for column in measurement._sweep_columns(
+        np.array([center]), np.array([halfwidth]), envelope_slope,
+        phase_slope)] for center, halfwidth in zip(centers, halfwidths)]
+    return np.array(rows).T
+
+
+def _assert_same_columns(batch, alone):
+    # the GEMM's rounding depends on how many panels share the call
+    m0 = alone[0] + alone[1]
+    for index, (got, want) in enumerate(zip(batch, alone)):
+        size = m0 if index < 2 else 1.0
+        assert np.all(np.abs(got - want) <= 2e-15 * size), index
+
+
+def test_one_kernel_call_matches_one_window_calls(bare_config,
+                                                  compensated_config,
+                                                  anticompensated_config):
+    centers, halfwidths = np.array(_MIXED_WINDOWS).T
+    for config in (bare_config, compensated_config, anticompensated_config):
+        slopes = (config.envelope_slope, config.phase_slope)
+        _assert_same_columns(
+            measurement._sweep_columns(centers, halfwidths, *slopes),
+            _one_by_one(centers, halfwidths, *slopes))
+
+
+def test_batch_beyond_the_panel_limit_runs_in_passes(anticompensated_config,
+                                                     monkeypatch):
+    # a 10 cm crystal: each 0.1 rad window needs about 3200 panels, so one
+    # pass cannot hold all four
+    bbo = sp.get_material("bbo")
+    long_source = sp.SourceConfig(
+        production=bbo.crystal(
+            cut_angle=anticompensated_config.production.cut_angle,
+            length=0.1),
+        pump_wavelength=351e-9)
+    centers = np.array([-0.05, -0.02, 0.01, 0.045])
+    halfwidths = np.full(4, 0.05)
+    slopes = (long_source.envelope_slope, long_source.phase_slope)
+    passes = []
+    integrands = measurement._integrands
+
+    def spy(theta, *args):
+        passes.append(len(theta))
+        return integrands(theta, *args)
+    monkeypatch.setattr(measurement, "_integrands", spy)
+    batch = measurement._sweep_columns(centers, halfwidths, *slopes)
+    assert len(passes) > 1
+    assert sum(passes) > measurement._MAX_PANELS
+    assert max(passes) <= measurement._MAX_PANELS
+    _assert_same_columns(batch, _one_by_one(centers, halfwidths, *slopes))
+
+
+def test_batch_names_the_window_that_fails(anticompensated_config,
+                                           monkeypatch):
+    centers, halfwidths = np.array(_MIXED_WINDOWS[1:]).T
+    lo, hi = centers - halfwidths, centers + halfwidths
+    slopes = (anticompensated_config.envelope_slope,
+              anticompensated_config.phase_slope)
+    # The estimates sit near rounding level. The kernel repeats this pass
+    # bit for bit, so a tolerance just below the largest estimate fails
+    # that window alone.
+    sums, errors = measurement._panel_pass(lo, hi, *slopes)
+    relative = errors / (sums[0] + sums[1])
+    worst = int(np.argmax(relative))
+    runner_up = np.delete(relative, worst).max()
+    assert relative[worst] > runner_up
+    tolerance = math.sqrt(relative[worst] * runner_up)
+    with monkeypatch.context() as patch, \
+            pytest.raises(sp.QuadratureError) as info:
+        patch.setattr(measurement, "QUAD_TOL", tolerance)
+        measurement._window_moments(centers, halfwidths, *slopes)
+    assert f"[{lo[worst]}, {hi[worst]}]" in str(info.value)
+    assert info.value.achieved == relative[worst]
+    assert info.value.requested == tolerance
+    # a window narrower than float resolution among good ones
+    with pytest.raises(sp.QuadratureError) as info:
+        measurement._window_moments(np.array([0.0, 1e-3, 5e-3]),
+                                    np.array([2e-3, 1e-20, 1e-3]), *slopes)
+    assert "[0.001, 0.001]" in str(info.value)
+    assert info.value.achieved == math.inf
 
 
 # ------------------------------------------------------------ concurrence

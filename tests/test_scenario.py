@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -285,10 +286,42 @@ def test_fig3_visibility_tables():
 def test_sweep_rejects_a_non_positive_state(monkeypatch):
     # |M1| > M0 would give the averaged state a negative eigenvalue
     from spdcpol import measurement
-    monkeypatch.setattr(measurement, "_window_moments",
-                        lambda *args: measurement._Moments(1.0, 0.0, 1e-4))
+
+    def kernel(centers, halfwidths, envelope_slope, phase_slope):
+        ones = np.ones(len(centers))
+        return measurement._Moments(ones, 0.0 * ones, 1e-4 * ones)
+    monkeypatch.setattr(measurement, "_window_moments", kernel)
     with pytest.raises(sp.StateInvariantError):
         sp.run_scenario(sp.load_scenario("fig3"))
+
+
+def test_sweep_is_one_kernel_call_per_table(monkeypatch):
+    # the uncompensated baseline reuses the verified production crystal
+    from spdcpol import biphoton, measurement
+    spec = sp.load_scenario("fig3")
+    calls = {"kernel": 0, "cut_solve": 0}
+
+    def counted(key, func):
+        def wrapper(*args):
+            calls[key] += 1
+            return func(*args)
+        return wrapper
+    monkeypatch.setattr(measurement, "_window_moments",
+                        counted("kernel", measurement._window_moments))
+    monkeypatch.setattr(biphoton, "phase_matching_cut_angle",
+                        counted("cut_solve",
+                                biphoton.phase_matching_cut_angle))
+    assert len(sp.run_scenario(spec)) == 2
+    assert calls == {"kernel": 2, "cut_solve": 0}
+
+
+def test_sweep_outside_the_domain_is_refused_at_run():
+    # a hand-built spec skips the load-time fences
+    spec = sp.load_scenario("fig3")
+    wide = dataclasses.replace(spec, visibility=dataclasses.replace(
+        spec.visibility, max_halfwidth_ext=0.2))
+    with pytest.raises(ValueError, match="supported range"):
+        sp.run_scenario(wide)
 
 
 def test_visibility_explicit_halfwidth(tmp_path):
