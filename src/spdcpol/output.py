@@ -2,15 +2,20 @@
 
 Floats are written with 17 significant digits so ``float(text)`` reproduces
 the in-memory value bit for bit; integers stay integers. ``format_cell`` is
-that rule for one cell, and ``to_csv`` reproduces it byte for byte through
-one printf template per table. CSV files carry a single header line naming
-columns and units; the JSON mirror holds the same columns/rows for machine
-consumption. Files are written as UTF-8 whatever the locale.
+that rule for one cell, and ``to_csv`` reproduces it byte for byte column by
+column: each float column is formatted with one printf template and kept in
+a memo keyed by the column's float64 bytes, which the tables of one
+`spdcpol.scenario.run_scenario` call share, so a column those tables repeat
+(the scan grid, a constant rate) is formatted once per run. CSV files carry
+a single header line naming columns and units; the JSON mirror holds the
+same columns/rows for machine consumption. Files are written as UTF-8
+whatever the locale.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +26,11 @@ class Table:
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
     note: str = ""
+    # CSV text of float columns keyed by their float64 bytes, not by value:
+    # 0.0 == -0.0 and 1 == 1.0 but their texts differ. run_scenario hands
+    # all its tables one dict; any other table starts with its own.
+    _float_text: dict[bytes, list[str]] = field(
+        default_factory=dict, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         for row in self.rows:
@@ -51,30 +61,55 @@ def parse_cell(text: str):
         return text
 
 
-# printf conversions that give the same text as format_cell for a cell of
-# exactly this type: "%.17g" % x == format(x, ".17g") for every float (nan,
-# ±inf, -0.0 and subnormals included) and "%d" % n == str(n) for every int.
-_CELL_CONVERSIONS = {float: "%.17g", int: "%d"}
+# printf conversions that give format_cell's text for a column whose cells
+# all have exactly this type: "%.17g" % x == format(x, ".17g") for every
+# float (nan, ±inf, -0.0 and subnormals included) and "%d" % n == str(n)
+# for every int.
+_CONVERSIONS = {frozenset({float}): "%.17g", frozenset({int}): "%d"}
+
+
+def _printf(column: tuple, conversion: str) -> list[str]:
+    # One template over the whole column; no cell text holds a comma.
+    return (",".join([conversion] * len(column)) % column).split(",")
+
+
+def _float_column_text(column: tuple, memo: dict) -> list[str]:
+    key = array("d", column).tobytes()
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _printf(column, "%.17g")
+    return text
+
+
+def _column_texts(table: Table) -> list[list[str]] | None:
+    """Each column's cell texts, or None unless every column is exactly
+    ``float`` or exactly ``int`` throughout and every row has one width."""
+    rows = table.rows
+    if not rows or not rows[0] or set(map(len, rows)) != {len(rows[0])}:
+        return None
+    columns = list(zip(*rows))
+    conversions = [_CONVERSIONS.get(frozenset(map(type, column)))
+                   for column in columns]
+    if None in conversions:
+        return None
+    return [_printf(column, conversion) if conversion == "%d"
+            else _float_column_text(column, table._float_text)
+            for column, conversion in zip(columns, conversions)]
 
 
 def to_csv(table: Table) -> str:
     """CSV text of ``table``: a header line, then one line per row.
 
-    Each cell reads as ``format_cell`` writes it. The first row's cell types
-    pick one printf template for the table, used on every row whose cells
-    have exactly those types; ``bool``, ``str``, numpy scalars, other
-    subclasses and rows of another width or type mix take ``format_cell``.
+    Each cell reads as ``format_cell`` writes it. A table whose columns are
+    each exactly ``float`` or exactly ``int`` is written column by column
+    (see the module docstring); any other table (``bool``, ``str``, numpy
+    scalars, other subclasses, mixed or ragged rows) takes ``format_cell``
+    per cell.
     """
-    rows = table.rows
-    types = tuple(map(type, rows[0])) if rows else ()
-    if types and all(t in _CELL_CONVERSIONS for t in types):
-        template = ",".join(_CELL_CONVERSIONS[t] for t in types)
-    else:
-        types, template = None, ""   # no row takes the template
-    lines = [",".join(table.columns)]
-    lines.extend([template % tuple(row) if tuple(map(type, row)) == types
-                  else ",".join(map(format_cell, row)) for row in rows])
-    return "\n".join(lines) + "\n"
+    texts = _column_texts(table)
+    lines = (zip(*texts) if texts is not None
+             else (map(format_cell, row) for row in table.rows))
+    return "\n".join([",".join(table.columns), *map(",".join, lines)]) + "\n"
 
 
 def from_csv(text: str, name: str = "") -> Table:

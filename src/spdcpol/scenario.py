@@ -418,6 +418,8 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
         raise ConfigError(
             f"scenario '{spec.name}' defines neither [scan] nor [visibility]")
     tables: list[Table] = []
+    # One CSV text memo for all tables: they repeat the grid columns.
+    float_text: dict = {}
 
     if spec.scan is not None:
         grid = np.linspace(spec.scan.theta_ext_min, spec.scan.theta_ext_max,
@@ -436,7 +438,8 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
             tables.append(Table(
                 name=f"{spec.name}_scan_{_settings_label(pair)}",
                 columns=SCAN_COLUMNS,
-                rows=list(zip(ext_grid, int_grid, envelopes, phases, rates))))
+                rows=list(zip(ext_grid, int_grid, envelopes, phases, rates)),
+                _float_text=float_text))
             if spec.counts is not None:
                 cspec = spec.counts
                 true_rates = cspec.peak_rate * np.array(rates)
@@ -449,7 +452,8 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                     rows=list(zip(ext_grid, int_grid, true_rates.tolist(),
                                   repeat(cspec.accidental_rate),
                                   repeat(cspec.duration),
-                                  counts.tolist()))))
+                                  counts.tolist())),
+                    _float_text=float_text))
 
     if spec.visibility is not None:
         vspec = spec.visibility
@@ -472,7 +476,8 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                 name=f"{spec.name}_visibility{suffix}",
                 columns=VISIBILITY_COLUMNS,
                 rows=list(zip(halfwidths_ext,
-                              *(column.tolist() for column in columns)))))
+                              *(column.tolist() for column in columns))),
+                _float_text=float_text))
 
     return tables
 

@@ -46,6 +46,33 @@ def test_run_same_seed_byte_identical(tmp_path):
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_parser_is_built_once_and_main_calls_share_no_state(monkeypatch,
+                                                            tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+
+    def spy(command):
+        def record(args):
+            seen.append(vars(args).copy())
+            return command(args)
+        return record
+    monkeypatch.setattr(cli, "_cmd_run", spy(cli._cmd_run))
+    monkeypatch.setattr(cli, "_cmd_bell_angles", spy(cli._cmd_bell_angles))
+    out = str(tmp_path)
+    plain_run = {"command": "run", "spec": "fig2a", "out": out,
+                 "format": "csv", "seed": None}
+    for argv in (["run", "fig2a", "--out", out, "--seed", "5"],
+                 ["run", "fig2a", "--out", out],
+                 ["bell-angles", "fig2a", "--state", "psi-", "--out", out],
+                 ["run", "fig2a", "--out", out]):
+        assert cli.main(argv) == 0
+    assert seen == [{**plain_run, "seed": 5}, plain_run,
+                    {"command": "bell-angles", "spec": "fig2a",
+                     "state": "psi-", "out": out, "format": "csv",
+                     "seed": None},
+                    plain_run]
+
+
 def test_run_unknown_spec_exits_2(tmp_path, capsys):
     code = cli.main(["run", str(tmp_path / "nope.cfg")])
     assert code == 2

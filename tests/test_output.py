@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +66,39 @@ def test_csv_text_is_format_cell_per_cell(table):
     expected = ",".join(table.columns) + "\n" + "".join(
         ",".join(map(format_cell, row)) + "\n" for row in table.rows)
     assert to_csv(table) == expected
+
+
+def _sharing(*tables):
+    """The tables again, all holding one CSV text memo, as a run's do."""
+    memo = {}
+    return [Table(table.name, table.columns, table.rows, _float_text=memo)
+            for table in tables]
+
+
+def _nan(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@given(st.lists(tables(), min_size=2, max_size=3).map(lambda ts: _sharing(*ts)))
+@example(_sharing(Table(name="a", columns=("x",), rows=[(0.0,), (0.0,)]),
+                  Table(name="b", columns=("x",), rows=[(-0.0,), (-0.0,)])))
+@example(_sharing(Table(name="a", columns=("x", "n"), rows=[(1e20, 10**20)]),
+                  Table(name="b", columns=("n", "x"), rows=[(10**20, 1e20)])))
+@example(_sharing(Table(name="a", columns=("x", "n", "b"),
+                        rows=[(1.0, 1, True), (1.0, 1, True)]),
+                  Table(name="b", columns=("b",), rows=[(True,), (True,)]),
+                  Table(name="c", columns=("n",), rows=[(1,), (1,)])))
+@example(_sharing(Table(name="a", columns=("x",),
+                        rows=[(_nan(0x7FF8000000000000),)]),
+                  Table(name="b", columns=("x",),
+                        rows=[(_nan(0x7FF8000000000001),)]),
+                  Table(name="c", columns=("x",),
+                        rows=[(_nan(0xFFF8000000000000),)])))
+def test_tables_sharing_a_memo_are_format_cell_per_cell(shared):
+    texts = [to_csv(table) for table in shared]
+    for table, text in zip(shared, texts):
+        assert text == ",".join(table.columns) + "\n" + "".join(
+            ",".join(map(format_cell, row)) + "\n" for row in table.rows)
 
 
 def test_json_mirror():

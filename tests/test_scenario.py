@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import spdcpol as sp
-from spdcpol import scenario
-from spdcpol.output import from_csv, to_csv
+from spdcpol import cli, scenario
+from spdcpol.output import format_cell, from_csv, to_csv
 
 P45 = math.pi / 4.0
 
@@ -363,6 +363,33 @@ def test_counts_change_with_seed(tmp_path):
     rows_b = _table(sp.run_scenario(_load_text(tmp_path, COUNTS, seed=2)),
                     "demo_counts_45_45").rows
     assert rows_a != rows_b
+
+
+def test_run_tables_share_one_csv_text_memo(tmp_path):
+    text = BASE.replace("settings_deg = 45 45",
+                        "settings_deg = 45 45; 45 -45; 0 90") + """
+[counts]
+duration_s = 2.5
+peak_rate_hz = 1000
+accidental_rate_hz = 10
+"""
+    spec = _load_text(tmp_path, text)
+    tables = sp.run_scenario(spec)
+    assert len(tables) == 6
+    texts = [to_csv(table) for table in tables]
+    for table, csv_text in zip(tables, texts):
+        assert csv_text == ",".join(table.columns) + "\n" + "".join(
+            ",".join(map(format_cell, row)) + "\n" for row in table.rows)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(tmp_path / "scenario.cfg"), "--out",
+                     str(out)]) == 0
+    for table, csv_text in zip(tables, texts):
+        assert (out / f"{table.name}.csv").read_bytes() == csv_text.encode()
+    memo = tables[0]._float_text
+    assert all(table._float_text is memo for table in tables)
+    # theta_ext, theta_int, envelope and phase once, a rate and a true
+    # rate per settings pair, the accidental rate and the duration
+    assert len(memo) == 4 + 3 + 3 + 2
 
 
 # ------------------------------------------------------------- bell angles
