@@ -14,7 +14,6 @@ error (an unreadable scenario or an unwritable ``--out`` included),
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from .biphoton import BellState
@@ -28,7 +27,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
 
-@functools.cache   # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdcpol",

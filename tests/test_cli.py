@@ -46,9 +46,7 @@ def test_run_same_seed_byte_identical(tmp_path):
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_parser_is_built_once_and_main_calls_share_no_state(monkeypatch,
-                                                            tmp_path):
-    assert cli._build_parser() is cli._build_parser()
+def test_main_calls_share_no_state(monkeypatch, tmp_path):
     seen = []
 
     def spy(command):
