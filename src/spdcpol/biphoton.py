@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crystal import UniaxialCrystal, phase_matching_cut_angle, transverse_walkoff_B
+from .crystal import (UniaxialCrystal, index_ordinary,
+                      phase_matching_cut_angle, transverse_walkoff_B)
 from .errors import PhaseMatchingError, StateInvariantError, UniformStateError
 
 BASIS = ("HH", "HV", "VH", "VV")
@@ -110,7 +111,9 @@ class SourceConfig:
     pump (within 1e-6 rad) and caches the derived phase-law slopes. Instances
     are immutable, so all operations over them are thread-safe.
 
-    Derived fields: ``degenerate_wavelength`` (2 lambda_p), ``walkoff_B``
+    Derived fields: ``degenerate_wavelength`` (2 lambda_p),
+    ``ordinary_index`` (n_o of the production crystal at the degenerate
+    wavelength, the lab <-> internal angle scale), ``walkoff_B``
     (signed production B at the degenerate wavelength), ``envelope_slope``
     (|B| L / 2, the sinc argument per radian) and ``phase_slope``
     (d phi / d theta, including compensators).
@@ -120,6 +123,7 @@ class SourceConfig:
     pump_wavelength: float
     compensators: tuple[CompensatorPlacement, ...] = ()
     degenerate_wavelength: float = field(init=False)
+    ordinary_index: float = field(init=False)
     walkoff_B: float = field(init=False)
     envelope_slope: float = field(init=False)
     phase_slope: float = field(init=False)
@@ -142,6 +146,8 @@ class SourceConfig:
             slope += (placement.orientation.sign * 2.0 * abs(b_comp)
                       * placement.crystal.length)
         object.__setattr__(self, "degenerate_wavelength", degenerate)
+        object.__setattr__(self, "ordinary_index",
+                           index_ordinary(self.production, degenerate))
         object.__setattr__(self, "walkoff_B", b_prod)
         object.__setattr__(self, "envelope_slope",
                            abs(b_prod) * self.production.length / 2.0)

@@ -9,10 +9,12 @@ external angles to the internal ones used by the physics,
 
 in the small-angle regime (the H photon, ordinary polarized, defines the
 detected direction in the scan plane). Both conversions take the source and
-read n_o of its production crystal at its degenerate wavelength, so this
-module is the one place the rule lives. NOTE: the conversion rescales every
-angular position by a factor of about n_o ~ 1.66 for BBO; emitted tables
-carry both columns so there is no ambiguity about which angle is which.
+read n_o of its production crystal at its degenerate wavelength,
+``SourceConfig.ordinary_index``, which is evaluated once when the source is
+built, so this module is the one place the rule lives. NOTE: the conversion
+rescales every angular position by a factor of about n_o ~ 1.66 for BBO;
+emitted tables carry both columns so there is no ambiguity about which angle
+is which.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .biphoton import SourceConfig
-from .crystal import index_ordinary
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,9 @@ class GeometryConfig:
 
 def external_to_internal_angle(theta_ext: float, geometry: GeometryConfig,
                                source: SourceConfig) -> float:
-    return theta_ext * geometry.ambient_index / index_ordinary(
-        source.production, source.degenerate_wavelength)
+    return theta_ext * geometry.ambient_index / source.ordinary_index
 
 
 def internal_to_external_angle(theta_int: float, geometry: GeometryConfig,
                                source: SourceConfig) -> float:
-    return theta_int * index_ordinary(
-        source.production, source.degenerate_wavelength) / geometry.ambient_index
+    return theta_int * source.ordinary_index / geometry.ambient_index

@@ -6,7 +6,9 @@ that rule for one cell, and ``to_csv`` reproduces it byte for byte column by
 column: each float column is formatted with one printf template and kept in
 a memo keyed by the column's float64 bytes, which the tables of one
 `spdcpol.scenario.run_scenario` call share, so a column those tables repeat
-(the scan grid, a constant rate) is formatted once per run. CSV files carry
+(the scan grid, a constant rate) is formatted once per run. A column whose
+bytes are one float64 repeated (a constant rate or duration) is formatted
+once and its text repeated. CSV files carry
 a single header line naming columns and units; the JSON mirror holds the
 same columns/rows for machine consumption. Files are written as UTF-8
 whatever the locale.
@@ -77,7 +79,12 @@ def _float_column_text(column: tuple, memo: dict) -> list[str]:
     key = array("d", column).tobytes()
     text = memo.get(key)
     if text is None:
-        text = memo[key] = _printf(column, "%.17g")
+        # A column of one repeated float64 (bits, not value) is one text.
+        if key == key[:8] * len(column):
+            text = ["%.17g" % column[0]] * len(column)
+        else:
+            text = _printf(column, "%.17g")
+        memo[key] = text
     return text
 
 
@@ -102,7 +109,9 @@ def to_csv(table: Table) -> str:
 
     Each cell reads as ``format_cell`` writes it. A table whose columns are
     each exactly ``float`` or exactly ``int`` is written column by column
-    (see the module docstring); any other table (``bool``, ``str``, numpy
+    (see the module docstring): a float column found in the table's memo is
+    not formatted again, and a constant one (the same float64 bits in every
+    cell) is formatted once. Any other table (``bool``, ``str``, numpy
     scalars, other subclasses, mixed or ragged rows) takes ``format_cell``
     per cell.
     """

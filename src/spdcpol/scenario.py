@@ -30,11 +30,16 @@ package and can be passed to the CLI by name.
 
 Scan rates average the two-point Gauss rule across the angular width the
 pinhole diameter subtends (point evaluation for a zero-diameter pinhole);
-a scan edge plus half that width must stay inside the model domain. The
-visibility sweep reads every column from the two window moments M0 and M1
-(concurrence is |M1| / M0), and each of its tables takes the moments of all
-its windows from one batched kernel call; the uncompensated baseline is the
-same production crystal with the bare phase slope |B| L, so it needs no
+a scan edge plus half that width must stay inside the model domain. A scan
+evaluates the two reference rates R(45, 45) and R(45, -45) once per Gauss
+node and point, and each settings pair's rate column is the linear mix
+sin^2(T1 + T2) R(45, 45) + sin^2(T1 - T2) R(45, -45), so the number of
+pairs adds no rate evaluations. Distinct pairs must have distinct table
+labels; an exact repeat writes the same scan table again.
+The visibility sweep reads every column from the two window moments M0 and
+M1 (concurrence is |M1| / M0), and each of its tables takes the moments of
+all its windows from one batched kernel call; the uncompensated baseline is
+the same production crystal with the bare phase slope |B| L, so it needs no
 second cut solve.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
 the bare production crystal, pi / (|B| L) internal. Each sweep window and
@@ -76,6 +81,11 @@ COUNTS_COLUMNS = ("theta_ext_rad", "theta_int_rad", "true_rate_hz",
                   "accidental_rate_hz", "duration_s", "counts")
 
 FIRST_SINGLET = "first_singlet"
+
+# The analyzer settings (45, 45) and (45, -45) whose rates every scan
+# evaluates: R(T1, T2) = sin^2(T1 + T2) R(45, 45) + sin^2(T1 - T2) R(45, -45).
+_REFERENCES = (PolarizerSettings(math.radians(45.0), math.radians(45.0)),
+               PolarizerSettings(math.radians(45.0), math.radians(-45.0)))
 
 # Bound on scan and sweep points and on bell_max_order: every size read from
 # a scenario allocates in proportion to it.
@@ -166,6 +176,9 @@ def _pick_material(section: Section,
 def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
     raw = section.get_str("settings_deg")
     pairs = []
+    # Table label -> the pair first given for it: an exact repeat writes the
+    # same scan table again, a different pair would overwrite it.
+    labelled: dict[str, tuple[float, float]] = {}
     for chunk in raw.split(";"):
         parts = chunk.split()
         if len(parts) != 2:
@@ -180,6 +193,13 @@ def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
             raise section.error(
                 f"settings_deg values must be finite numbers, got "
                 f"'{chunk.strip()}'", key="settings_deg")
+        label = _settings_label(pair)
+        if labelled.setdefault(label, pair) != pair:
+            first = labelled[label]
+            raise section.error(
+                f"settings_deg pairs '{first[0]!r} {first[1]!r}' and "
+                f"'{pair[0]!r} {pair[1]!r}' differ but share the table "
+                f"label '{label}'", key="settings_deg")
         pairs.append(pair)
     if not pairs:
         raise section.error("settings_deg is empty", key="settings_deg")
@@ -378,14 +398,22 @@ def _settings_label(pair: tuple[float, float]) -> str:
     return f"{pair[0]:g}_{pair[1]:g}"
 
 
-def _averaged_rate(theta_int: float, settings: PolarizerSettings,
-                   spec: ScenarioSpec, gauss_offset: float) -> float:
+def _reference_rates(theta_int: np.ndarray,
+                     spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
+    # The pinhole-averaged rates R(45, 45) and R(45, -45) at every scan
+    # point, each node's even and odd half: one coincidence_rate call per
+    # reference, Gauss node and point (the points themselves for a point
+    # detector).
+    gauss_offset = _pinhole_gauss_offset(spec.geometry, spec.source)
+    nodes = (theta_int if gauss_offset == 0.0 else
+             np.concatenate((theta_int - gauss_offset,
+                             theta_int + gauss_offset))).tolist()
+    rates = np.array([coincidence_rate(t, settings, spec.source)
+                      for settings in _REFERENCES for t in nodes])
     if gauss_offset == 0.0:
-        return coincidence_rate(theta_int, settings, spec.source)
-    return 0.5 * (coincidence_rate(theta_int - gauss_offset, settings,
-                                   spec.source)
-                  + coincidence_rate(theta_int + gauss_offset, settings,
-                                     spec.source))
+        return tuple(rates.reshape(2, -1))
+    (even_lo, even_hi), (odd_lo, odd_hi) = rates.reshape(2, 2, -1)
+    return 0.5 * (even_lo + even_hi), 0.5 * (odd_lo + odd_hi)
 
 
 def _pinhole_gauss_offset(geometry: GeometryConfig,
@@ -425,24 +453,26 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
         grid = np.linspace(spec.scan.theta_ext_min, spec.scan.theta_ext_max,
                            spec.scan.points)
         ext_grid = grid.tolist()
-        int_grid = external_to_internal_angle(grid, spec.geometry,
-                                              spec.source).tolist()
+        theta_int = external_to_internal_angle(grid, spec.geometry,
+                                               spec.source)
+        int_grid = theta_int.tolist()
         envelopes = [angular_envelope(t, spec.source) for t in int_grid]
         phases = [relative_phase(t, spec.source) for t in int_grid]
-        gauss_offset = _pinhole_gauss_offset(spec.geometry, spec.source)
+        even, odd = _reference_rates(theta_int, spec)
         for table_index, pair in enumerate(spec.scan.settings_deg):
-            settings = PolarizerSettings(math.radians(pair[0]),
-                                         math.radians(pair[1]))
-            rates = [_averaged_rate(t, settings, spec, gauss_offset)
-                     for t in int_grid]
+            theta1, theta2 = map(math.radians, pair)
+            s_sum = math.sin(theta1 + theta2)
+            s_diff = math.sin(theta1 - theta2)
+            rates = s_sum * s_sum * even + s_diff * s_diff * odd
             tables.append(Table(
                 name=f"{spec.name}_scan_{_settings_label(pair)}",
                 columns=SCAN_COLUMNS,
-                rows=list(zip(ext_grid, int_grid, envelopes, phases, rates)),
+                rows=list(zip(ext_grid, int_grid, envelopes, phases,
+                              rates.tolist())),
                 _float_text=float_text))
             if spec.counts is not None:
                 cspec = spec.counts
-                true_rates = cspec.peak_rate * np.array(rates)
+                true_rates = cspec.peak_rate * rates
                 counts = simulate_counts(
                     true_rates, cspec.accidental_rate, cspec.duration,
                     np.random.SeedSequence((spec.seed, table_index)))

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import spdcpol as sp
+from spdcpol.crystal import SellmeierCoefficients
 
 
 def test_zero_offset(geometry, bare_config):
@@ -21,6 +23,29 @@ def test_round_trip_identity(geometry, bare_config):
                                               bare_config)
         back = sp.internal_to_external_angle(theta, geometry, bare_config)
         assert abs(back - theta_ext) <= 1e-12 * abs(theta_ext)
+
+
+def test_conversions_read_the_source_ordinary_index(bare_config,
+                                                    monkeypatch):
+    # n_o(lambda_d) is a derived field of the source, evaluated once
+    n_o = sp.index_ordinary(bare_config.production,
+                            bare_config.degenerate_wavelength)
+    assert bare_config.ordinary_index == n_o
+    geometry = sp.GeometryConfig(lens_focal_length=0.5, ambient_index=1.25)
+    calls = []
+    index = SellmeierCoefficients.index
+    monkeypatch.setattr(SellmeierCoefficients, "index",
+                        lambda self, wl: calls.append(wl) or index(self, wl))
+    grid = np.linspace(-8e-3, 8e-3, 5)
+    theta = sp.external_to_internal_angle(grid, geometry, bare_config)
+    assert theta.tobytes() == (grid * 1.25 / n_o).tobytes()
+    back = sp.internal_to_external_angle(theta, geometry, bare_config)
+    assert back.tobytes() == (theta * n_o / 1.25).tobytes()
+    assert sp.external_to_internal_angle(2e-3, geometry, bare_config) == \
+        2e-3 * 1.25 / n_o
+    assert sp.internal_to_external_angle(1e-3, geometry, bare_config) == \
+        1e-3 * n_o / 1.25
+    assert calls == []
 
 
 def test_ambient_index_scales_map(bare_config):

@@ -101,6 +101,34 @@ def test_tables_sharing_a_memo_are_format_cell_per_cell(shared):
             ",".join(map(format_cell, row)) + "\n" for row in table.rows)
 
 
+@pytest.mark.parametrize("shared", [
+    _sharing(Table(name="a", columns=("x", "y"),
+                   rows=[(0.0, -0.0)] * 3),
+             Table(name="b", columns=("y", "x"),
+                   rows=[(-0.0, 0.0)] * 3)),
+    _sharing(Table(name="a", columns=("x",),
+                   rows=[(_nan(0x7FF8000000000000),)] * 4),
+             Table(name="b", columns=("x",),
+                   rows=[(_nan(0xFFF8000000000000),)] * 4)),
+    _sharing(Table(name="a", columns=("x", "n"), rows=[(2.5, 7)])),
+    _sharing(Table(name="a", columns=("x",),
+                   rows=[(0.0,), (0.0,), (0.0,), (-0.0,)]),
+             Table(name="b", columns=("x",), rows=[(0.0,)] * 4),
+             Table(name="c", columns=("x",),
+                   rows=[(1.5,), (1.5,), (-1.5,)])),
+    _sharing(Table(name="a", columns=("n", "x"),
+                   rows=[(10**20, 1e20)] * 3),
+             Table(name="b", columns=("x", "n"),
+                   rows=[(1e20, 10**20)] * 3)),
+], ids=["signed_zeros", "nan", "one_row", "sign_bit_of_last_cell",
+        "int_next_to_float"])
+def test_constant_float_columns_are_format_cell_per_cell(shared):
+    # a constant column is formatted once; its bits, not its value, decide
+    for table in shared:
+        assert to_csv(table) == ",".join(table.columns) + "\n" + "".join(
+            ",".join(map(format_cell, row)) + "\n" for row in table.rows)
+
+
 def test_json_mirror():
     table = Table(name="t", columns=("x",), rows=[(0.1,)], note="hello")
     payload = json.loads(to_json(table))

@@ -129,6 +129,25 @@ def test_bad_settings_pair(tmp_path):
         assert info.value.line == 16
 
 
+def test_distinct_pairs_sharing_a_table_label_exit_2(tmp_path, capsys):
+    # 45.0000001 prints as 45 under :g, so both pairs name demo_scan_45_45
+    path = tmp_path / "scenario.cfg"
+    path.write_text(BASE.replace("settings_deg = 45 45",
+                                 "settings_deg = 45 45; 45.0000001 45"))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:16:" in err
+    assert "45_45" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    # an exact repeat writes the same table twice and stays legal
+    spec = _load_text(tmp_path, BASE.replace(
+        "settings_deg = 45 45", "settings_deg = 45 45; 45.0 45; 0 90"))
+    assert spec.scan.settings_deg == ((45.0, 45.0), (45.0, 45.0),
+                                      (0.0, 90.0))
+
+
 def test_scan_bounds_validated(tmp_path):
     with pytest.raises(sp.ConfigError):
         _load_text(tmp_path, BASE.replace("theta_ext_max_mrad = 2",
@@ -248,6 +267,47 @@ def test_scan_at_general_settings_is_linear_in_the_reference_rates(tmp_path):
                   + math.sin(settings.theta1 - settings.theta2) ** 2
                   * reference["45_-45"])
         assert np.max(np.abs(rates - linear)) <= 1e-15
+
+
+def test_scans_evaluate_the_two_reference_rates_once_per_node(tmp_path,
+                                                               monkeypatch):
+    # every settings pair is read from R(45, 45) and R(45, -45)
+    calls = []
+
+    def spy(theta, settings, config):
+        calls.append(settings)
+        return sp.coincidence_rate(theta, settings, config)
+    monkeypatch.setattr(scenario, "coincidence_rate", spy)
+    pairs = "settings_deg = 45 45; 45 -45; 0 90; 30 -60; 100 25"
+    points = 41
+    pinhole = (BASE.replace("points = 11", f"points = {points}")
+               .replace("settings_deg = 45 45", pairs)
+               .replace("lens_focal_length_mm = 500",
+                        "lens_focal_length_mm = 500\n"
+                        "pinhole_diameter_um = 150"))
+    for text, nodes in ((pinhole, 2),
+                        (pinhole.replace("pinhole_diameter_um = 150",
+                                         "pinhole_diameter_um = 0"), 1)):
+        calls.clear()
+        spec = _load_text(tmp_path, text)
+        tables = sp.run_scenario(spec)
+        assert len(tables) == 5
+        assert len(calls) == 2 * nodes * points
+        assert set(calls) == {sp.PolarizerSettings(P45, P45),
+                              sp.PolarizerSettings(P45, -P45)}
+        delta = scenario._pinhole_gauss_offset(spec.geometry, spec.source)
+        for deg2 in (45, -45):
+            settings = sp.PolarizerSettings(P45, math.radians(deg2))
+            table = _table(tables, f"demo_scan_45_{deg2}")
+            direct = [
+                (sp.coincidence_rate(t, settings, spec.source)
+                 if nodes == 1 else
+                 0.5 * (sp.coincidence_rate(t - delta, settings, spec.source)
+                        + sp.coincidence_rate(t + delta, settings,
+                                              spec.source)))
+                for t in _column(table, "theta_int_rad").tolist()]
+            assert (np.array([row[4] for row in table.rows]).tobytes()
+                    == np.array(direct).tobytes())
 
 
 # --------------------------------------------------------- run: visibility
