@@ -2,16 +2,16 @@
 
 Floats are written with 17 significant digits so ``float(text)`` reproduces
 the in-memory value bit for bit; integers stay integers. ``format_cell`` is
-that rule for one cell, and ``to_csv`` reproduces it byte for byte column by
-column: each float column is formatted with one printf template and kept in
-a memo keyed by the column's float64 bytes, which the tables of one
-`spdcpol.scenario.run_scenario` call share, so a column those tables repeat
-(the scan grid, a constant rate) is formatted once per run. A column whose
-bytes are one float64 repeated (a constant rate or duration) is formatted
-once and its text repeated. CSV files carry
-a single header line naming columns and units; the JSON mirror holds the
-same columns/rows for machine consumption. Files are written as UTF-8
-whatever the locale.
+that rule for one cell, and ``to_csv`` reproduces it byte for byte one column
+at a time: exact floats through one ``"%.17g"`` template, memoized by the
+column's float64 bytes across the tables of one
+`spdcpol.scenario.run_scenario` call (and formatted once if those bytes are
+one float64 repeated), exact ints through ``"%d"``, any other column through
+``format_cell`` per cell. A table has at least one column and every row as
+wide as the header; construction, ``to_csv`` and ``to_json`` all refuse any
+other shape. CSV files carry one header line naming columns and units; the
+JSON mirror holds the same columns/rows. Files are written as UTF-8 whatever
+the locale.
 """
 
 from __future__ import annotations
@@ -35,11 +35,14 @@ class Table:
         default_factory=dict, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"row width {len(row)} != {len(self.columns)} columns "
-                    f"in table '{self.name}'")
+        _check_shape(self)
+
+
+def _check_shape(table: Table) -> None:
+    # Rows may be appended after construction, so the writers check again.
+    if not table.columns or set(map(len, table.rows)) - {len(table.columns)}:
+        raise ValueError(f"table '{table.name}' needs at least one column "
+                         f"and every row {len(table.columns)} cells wide")
 
 
 def format_cell(value) -> str:
@@ -63,13 +66,6 @@ def parse_cell(text: str):
         return text
 
 
-# printf conversions that give format_cell's text for a column whose cells
-# all have exactly this type: "%.17g" % x == format(x, ".17g") for every
-# float (nan, ±inf, -0.0 and subnormals included) and "%d" % n == str(n)
-# for every int.
-_CONVERSIONS = {frozenset({float}): "%.17g", frozenset({int}): "%d"}
-
-
 def _printf(column: tuple, conversion: str) -> list[str]:
     # One template over the whole column; no cell text holds a comma.
     return (",".join([conversion] * len(column)) % column).split(",")
@@ -88,37 +84,31 @@ def _float_column_text(column: tuple, memo: dict) -> list[str]:
     return text
 
 
-def _column_texts(table: Table) -> list[list[str]] | None:
-    """Each column's cell texts, or None unless every column is exactly
-    ``float`` or exactly ``int`` throughout and every row has one width."""
-    rows = table.rows
-    if not rows or not rows[0] or set(map(len, rows)) != {len(rows[0])}:
-        return None
-    columns = list(zip(*rows))
-    conversions = [_CONVERSIONS.get(frozenset(map(type, column)))
-                   for column in columns]
-    if None in conversions:
-        return None
-    return [_printf(column, conversion) if conversion == "%d"
-            else _float_column_text(column, table._float_text)
-            for column, conversion in zip(columns, conversions)]
+def _column_text(column: tuple, memo: dict) -> list[str]:
+    # format_cell's text for each cell: "%.17g" % x == format(x, ".17g") for
+    # every float (nan, +-inf, -0.0 and subnormals included) and
+    # "%d" % n == str(n) for every int; bool, str, numpy scalars, other
+    # subclasses and mixed columns go cell by cell.
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return _float_column_text(column, memo)
+    if kinds == {int}:
+        return _printf(column, "%d")
+    return list(map(format_cell, column))
 
 
 def to_csv(table: Table) -> str:
     """CSV text of ``table``: a header line, then one line per row.
 
-    Each cell reads as ``format_cell`` writes it. A table whose columns are
-    each exactly ``float`` or exactly ``int`` is written column by column
-    (see the module docstring): a float column found in the table's memo is
-    not formatted again, and a constant one (the same float64 bits in every
-    cell) is formatted once. Any other table (``bool``, ``str``, numpy
-    scalars, other subclasses, mixed or ragged rows) takes ``format_cell``
-    per cell.
+    Each cell reads as ``format_cell`` writes it, one column at a time (see
+    the module docstring). A table without columns or with a row of another
+    width than the header is a ValueError.
     """
-    texts = _column_texts(table)
-    lines = (zip(*texts) if texts is not None
-             else (map(format_cell, row) for row in table.rows))
-    return "\n".join([",".join(table.columns), *map(",".join, lines)]) + "\n"
+    _check_shape(table)
+    texts = [_column_text(column, table._float_text)
+             for column in zip(*table.rows)]
+    return "\n".join([",".join(table.columns),
+                      *map(",".join, zip(*texts))]) + "\n"
 
 
 def from_csv(text: str, name: str = "") -> Table:
@@ -132,6 +122,7 @@ def from_csv(text: str, name: str = "") -> Table:
 
 
 def to_json(table: Table) -> str:
+    _check_shape(table)
     payload = {
         "name": table.name,
         "columns": list(table.columns),

@@ -2,7 +2,9 @@
 
 A scenario is a line-oriented ``key = value`` file (see `spdcpol.config`)
 with the sections below; each but ``[compensator]`` appears at most once,
-and an unknown section or key is an error at its line. Lab-facing
+and an unknown section or key is an error at its line. The name prefixes
+every table file name, so it must be a plain file name (not empty, ``.`` or
+``..``, and without a path separator or NUL). Lab-facing
 quantities use nm/mm/um/mrad and external (lab) angles; everything is
 converted to SI and internal angles at this boundary, through
 `spdcpol.geometry` and the scenario's source. Emitted scan tables carry
@@ -35,7 +37,8 @@ evaluates the two reference rates R(45, 45) and R(45, -45) once per Gauss
 node and point, and each settings pair's rate column is the linear mix
 sin^2(T1 + T2) R(45, 45) + sin^2(T1 - T2) R(45, -45), so the number of
 pairs adds no rate evaluations. Distinct pairs must have distinct table
-labels; an exact repeat writes the same scan table again.
+labels; an exact repeat of a pair is kept once, so every scan and counts
+table name appears once.
 The visibility sweep reads every column from the two window moments M0 and
 M1 (concurrence is |M1| / M0), and each of its tables takes the moments of
 all its windows from one batched kernel call; the uncompensated baseline is
@@ -50,6 +53,7 @@ the pinhole are resolved to internal angles once, by one helper each, and
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
@@ -175,9 +179,8 @@ def _pick_material(section: Section,
 
 def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
     raw = section.get_str("settings_deg")
-    pairs = []
-    # Table label -> the pair first given for it: an exact repeat writes the
-    # same scan table again, a different pair would overwrite it.
+    # Table label -> the pair first given for it, in order: an exact repeat
+    # is kept once, a different pair would overwrite its tables.
     labelled: dict[str, tuple[float, float]] = {}
     for chunk in raw.split(";"):
         parts = chunk.split()
@@ -194,16 +197,13 @@ def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
                 f"settings_deg values must be finite numbers, got "
                 f"'{chunk.strip()}'", key="settings_deg")
         label = _settings_label(pair)
-        if labelled.setdefault(label, pair) != pair:
-            first = labelled[label]
+        first = labelled.setdefault(label, pair)
+        if first != pair:
             raise section.error(
                 f"settings_deg pairs '{first[0]!r} {first[1]!r}' and "
                 f"'{pair[0]!r} {pair[1]!r}' differ but share the table "
                 f"label '{label}'", key="settings_deg")
-        pairs.append(pair)
-    if not pairs:
-        raise section.error("settings_deg is empty", key="settings_deg")
-    return tuple(pairs)
+    return tuple(labelled.values())
 
 
 def load_scenario(source: str | Path, seed: int | None = None,
@@ -230,6 +230,11 @@ def load_scenario(source: str | Path, seed: int | None = None,
     sec = by_name.get("scenario", Section(name="scenario", line=0, path=path))
     name = sec.get_str("name", str(source) if path.startswith("<preset")
                        else Path(path).stem)
+    # The name prefixes every table file name inside --out.
+    if name in ("", ".", "..") or set(name) & {"/", os.sep, os.altsep, "\0"}:
+        raise sec.error(f"name {name!r} must be a plain file name: not "
+                        f"empty, '.' or '..', and without a path separator "
+                        f"or NUL", key="name")
     seed_value = sec.get_int("seed", 0)
     if seed_value < 0:
         raise sec.error("seed must be >= 0", key="seed")

@@ -219,6 +219,25 @@ def test_hostile_values_exit_cleanly(line, value):
     assert code in (0, 2, 3)
 
 
+@pytest.mark.parametrize("name", [
+    "", ".", "..", "../escaped", "a/b", "a\0b",
+    *([f"a{os.altsep}b"] if os.altsep else [])])
+def test_names_that_are_not_plain_file_names_exit_2(tmp_path, capsys, name):
+    # the name prefixes every table file written into --out
+    scenario = tmp_path / "named.cfg"
+    scenario.write_text(spdcpol.scenario.preset_text("fig2a").replace(
+        "name = fig2a", f"name = {name}"), encoding="utf-8")
+    line = [text.startswith("name =") for text in
+            scenario.read_text(encoding="utf-8").splitlines()].index(True) + 1
+    assert cli.main(["run", str(scenario), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{scenario}:{line}:" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.rglob("*")) == [scenario]
+
+
 def test_bell_angles_stdout(capsys):
     columns = ("theta_int_rad", "theta_ext_rad", "envelope")
     assert cli.main(["bell-angles", "fig2c", "--state", "psi-"]) == 0

@@ -141,11 +141,10 @@ def test_distinct_pairs_sharing_a_table_label_exit_2(tmp_path, capsys):
     assert "45_45" in err
     assert "Traceback" not in err
     assert not out.exists()
-    # an exact repeat writes the same table twice and stays legal
+    # an exact repeat stays legal and is kept once
     spec = _load_text(tmp_path, BASE.replace(
         "settings_deg = 45 45", "settings_deg = 45 45; 45.0 45; 0 90"))
-    assert spec.scan.settings_deg == ((45.0, 45.0), (45.0, 45.0),
-                                      (0.0, 90.0))
+    assert spec.scan.settings_deg == ((45.0, 45.0), (0.0, 90.0))
 
 
 def test_scan_bounds_validated(tmp_path):
@@ -425,6 +424,20 @@ def test_counts_change_with_seed(tmp_path):
     assert rows_a != rows_b
 
 
+def test_an_exact_repeated_pair_gives_each_table_once(tmp_path):
+    # each counts table draws from (seed, table index): a repeated pair once
+    # gave a second, different counts table under the same name
+    def run(settings):
+        return sp.run_scenario(_load_text(tmp_path, COUNTS.replace(
+            "settings_deg = 45 45", f"settings_deg = {settings}")))
+
+    tables = run("45 45; 45 -45; 45 45")
+    names = [table.name for table in tables]
+    assert len(names) == 4
+    assert len(set(names)) == 4
+    assert tables == run("45 45; 45 -45")
+
+
 def test_run_tables_share_one_csv_text_memo(tmp_path):
     text = BASE.replace("settings_deg = 45 45",
                         "settings_deg = 45 45; 45 -45; 0 90") + """
@@ -678,6 +691,27 @@ def test_scenario_section_is_optional(tmp_path):
     path.write_text(BASE.replace("[scenario]\nname = demo\n", ""))
     spec = sp.load_scenario(path)
     assert (spec.name, spec.seed, spec.bell_max_order) == ("headless", 0, 8)
+
+
+def test_a_custom_catalogue_resolves_the_scenario_materials(tmp_path):
+    # the bundled BBO record under a name only this catalogue knows
+    record = dataclasses.replace(sp.builtin_materials()["bbo"], name="eimerl")
+    text = BASE.replace("material = bbo", "material = eimerl") + """
+[compensator]
+material = eimerl
+length_mm = 0.5
+orientation = compensating
+"""
+    spec = _load_text(tmp_path, text, catalogue={"eimerl": record})
+    production = spec.source.production
+    assert production.material == "eimerl"
+    assert spec.source.compensators[0].crystal.material == "eimerl"
+    assert production.cut_angle == sp.phase_matching_cut_angle(
+        record.crystal(cut_angle=0.0, length=1e-3), 351e-9)
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text)
+    assert "eimerl" in str(info.value)
+    assert info.value.line == 5  # the [source] material line
 
 
 def test_scenario_docstring_lists_every_section_key():
