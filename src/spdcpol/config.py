@@ -37,7 +37,7 @@ class Entry:
 @dataclass
 class Section:
     name: str
-    line: int
+    line: int | None  # None for a section the file does not hold
     path: str
     entries: dict[str, Entry] = field(default_factory=dict)
 

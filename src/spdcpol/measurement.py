@@ -150,14 +150,15 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _kernel_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Both kernel rules as one node set on [-1, 1] and a (nodes, 2) weight
-    matrix whose columns apply the 32-point and the 16-point rule.
+    """Both kernel rules as one node set 1 + x on [0, 2] (x the nodes on
+    [-1, 1]) and a (nodes, 2) weight matrix whose columns apply the
+    32-point and the 16-point rule.
 
     Built on first use, so imports and scan-only runs never pay for it.
     """
     fine_nodes, fine_weights = _gauss_legendre(_GL_ORDER)
     check_nodes, check_weights = _gauss_legendre(_GL_CHECK_ORDER)
-    nodes = np.concatenate((fine_nodes, check_nodes))
+    nodes = 1.0 + np.concatenate((fine_nodes, check_nodes))
     weights = np.zeros((nodes.size, 2))
     weights[:_GL_ORDER, 0] = fine_weights
     weights[_GL_ORDER:, 1] = check_weights
@@ -211,42 +212,34 @@ def _panel_pass(lo: np.ndarray, hi: np.ndarray, envelope_slope: float,
     """32-point sums (even, odd, imag) of the windows [lo_i, hi_i], shape
     (3, windows), and each window's error estimate: the largest over the
     three integrands of its summed |32-point - 16-point| panel values."""
-    a = envelope_slope
-    # Each window's candidate sinc zeros n pi / a, n from
-    # floor(lo a / pi) + 1 to ceil(hi a / pi) - 1, sit by index between its
-    # two edges, so every window's edges come out in order without a sort.
-    first = np.floor(lo * a / math.pi) + 1.0
-    counts = np.maximum(np.ceil(hi * a / math.pi) - first, 0.0).astype(int)
-    sizes = counts + 2
-    starts = np.cumsum(sizes) - sizes
-    ends = starts + sizes - 1
-    owner = np.repeat(np.arange(lo.size), sizes)
-    n = first[owner] + (np.arange(owner.size) - starts[owner] - 1)
-    edges = n * (math.pi / a if a > 0.0 else 0.0)
-    keep = (n != 0.0) & (edges > lo[owner]) & (edges < hi[owner])
+    a, k = envelope_slope, abs(phase_slope)
+    # The grid of ``_window_moments``; with no envelope its step is one
+    # phase period, and with neither it is as wide as the model domain.
+    if a > 0.0:
+        step = math.pi / (a * max(1.0, math.ceil(k / (2.0 * a))))
+    else:
+        step = 2.0 * math.pi / k if k > 0.0 else 2.0 * MAX_SUPPORTED_ANGLE
+    # A window's edges are lo, the grid points strictly inside it and hi,
+    # stored window after window, so neighbouring panels share one float.
+    first = np.floor(lo / step)
+    counts = np.maximum(np.ceil(hi / step) - first, 1.0).astype(int)
+    starts = np.cumsum(counts + 1) - (counts + 1)
+    ends = starts + counts
+    owner = np.repeat(np.arange(lo.size), counts + 1)
+    edges = np.clip((first[owner] + (np.arange(owner.size) - starts[owner]))
+                    * step, lo[owner], hi[owner])
     edges[starts] = lo
     edges[ends] = hi
-    keep[starts] = keep[ends] = True
-    edges, owner = edges[keep], owner[keep]
-    inside = owner[1:] == owner[:-1]  # both edges in one window
-    lefts = edges[:-1][inside]
-    widths = (edges[1:] - edges[:-1])[inside]
-    pieces = np.maximum(
-        np.ceil(widths * abs(phase_slope) / (2.0 * math.pi)),
-        1.0).astype(int)
-    # sub-panel j of panel p starts at lefts[p] + j * widths[p] / pieces[p]
-    steps = np.repeat(widths / pieces, pieces)
-    index = np.arange(steps.size) - np.repeat(np.cumsum(pieces) - pieces,
-                                              pieces)
-    halves = 0.5 * steps
-    mids = np.repeat(lefts, pieces) + index * steps + halves
-    # Every window has at least one panel, so its first panel index is
-    # where its run of owners begins.
-    window_starts = np.searchsorted(np.repeat(owner[:-1][inside], pieces),
-                                    np.arange(lo.size))
+    lefts = np.delete(edges, ends)
+    halves = 0.5 * (np.delete(edges, starts) - lefts)
+    # each window before window i has one edge more than it has panels
+    window_starts = starts - np.arange(lo.size)
 
     nodes, weights = _kernel_rule()
-    theta = mids[:, None] + halves[:, None] * nodes
+    # Node left + half (1 + x): a rounded midpoint would shift all of a
+    # panel's nodes alike by up to half an ulp of theta, and far off axis
+    # k times that moves the phase more than the tolerance allows.
+    theta = lefts[:, None] + halves[:, None] * nodes
     panels = (_integrands(theta, a, phase_slope) @ weights) \
         * halves[:, None]  # (3, panels, 2)
     fine, coarse = panels[..., 0], panels[..., 1]
@@ -260,13 +253,16 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
     """Both moments of every window [c_i - h_i, c_i + h_i], in one batch.
 
     The weight is w = sinc^2(a theta) with a = ``envelope_slope`` and the
-    phase phi = k theta with k = ``phase_slope``. Panels are cut at the sinc
-    zeros n pi / a (n != 0) inside each window and split so that none spans
-    more than one period 2 pi / |k| of e^{i k theta}; on such a panel the
-    integrands are entire functions of small bandwidth. The panels of all
-    windows go through one 32-point Gauss-Legendre pass, cut into passes of
-    at most ``_MAX_PANELS`` panels, and per-window sums; the 16-point rule on
-    the same panels estimates the error of the 32-point one.
+    phase phi = k theta with k = ``phase_slope``. One grid of step
+    pi / (a m), m = max(1, ceil(|k| / 2a)), cuts every window into panels:
+    it holds every sinc zero n pi / a, and no panel spans more than one
+    period 2 pi / |k| of e^{i k theta}, so on each panel the integrands are
+    entire functions of small bandwidth. A window's panels run from its
+    lower edge through the grid points inside it to its upper edge, and
+    neighbouring panels share their edge. The panels of all windows go
+    through one 32-point Gauss-Legendre pass, cut into passes of at most
+    ``_MAX_PANELS`` panels, and per-window sums; the 16-point rule on the
+    same panels estimates the error of the 32-point one.
 
     Every check applies per window, and an error names the first window
     that fails it: ValueError when a window leaves the model domain;

@@ -227,7 +227,8 @@ def load_scenario(source: str | Path, seed: int | None = None,
             raise ConfigError(f"missing required section [{required}]",
                               path=path)
 
-    sec = by_name.get("scenario", Section(name="scenario", line=0, path=path))
+    sec = by_name.get("scenario",
+                      Section(name="scenario", line=None, path=path))
     name = sec.get_str("name", str(source) if path.startswith("<preset")
                        else Path(path).stem)
     # The name prefixes every table file name inside --out.

@@ -238,6 +238,21 @@ def test_names_that_are_not_plain_file_names_exit_2(tmp_path, capsys, name):
     assert list(tmp_path.rglob("*")) == [scenario]
 
 
+def test_a_defaulted_name_is_refused_without_a_line(tmp_path, capsys):
+    # without a [scenario] section the name defaults to the file stem, here
+    # '.', which no line of the file holds
+    scenario = tmp_path / "..cfg"
+    text = spdcpol.scenario.preset_text("fig2a")
+    scenario.write_text(text[text.index("[source]"):], encoding="utf-8")
+    assert cli.main(["run", str(scenario), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{scenario}: name '.'" in err
+    assert ":0:" not in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bell_angles_stdout(capsys):
     columns = ("theta_int_rad", "theta_ext_rad", "envelope")
     assert cli.main(["bell-angles", "fig2c", "--state", "psi-"]) == 0

@@ -358,13 +358,13 @@ def test_one_kernel_call_matches_one_window_calls(bare_config,
 
 def test_batch_beyond_the_panel_limit_runs_in_passes(anticompensated_config,
                                                      monkeypatch):
-    # a 10 cm crystal: each 0.1 rad window needs about 3200 panels, so one
+    # a 20 cm crystal: each 0.1 rad window needs about 3200 panels, so one
     # pass cannot hold all four
     bbo = sp.get_material("bbo")
     long_source = sp.SourceConfig(
         production=bbo.crystal(
             cut_angle=anticompensated_config.production.cut_angle,
-            length=0.1),
+            length=0.2),
         pump_wavelength=351e-9)
     centers = np.array([-0.05, -0.02, 0.01, 0.045])
     halfwidths = np.full(4, 0.05)
@@ -381,6 +381,48 @@ def test_batch_beyond_the_panel_limit_runs_in_passes(anticompensated_config,
     assert sum(passes) > measurement._MAX_PANELS
     assert max(passes) <= measurement._MAX_PANELS
     _assert_same_columns(batch, _one_by_one(centers, halfwidths, *slopes))
+
+
+def test_panels_follow_one_grid_of_sinc_zeros_and_phase_periods(
+        bare_config, compensated_config, anticompensated_config,
+        monkeypatch):
+    # The grid step is pi / (a m), m = max(1, ceil(|k| / 2a)), so a window
+    # of +-5 sinc lobes takes 10 m panels: m = 1 for the bare source
+    # (k = 2a) and the compensated one (k = 0), m = 2 for the
+    # anticompensated one (k = 4a).
+    passes = []
+    integrands = measurement._integrands
+
+    def spy(theta, *args):
+        passes.append(len(theta))
+        return integrands(theta, *args)
+    monkeypatch.setattr(measurement, "_integrands", spy)
+    for config, m in ((bare_config, 1), (compensated_config, 1),
+                      (anticompensated_config, 2)):
+        lobe = math.pi / config.envelope_slope
+        passes.clear()
+        measurement._window_moments(np.array([0.0]), np.array([5.0 * lobe]),
+                                    config.envelope_slope, config.phase_slope)
+        assert passes == [10 * m]
+
+
+@pytest.mark.parametrize("phase_slope", [0.0, 2026.9])
+def test_windows_without_envelope_match_the_closed_forms(phase_slope):
+    # w = 1: even, odd = h +- (sin k hi - sin k lo) / 2k and
+    # imag = (cos k lo - cos k hi) / k, with h = (hi - lo) / 2
+    centers = np.array([0.0, 0.03, -0.05, 6.75e-3])
+    halfwidths = np.array([0.1, 0.02, 0.05, 0.57e-3])
+    lo, hi = centers - halfwidths, centers + halfwidths
+    h = 0.5 * (hi - lo)
+    k = phase_slope
+    if k:
+        swing = (np.sin(k * hi) - np.sin(k * lo)) / (2.0 * k)
+        imag = (np.cos(k * lo) - np.cos(k * hi)) / k
+    else:
+        swing, imag = h, np.zeros_like(h)
+    moments = measurement._window_moments(centers, halfwidths, 0.0, k)
+    for got, want in zip(moments, (h + swing, h - swing, imag)):
+        assert np.all(np.abs(got - want) <= 1e-12 * 2.0 * h)
 
 
 def test_batch_names_the_window_that_fails(anticompensated_config,
