@@ -38,7 +38,12 @@ node and point, and each settings pair's rate column is the linear mix
 sin^2(T1 + T2) R(45, 45) + sin^2(T1 - T2) R(45, -45), so the number of
 pairs adds no rate evaluations. Distinct pairs must have distinct table
 labels; an exact repeat of a pair is kept once, so every scan and counts
-table name appears once.
+table name appears once. The ``envelope`` and ``phase_rad`` columns are
+`spdcpol.biphoton.angular_envelope` and ``relative_phase`` evaluated over
+the whole grid in numpy, operation for operation, so they keep the scalar
+laws' bits. Scan, counts and visibility tables hold the float64 and int64
+arrays the run computes as their columns (see `spdcpol.output`); nothing
+is turned into rows on the way to CSV text.
 The visibility sweep reads every column from the two window moments M0 and
 M1 (concurrence is |M1| / M0), and each of its tables takes the moments of
 all its windows from one batched kernel call; the uncompensated baseline is
@@ -56,14 +61,12 @@ import math
 import os
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .biphoton import (BellState, CompensatorPlacement, Orientation,
-                       SourceConfig, angular_envelope, bell_angles,
-                       relative_phase)
+                       SourceConfig, bell_angles)
 from .config import Section, parse_config
 from .crystal import phase_matching_cut_angle
 from .errors import ConfigError, PhaseMatchingError, UniformStateError
@@ -458,12 +461,14 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
     if spec.scan is not None:
         grid = np.linspace(spec.scan.theta_ext_min, spec.scan.theta_ext_max,
                            spec.scan.points)
-        ext_grid = grid.tolist()
         theta_int = external_to_internal_angle(grid, spec.geometry,
                                                spec.source)
-        int_grid = theta_int.tolist()
-        envelopes = [angular_envelope(t, spec.source) for t in int_grid]
-        phases = [relative_phase(t, spec.source) for t in int_grid]
+        # biphoton.angular_envelope and relative_phase, operation for
+        # operation: sinc(x) = sin(x) / x with sinc(0) = 1, x = a theta.
+        x = spec.source.envelope_slope * theta_int
+        envelopes = np.divide(np.sin(x), x, out=np.ones_like(x),
+                              where=x != 0.0)
+        phases = spec.source.phase_slope * theta_int
         even, odd = _reference_rates(theta_int, spec)
         for table_index, pair in enumerate(spec.scan.settings_deg):
             theta1, theta2 = map(math.radians, pair)
@@ -473,8 +478,7 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
             tables.append(Table(
                 name=f"{spec.name}_scan_{_settings_label(pair)}",
                 columns=SCAN_COLUMNS,
-                rows=list(zip(ext_grid, int_grid, envelopes, phases,
-                              rates.tolist())),
+                _columns=(grid, theta_int, envelopes, phases, rates),
                 _float_text=float_text))
             if spec.counts is not None:
                 cspec = spec.counts
@@ -485,10 +489,9 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                 tables.append(Table(
                     name=f"{spec.name}_counts_{_settings_label(pair)}",
                     columns=COUNTS_COLUMNS,
-                    rows=list(zip(ext_grid, int_grid, true_rates.tolist(),
-                                  repeat(cspec.accidental_rate),
-                                  repeat(cspec.duration),
-                                  counts.tolist())),
+                    _columns=(grid, theta_int, true_rates,
+                              np.full(grid.size, cspec.accidental_rate),
+                              np.full(grid.size, cspec.duration), counts),
                     _float_text=float_text))
 
     if spec.visibility is not None:
@@ -497,7 +500,7 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                                              spec.source)
         halfwidths = hmax_int * np.arange(1, vspec.points + 1) / vspec.points
         halfwidths_ext = internal_to_external_angle(
-            halfwidths, spec.geometry, spec.source).tolist()
+            halfwidths, spec.geometry, spec.source)
         centers = np.full(vspec.points, center_int)
         envelope_slope = spec.source.envelope_slope
         variants = [("", spec.source.phase_slope)]
@@ -511,8 +514,7 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
             tables.append(Table(
                 name=f"{spec.name}_visibility{suffix}",
                 columns=VISIBILITY_COLUMNS,
-                rows=list(zip(halfwidths_ext,
-                              *(column.tolist() for column in columns))),
+                _columns=(halfwidths_ext, *columns),
                 _float_text=float_text))
 
     return tables

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -50,16 +51,10 @@ def tables(draw):
                  rows=rows)
 
 
-def _with_row(table, row):
-    table.rows.append(row)
-    return table
-
-
 @given(tables())
 @example(Table(name="t", columns=("phase_rad",),
                rows=[(0.0,), (-0.0,), (0.0,)]))
-@example(_with_row(Table(name="t", columns=("a", "n"), rows=[(0.5, 2)]),
-                   [0.25, 3]))
+@example(Table(name="t", columns=("a", "n"), rows=[(0.5, 2), [0.25, 3]]))
 def test_csv_text_is_format_cell_per_cell(table):
     expected = ",".join(table.columns) + "\n" + "".join(
         ",".join(map(format_cell, row)) + "\n" for row in table.rows)
@@ -143,12 +138,99 @@ def test_row_width_validation():
 
 
 @pytest.mark.parametrize("write", [to_csv, to_json])
-def test_rows_appended_ragged_are_refused_by_the_writers(write):
-    # a CSV line narrower than its header would not read back through from_csv
-    table = _with_row(Table(name="t", columns=("a", "n"), rows=[(0.5, 2)]),
-                      (0.25,))
+def test_rows_is_a_copy_and_ragged_tables_are_refused(write):
+    # the shape is fixed at construction: rows hands out a new list
+    table = Table(name="t", columns=("a", "n"), rows=[(0.5, 2)])
+    text = write(table)
+    table.rows.append((0.25,))
+    assert write(table) == text
+    assert table.rows == [(0.5, 2)]
+    with pytest.raises(AttributeError):
+        table.columns = ("a",)
     with pytest.raises(ValueError, match="'t'"):
-        write(table)
+        Table(name="t", columns=("a", "n"), rows=[(0.5, 2), (0.25,)])
+    with pytest.raises(ValueError, match="'t'"):
+        Table(name="t", columns=("a", "n"),
+              _columns=(np.array([0.5, 0.25]), np.array([2])))
+
+
+@pytest.mark.parametrize("table, column", [
+    (Table(name="t", columns=("a", "b"), rows=[("x,y", 1.0)]), "a"),
+    (Table(name="t", columns=("a", "b"), rows=[(1.0, "x\ny")]), "b"),
+    (Table(name="t", columns=("a", "b"), rows=[(1.0, 2), (1.5, "x\ry")]),
+     "b"),
+    (Table(name="t", columns=("a,b",), rows=[(1.0,)]), "a,b"),
+    (Table(name="t", columns=("a\n",)), "a\n"),
+], ids=["comma_cell", "newline_cell", "return_cell", "comma_name",
+        "newline_name"])
+def test_csv_refuses_text_it_cannot_hold(table, column):
+    # "x,y" would widen its line past the header and not read back
+    with pytest.raises(ValueError,
+                       match=re.escape(f"table 't' column {column!r}")):
+        to_csv(table)
+    assert json.loads(to_json(table))["columns"] == list(table.columns)
+
+
+# Columns built two ways: from rows, and as the arrays run_scenario hands
+# over (float64 for exact floats, int64 for ints within int64, a tuple of
+# cells for any other column). An "other" column may hold cells of every
+# kind, so it may be all floats or all ints and still be a tuple.
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
+     _nan(0x7FF8000000000000), _nan(0x7FF8000000000001),
+     _nan(0xFFF8000000000000)]))
+INT64S = st.one_of(st.integers(min_value=-2**63, max_value=2**63 - 1),
+                   st.sampled_from([2**63 - 1, -(2**63 - 1)]))
+OTHERS = st.one_of(FLOATS, INT64S, st.booleans(),
+                   st.text(st.characters(exclude_characters=",\n\r"),
+                           max_size=4),
+                   FLOATS.map(np.float64),
+                   st.sampled_from([10**20, -10**20, 2**63]))
+KINDS = {"float": (FLOATS, lambda cells: np.array(cells, dtype=np.float64)),
+         "int": (INT64S, lambda cells: np.array(cells, dtype=np.int64)),
+         "other": (OTHERS, tuple)}
+
+
+@st.composite
+def column_data(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1,
+                          max_size=4))
+    height = draw(st.integers(min_value=0, max_value=6))
+    return kinds, [draw(st.lists(KINDS[kind][0], min_size=height,
+                                 max_size=height)) for kind in kinds]
+
+
+def _exact(rows):
+    # cell types and float bits: nan != nan, and 0.0 == -0.0
+    return [tuple((type(cell), struct.pack("<d", cell)
+                   if isinstance(cell, float) else cell) for cell in row)
+            for row in rows]
+
+
+@given(st.lists(column_data(), min_size=1, max_size=3), st.booleans())
+@example([(["float", "int", "other"], [[0.0, -0.0], [2**63 - 1, -2**63 + 1],
+                                        [10**20, True]]),
+          (["float"], [[-0.0, 0.0]]),
+          (["other"], [[0.0, 0.0]])], True)
+@example([(["float"], [[_nan(0x7FF8000000000000)] * 2]),
+          (["float"], [[_nan(0xFFF8000000000000)] * 2])], True)
+@example([(["float", "int", "other"], [[], [], []])], False)
+def test_tables_built_from_columns_write_as_from_rows(datasets, shared):
+    # shared: every table, built either way, holds one CSV text memo
+    memo = {} if shared else None
+    for kinds, cells in datasets:
+        names = tuple(f"c{i}" for i in range(len(kinds)))
+        rows = list(zip(*cells))
+        from_rows = Table("t", names, rows, _float_text=memo)
+        from_columns = Table("t", names, _float_text=memo, _columns=tuple(
+            KINDS[kind][1](column) for kind, column in zip(kinds, cells)))
+        csv_text = to_csv(from_columns)
+        assert csv_text == to_csv(from_rows)
+        assert csv_text == ",".join(names) + "\n" + "".join(
+            ",".join(map(format_cell, row)) + "\n" for row in rows)
+        assert to_json(from_columns) == to_json(from_rows)
+        assert _exact(from_columns.rows) == _exact(from_rows.rows) \
+            == _exact(rows)
 
 
 def test_write_table(tmp_path):

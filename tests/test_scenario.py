@@ -234,6 +234,22 @@ def test_scan_grid_is_external_mrad_spec():
                                                             rel=1e-12)
 
 
+@pytest.mark.parametrize("source", ["fig2a", "fig2b", "fig2c", "on_axis"])
+def test_scan_envelope_and_phase_are_the_scalar_laws_bit_for_bit(source,
+                                                                 tmp_path):
+    if source == "on_axis":
+        spec = _load_text(tmp_path, BASE.replace("points = 11", "points = 5"))
+    else:
+        spec = sp.load_scenario(source)
+    table = sp.run_scenario(spec)[0]
+    theta_int = [row[1] for row in table.rows]
+    if source == "on_axis":
+        assert 0.0 in theta_int
+    for index, law in ((2, sp.angular_envelope), (3, sp.relative_phase)):
+        assert (np.array([row[index] for row in table.rows]).tobytes()
+                == np.array([law(t, spec.source) for t in theta_int]).tobytes())
+
+
 def test_scan_at_general_settings_is_linear_in_the_reference_rates(tmp_path):
     # R(Theta1, Theta2) = sin^2(Theta1 + Theta2) R(45, 45)
     #                   + sin^2(Theta1 - Theta2) R(45, -45), pinhole or not
