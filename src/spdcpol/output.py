@@ -10,20 +10,21 @@ it is built: at least one column, every row as wide as the header, every
 column as long as the others. Rows cannot be added nor column names
 replaced afterwards: ``Table.columns`` is read-only, and ``Table.rows``
 builds a new list of row tuples from the columns on every read. A table
-built from rows decides each column's kind once: a column of exact floats
-is stored as float64, one of exact ints within int64 as int64, and any other
-column (bools, text, numpy scalars, wider ints, mixed kinds) as the tuple of
-its cells. `spdcpol.scenario.run_scenario` hands its float64 and int64
+built from rows keeps the cells it was given, each column as the tuple of
+its cells; `spdcpol.scenario.run_scenario` hands its float64 and int64
 arrays over as they are.
 
 ``to_csv`` writes a float64 column through one ``"%.17g"`` template,
 memoized by the column's bytes across the tables of one ``run_scenario``
 call (and formatted once if those bytes are one float64 repeated), an int64
-column through ``"%d"``, and any other column through ``format_cell`` per
+column through ``"%d"``, and a column of cells through ``format_cell`` per
 cell. CSV cannot hold a ``,``, ``\\n`` or ``\\r`` in a cell or a column name,
 so ``to_csv`` refuses such text; the JSON mirror holds it, and the same
 columns/rows. CSV files carry one header line naming columns and units.
-Files are written as UTF-8 whatever the locale.
+``from_csv`` reads back exactly the lines ``to_csv`` writes: it splits on
+``\\n`` alone and keeps every line but the empty one after the final newline,
+so a blank line is a row (an empty cell), not skipped. Files are written as
+UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-_INT64 = np.iinfo(np.int64)
-
 
 class Table:
     """A named result table: column names, one sequence per column, a note.
 
-    ``Table(name, columns, rows, note)`` builds the columns from the rows and
-    checks the shape, once. ``rows`` is a new list of row tuples on every
-    read; equality compares name, columns, rows and note.
+    ``Table(name, columns, rows, note)`` keeps each column as the tuple of
+    the cells the rows give it, and checks the shape once. ``rows`` is a new
+    list of row tuples on every read; equality compares name, columns, rows
+    and note.
     """
 
     def __init__(self, name: str, columns: tuple[str, ...],
@@ -54,8 +54,7 @@ class Table:
         if _columns is None:
             rows = list(rows)
             ragged = bool(set(map(len, rows)) - {len(columns)})
-            _columns = (tuple(map(_stored, zip(*rows))) if rows
-                        else ((),) * len(columns))
+            _columns = tuple(zip(*rows)) if rows else ((),) * len(columns)
         else:
             ragged = (len(_columns) != len(columns)
                       or len(set(map(len, _columns))) > 1)
@@ -87,17 +86,6 @@ class Table:
     def __repr__(self):
         return (f"Table(name={self.name!r}, columns={self.columns!r}, "
                 f"rows={self.rows!r}, note={self.note!r})")
-
-
-def _stored(cells: tuple):
-    # The one kind decision of a column built from rows.
-    kinds = set(map(type, cells))
-    if kinds == {float}:
-        return np.array(cells, dtype=np.float64)
-    if kinds == {int} and _INT64.min <= min(cells) \
-            and max(cells) <= _INT64.max:
-        return np.array(cells, dtype=np.int64)
-    return cells
 
 
 def _cells(column) -> list | tuple:
@@ -180,7 +168,10 @@ def to_csv(table: Table) -> str:
 
 
 def from_csv(text: str, name: str = "") -> Table:
-    lines = [line for line in text.splitlines() if line]
+    """The table ``to_csv`` wrote as ``text``; a blank line is a row."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise ValueError("empty CSV text")
     columns = tuple(lines[0].split(","))
@@ -193,7 +184,7 @@ def to_json(table: Table) -> str:
     payload = {
         "name": table.name,
         "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
+        "rows": table.rows,
     }
     if table.note:
         payload["note"] = table.note

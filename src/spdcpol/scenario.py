@@ -377,9 +377,12 @@ def load_scenario(source: str | Path, seed: int | None = None,
             duration=sec.get_float("duration_s"),
             peak_rate=sec.get_float("peak_rate_hz"),
             accidental_rate=sec.get_float("accidental_rate_hz", 0.0))
-        if counts_spec.duration < 0.0 or counts_spec.peak_rate < 0.0 \
-                or counts_spec.accidental_rate < 0.0:
-            raise sec.error("counts durations and rates must be >= 0")
+        for key, value in (("duration_s", counts_spec.duration),
+                           ("peak_rate_hz", counts_spec.peak_rate),
+                           ("accidental_rate_hz",
+                            counts_spec.accidental_rate)):
+            if value < 0.0:
+                raise sec.error(f"{key} must be >= 0", key=key)
         # rate_arb <= 1 bounds each mean; counts <= 2**53 are exact as floats.
         mean = ((counts_spec.peak_rate + counts_spec.accidental_rate)
                 * counts_spec.duration)

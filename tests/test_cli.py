@@ -421,3 +421,25 @@ def test_name_outside_the_file_system_encoding_exits_2(tmp_path):
         assert len(run.stderr.splitlines()) == 1
         assert str(out) in run.stderr
         assert "caf" in run.stderr
+
+
+def _readme_blocks(language):
+    text = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return [block.split("\n```", 1)[0]
+            for block in text.split(f"```{language}\n")[1:]]
+
+
+def test_readme_examples_run(tmp_path):
+    ini_blocks = _readme_blocks("ini")
+    assert ini_blocks
+    for index, block in enumerate(ini_blocks):
+        scenario = tmp_path / f"readme_{index}.cfg"
+        scenario.write_text(block, encoding="utf-8")
+        out = tmp_path / f"out_{index}"
+        assert cli.main(["run", str(scenario), "--out", str(out)]) == 0
+        assert any(out.iterdir())
+    python_blocks = _readme_blocks("python")
+    assert python_blocks
+    for block in python_blocks:
+        exec(compile(block, "README.md", "exec"), {})

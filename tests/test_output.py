@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from spdcpol.output import Table, format_cell, from_csv, to_csv, to_json, write_table
+from spdcpol.output import (Table, format_cell, from_csv, parse_cell, to_csv,
+                            to_json, write_table)
 
 
 def test_float_serialization_round_trips_exactly():
@@ -26,6 +27,51 @@ def test_csv_round_trip_exact():
     assert back.columns == table.columns
     assert back.rows == table.rows
     assert isinstance(back.rows[0][2], int)
+
+
+# Every line break str.splitlines knows but "\n" and "\r", which CSV cannot
+# hold; "" makes an empty line of a one-column table.
+BREAKS = ["", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+          "\u2029"]
+ROUND_TRIP_CELLS = st.one_of(
+    st.floats(), st.integers(min_value=-2**70, max_value=2**70),
+    st.text(st.characters(exclude_characters=",\n\r"), max_size=4),
+    st.sampled_from(BREAKS), st.sampled_from(BREAKS).map("x{}y".format))
+
+
+def _same(a, b):
+    # by value and type, nan matching nan
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+@st.composite
+def round_trip_tables(draw):
+    width = draw(st.integers(min_value=1, max_value=3))
+    rows = draw(st.lists(st.tuples(*[ROUND_TRIP_CELLS] * width), max_size=5))
+    return Table(name="t", columns=tuple(f"c{i}" for i in range(width)),
+                 rows=rows)
+
+
+@given(round_trip_tables())
+@example(Table(name="t", columns=("c0",), rows=[("",)]))
+@example(Table(name="t", columns=("c0",),
+               rows=[("x\u2028y",), ("x\x0cy",)]))
+@example(Table(name="t", columns=("c0", "c1"),
+               rows=[("x\x85y", 1.0), (math.nan, "")]))
+def test_from_csv_reads_every_line_to_csv_writes(table):
+    assert table == table
+    back = from_csv(to_csv(table), name="t")
+    assert back.columns == table.columns
+    assert len(back.rows) == len(table.rows)
+    for got, row in zip(back.rows, table.rows):
+        assert len(got) == len(row)
+        assert all(_same(cell, parse_cell(format_cell(given)))
+                   for cell, given in zip(got, row))
+
+
+def _format_cell_per_cell(table):
+    return ",".join(table.columns) + "\n" + "".join(
+        ",".join(map(format_cell, row)) + "\n" for row in table.rows)
 
 
 # One strategy per cell kind to_csv must write as format_cell does: floats
@@ -56,70 +102,90 @@ def tables(draw):
                rows=[(0.0,), (-0.0,), (0.0,)]))
 @example(Table(name="t", columns=("a", "n"), rows=[(0.5, 2), [0.25, 3]]))
 def test_csv_text_is_format_cell_per_cell(table):
-    expected = ",".join(table.columns) + "\n" + "".join(
-        ",".join(map(format_cell, row)) + "\n" for row in table.rows)
-    assert to_csv(table) == expected
-
-
-def _sharing(*tables):
-    """The tables again, all holding one CSV text memo, as a run's do."""
-    memo = {}
-    return [Table(table.name, table.columns, table.rows, _float_text=memo)
-            for table in tables]
+    assert to_csv(table) == _format_cell_per_cell(table)
 
 
 def _nan(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-@given(st.lists(tables(), min_size=2, max_size=3).map(lambda ts: _sharing(*ts)))
-@example(_sharing(Table(name="a", columns=("x",), rows=[(0.0,), (0.0,)]),
-                  Table(name="b", columns=("x",), rows=[(-0.0,), (-0.0,)])))
-@example(_sharing(Table(name="a", columns=("x", "n"), rows=[(1e20, 10**20)]),
-                  Table(name="b", columns=("n", "x"), rows=[(10**20, 1e20)])))
-@example(_sharing(Table(name="a", columns=("x", "n", "b"),
-                        rows=[(1.0, 1, True), (1.0, 1, True)]),
-                  Table(name="b", columns=("b",), rows=[(True,), (True,)]),
-                  Table(name="c", columns=("n",), rows=[(1,), (1,)])))
-@example(_sharing(Table(name="a", columns=("x",),
-                        rows=[(_nan(0x7FF8000000000000),)]),
-                  Table(name="b", columns=("x",),
-                        rows=[(_nan(0x7FF8000000000001),)]),
-                  Table(name="c", columns=("x",),
-                        rows=[(_nan(0xFFF8000000000000),)])))
+# Columns as run_scenario hands them over: float64 for exact floats, int64
+# for ints within int64, a tuple of cells for any other column. An "other"
+# column may hold cells of every kind, so it may be all floats or all ints
+# and still be a tuple.
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
+     _nan(0x7FF8000000000000), _nan(0x7FF8000000000001),
+     _nan(0xFFF8000000000000)]))
+INT64S = st.one_of(st.integers(min_value=-2**63, max_value=2**63 - 1),
+                   st.sampled_from([2**63 - 1, -(2**63 - 1)]))
+OTHERS = st.one_of(FLOATS, INT64S, st.booleans(),
+                   st.text(st.characters(exclude_characters=",\n\r"),
+                           max_size=4),
+                   FLOATS.map(np.float64),
+                   st.sampled_from([10**20, -10**20, 2**63]))
+KINDS = {"float": (FLOATS, lambda cells: np.array(cells, dtype=np.float64)),
+         "int": (INT64S, lambda cells: np.array(cells, dtype=np.int64)),
+         "other": (OTHERS, tuple)}
+
+
+@st.composite
+def column_data(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1,
+                          max_size=4))
+    height = draw(st.integers(min_value=0, max_value=6))
+    return kinds, [draw(st.lists(KINDS[kind][0], min_size=height,
+                                 max_size=height)) for kind in kinds]
+
+
+def _from_columns(kinds, cells, memo=None):
+    return Table("t", tuple(f"c{i}" for i in range(len(kinds))),
+                 _float_text=memo, _columns=tuple(
+                     KINDS[kind][1](column)
+                     for kind, column in zip(kinds, cells)))
+
+
+def _sharing(*datasets):
+    """Column-built tables all holding one CSV text memo, as a run's do."""
+    memo = {}
+    return [_from_columns(kinds, cells, memo) for kinds, cells in datasets]
+
+
+@given(st.lists(column_data(), min_size=2, max_size=3).map(
+    lambda datasets: _sharing(*datasets)))
+@example(_sharing((["float"], [[0.0, 0.0]]), (["float"], [[-0.0, -0.0]])))
+@example(_sharing((["float", "other"], [[1e20], [10**20]]),
+                  (["other", "float"], [[10**20], [1e20]])))
+@example(_sharing((["float", "int", "other"],
+                   [[1.0, 1.0], [1, 1], [True, True]]),
+                  (["other"], [[True, True]]),
+                  (["int"], [[1, 1]])))
+@example(_sharing((["float"], [[_nan(0x7FF8000000000000)]]),
+                  (["float"], [[_nan(0x7FF8000000000001)]]),
+                  (["float"], [[_nan(0xFFF8000000000000)]])))
 def test_tables_sharing_a_memo_are_format_cell_per_cell(shared):
     texts = [to_csv(table) for table in shared]
     for table, text in zip(shared, texts):
-        assert text == ",".join(table.columns) + "\n" + "".join(
-            ",".join(map(format_cell, row)) + "\n" for row in table.rows)
+        assert text == _format_cell_per_cell(table)
 
 
 @pytest.mark.parametrize("shared", [
-    _sharing(Table(name="a", columns=("x", "y"),
-                   rows=[(0.0, -0.0)] * 3),
-             Table(name="b", columns=("y", "x"),
-                   rows=[(-0.0, 0.0)] * 3)),
-    _sharing(Table(name="a", columns=("x",),
-                   rows=[(_nan(0x7FF8000000000000),)] * 4),
-             Table(name="b", columns=("x",),
-                   rows=[(_nan(0xFFF8000000000000),)] * 4)),
-    _sharing(Table(name="a", columns=("x", "n"), rows=[(2.5, 7)])),
-    _sharing(Table(name="a", columns=("x",),
-                   rows=[(0.0,), (0.0,), (0.0,), (-0.0,)]),
-             Table(name="b", columns=("x",), rows=[(0.0,)] * 4),
-             Table(name="c", columns=("x",),
-                   rows=[(1.5,), (1.5,), (-1.5,)])),
-    _sharing(Table(name="a", columns=("n", "x"),
-                   rows=[(10**20, 1e20)] * 3),
-             Table(name="b", columns=("x", "n"),
-                   rows=[(1e20, 10**20)] * 3)),
+    _sharing((["float", "float"], [[0.0] * 3, [-0.0] * 3]),
+             (["float", "float"], [[-0.0] * 3, [0.0] * 3])),
+    _sharing((["float"], [[_nan(0x7FF8000000000000)] * 4]),
+             (["float"], [[_nan(0xFFF8000000000000)] * 4])),
+    _sharing((["float", "int"], [[2.5], [7]])),
+    _sharing((["float"], [[0.0, 0.0, 0.0, -0.0]]),
+             (["float"], [[0.0] * 4]),
+             (["float"], [[1.5, 1.5, -1.5]])),
+    _sharing((["other", "float"], [[10**20] * 3, [1e20] * 3]),
+             (["float", "other"], [[1e20] * 3, [10**20] * 3])),
 ], ids=["signed_zeros", "nan", "one_row", "sign_bit_of_last_cell",
         "int_next_to_float"])
 def test_constant_float_columns_are_format_cell_per_cell(shared):
     # a constant column is formatted once; its bits, not its value, decide
     for table in shared:
-        assert to_csv(table) == ",".join(table.columns) + "\n" + "".join(
-            ",".join(map(format_cell, row)) + "\n" for row in table.rows)
+        assert to_csv(table) == _format_cell_per_cell(table)
 
 
 def test_json_mirror():
@@ -171,35 +237,6 @@ def test_csv_refuses_text_it_cannot_hold(table, column):
     assert json.loads(to_json(table))["columns"] == list(table.columns)
 
 
-# Columns built two ways: from rows, and as the arrays run_scenario hands
-# over (float64 for exact floats, int64 for ints within int64, a tuple of
-# cells for any other column). An "other" column may hold cells of every
-# kind, so it may be all floats or all ints and still be a tuple.
-FLOATS = st.one_of(st.floats(), st.sampled_from(
-    [0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072e-308,
-     _nan(0x7FF8000000000000), _nan(0x7FF8000000000001),
-     _nan(0xFFF8000000000000)]))
-INT64S = st.one_of(st.integers(min_value=-2**63, max_value=2**63 - 1),
-                   st.sampled_from([2**63 - 1, -(2**63 - 1)]))
-OTHERS = st.one_of(FLOATS, INT64S, st.booleans(),
-                   st.text(st.characters(exclude_characters=",\n\r"),
-                           max_size=4),
-                   FLOATS.map(np.float64),
-                   st.sampled_from([10**20, -10**20, 2**63]))
-KINDS = {"float": (FLOATS, lambda cells: np.array(cells, dtype=np.float64)),
-         "int": (INT64S, lambda cells: np.array(cells, dtype=np.int64)),
-         "other": (OTHERS, tuple)}
-
-
-@st.composite
-def column_data(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1,
-                          max_size=4))
-    height = draw(st.integers(min_value=0, max_value=6))
-    return kinds, [draw(st.lists(KINDS[kind][0], min_size=height,
-                                 max_size=height)) for kind in kinds]
-
-
 def _exact(rows):
     # cell types and float bits: nan != nan, and 0.0 == -0.0
     return [tuple((type(cell), struct.pack("<d", cell)
@@ -219,15 +256,12 @@ def test_tables_built_from_columns_write_as_from_rows(datasets, shared):
     # shared: every table, built either way, holds one CSV text memo
     memo = {} if shared else None
     for kinds, cells in datasets:
-        names = tuple(f"c{i}" for i in range(len(kinds)))
         rows = list(zip(*cells))
-        from_rows = Table("t", names, rows, _float_text=memo)
-        from_columns = Table("t", names, _float_text=memo, _columns=tuple(
-            KINDS[kind][1](column) for kind, column in zip(kinds, cells)))
+        from_columns = _from_columns(kinds, cells, memo)
+        from_rows = Table("t", from_columns.columns, rows, _float_text=memo)
         csv_text = to_csv(from_columns)
         assert csv_text == to_csv(from_rows)
-        assert csv_text == ",".join(names) + "\n" + "".join(
-            ",".join(map(format_cell, row)) + "\n" for row in rows)
+        assert csv_text == _format_cell_per_cell(from_rows)
         assert to_json(from_columns) == to_json(from_rows)
         assert _exact(from_columns.rows) == _exact(from_rows.rows) \
             == _exact(rows)

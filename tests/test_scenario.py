@@ -560,9 +560,18 @@ def test_oversized_window_is_config_error(tmp_path):
 
 
 def test_negative_counts_rate_is_config_error(tmp_path):
-    text = BASE + ("\n[counts]\nduration_s = 1.0\npeak_rate_hz = -5\n")
-    with pytest.raises(sp.ConfigError):
-        _load_text(tmp_path, text)
+    # the first negative key, at its own line (the section is line 18)
+    for values, key, line in [(("1.0", "-5", "0"), "peak_rate_hz", 20),
+                              (("-1.0", "5", "0"), "duration_s", 19),
+                              (("1.0", "5", "-0.5"), "accidental_rate_hz", 21),
+                              (("-1.0", "-5", "-0.5"), "duration_s", 19),
+                              (("1.0", "-5", "-0.5"), "peak_rate_hz", 20)]:
+        text = BASE + ("\n[counts]\nduration_s = {}\npeak_rate_hz = {}\n"
+                       "accidental_rate_hz = {}\n").format(*values)
+        with pytest.raises(sp.ConfigError,
+                           match=f"{key} must be >= 0") as info:
+            _load_text(tmp_path, text)
+        assert info.value.line == line
 
 
 def test_invalid_compensator_length_is_config_error(tmp_path):
