@@ -191,19 +191,55 @@ class _Moments(NamedTuple):
         return (self.even - self.odd) + 1j * self.imag
 
 
-def _integrands(theta: np.ndarray, envelope_slope: float,
-                phase_slope: float) -> np.ndarray:
-    """w cos^2(phi/2), w sin^2(phi/2) and w sin(phi) at every ``theta``,
-    stacked along a new first axis."""
-    arg = envelope_slope * theta
-    envelope = np.divide(np.sin(arg), arg, out=np.ones_like(arg),
+# pi = _PI_HEAD + _PI_TAIL to about 1e-26: the head keeps 33 bits, so
+# n * _PI_HEAD is exact for |n| < 2**20, and pi - math.pi = 1.2246...e-16.
+_PI_HEAD = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
+_PI_TAIL = (math.pi - _PI_HEAD) + 1.2246467991473532e-16
+
+
+def _split(x):
+    """x as head + tail, the head keeping the top 26 bits (Veltkamp)."""
+    scaled = 134217729.0 * x  # 2**27 + 1
+    head = scaled - (scaled - x)
+    return head, x - head
+
+
+def _integrands(lefts: np.ndarray, offsets: np.ndarray,
+                envelope_slope: float, phase_slope: float) -> np.ndarray:
+    """w cos^2(phi/2), w sin^2(phi/2) and w sin(phi) at every node
+    theta = ``lefts[i]`` + ``offsets[i, j]``, stacked along a new first
+    axis.
+
+    Far off axis the angles a theta and phi / 2 reach about 90 rad, where
+    rounding the node theta and then the product would cost about 1e-14
+    rad; near a zero of a sine or cosine that is more than the kernel's
+    1e-12 relative accuracy allows. So each angle is slope * left +
+    slope * offset, and slope * left is the exact product of the two 26-bit
+    heads plus a rest below 1e-7 of it (after Dekker, "A floating-point
+    technique for extending the available precision", Numer. Math. 18,
+    1971, without a fused multiply-add). Whole turns of pi come off the
+    exact part exactly, which leaves an angle ``rest`` of a few rad at most,
+    rounded to below 1e-15 rad. A turn flips the sign of a sine and a cosine alike and every
+    integrand is even in that sign, so the sines and cosines are those of
+    the rests. The sinc divides by turns pi + rest, which next to theta = 0
+    cancels exactly to the small angle whose sine is its numerator.
+    """
+    slopes = (envelope_slope, 0.5 * phase_slope)
+    heads, tails = np.array([_split(slope) for slope in slopes]).T[..., None]
+    left_heads, left_tails = _split(lefts)
+    exact = heads * left_heads
+    turns = np.rint(exact / math.pi)
+    whole, part = turns * _PI_HEAD, turns * _PI_TAIL
+    base = ((exact - whole) - part) + (heads * left_tails + tails * lefts)
+    rest = base[..., None] + np.array(slopes)[:, None, None] * offsets
+    sines = np.sin(rest)
+    arg = (whole[0, :, None] + rest[0]) + part[0, :, None]
+    envelope = np.divide(sines[0], arg, out=np.ones_like(arg),
                          where=arg != 0.0)
     weight = envelope * envelope
-    half_phase = 0.5 * phase_slope * theta
-    cos_half = np.cos(half_phase)
-    sin_half = np.sin(half_phase)
-    weighted_sin = weight * sin_half
-    return np.array((weight * cos_half * cos_half, weighted_sin * sin_half,
+    cos_half = np.cos(rest[1])
+    weighted_sin = weight * sines[1]
+    return np.array((weight * cos_half * cos_half, weighted_sin * sines[1],
                      2.0 * weighted_sin * cos_half))
 
 
@@ -223,25 +259,28 @@ def _panel_pass(lo: np.ndarray, hi: np.ndarray, envelope_slope: float,
     # stored window after window, so neighbouring panels share one float.
     first = np.floor(lo / step)
     counts = np.maximum(np.ceil(hi / step) - first, 1.0).astype(int)
-    starts = np.cumsum(counts + 1) - (counts + 1)
-    ends = starts + counts
-    owner = np.repeat(np.arange(lo.size), counts + 1)
+    sizes = counts + 1
+    ends = np.cumsum(sizes) - 1
+    starts = ends - counts
+    owner = np.repeat(np.arange(lo.size), sizes)
     edges = np.clip((first[owner] + (np.arange(owner.size) - starts[owner]))
                     * step, lo[owner], hi[owner])
     edges[starts] = lo
     edges[ends] = hi
-    lefts = np.delete(edges, ends)
-    halves = 0.5 * (np.delete(edges, starts) - lefts)
+    # every edge but a window's last opens a panel that the next one closes
+    opens = np.ones(edges.size, dtype=bool)
+    opens[ends] = False
+    lefts = edges[opens]
+    halves = 0.5 * (edges[1:][opens[:-1]] - lefts)
     # each window before window i has one edge more than it has panels
     window_starts = starts - np.arange(lo.size)
 
     nodes, weights = _kernel_rule()
-    # Node left + half (1 + x): a rounded midpoint would shift all of a
-    # panel's nodes alike by up to half an ulp of theta, and far off axis
-    # k times that moves the phase more than the tolerance allows.
-    theta = lefts[:, None] + halves[:, None] * nodes
-    panels = (_integrands(theta, a, phase_slope) @ weights) \
-        * halves[:, None]  # (3, panels, 2)
+    # Nodes left + half (1 + x), never rounded to one float: far off axis
+    # the slopes times half an ulp of theta move both angles more than the
+    # tolerance allows.
+    panels = (_integrands(lefts, halves[:, None] * nodes, a, phase_slope)
+              @ weights) * halves[:, None]  # (3, panels, 2)
     fine, coarse = panels[..., 0], panels[..., 1]
     sums = np.add.reduceat(fine, window_starts, axis=1)
     errors = np.add.reduceat(np.abs(fine - coarse), window_starts, axis=1)
@@ -295,8 +334,9 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
     errors = np.zeros(centers.size)
     points = halfwidths == 0.0
     if points.any():
-        moments[:, points] = _integrands(centers[points], envelope_slope,
-                                         phase_slope)
+        moments[:, points] = _integrands(
+            centers[points], np.zeros((np.count_nonzero(points), 1)),
+            envelope_slope, phase_slope)[..., 0]
     spans = np.flatnonzero(~points)
     reach = np.cumsum(panels[spans])
     start = 0

@@ -259,6 +259,19 @@ _UNIT_FLOOR = 1e-3
        width_exp=st.floats(-7.0, -1.0))
 @example(source="anticompensated", kind="fig2c", center_share=0.0,
          width_exp=0.0)
+# Windows that once missed the bound: near a sinc zero (bare) and where V
+# is below the floor (anticompensated), before the kernel reduced its
+# angles exactly or, at width_exp = -1, before its one panel grid.
+@example(source="bare", kind="far", center_share=0.8176649501223339,
+         width_exp=-6.0)
+@example(source="anticompensated", kind="far", center_share=0.892578125,
+         width_exp=-1.0)
+@example(source="anticompensated", kind="far", center_share=0.828125,
+         width_exp=-1.0)
+@example(source="anticompensated", kind="far", center_share=-0.734375,
+         width_exp=-2.5)
+@example(source="anticompensated", kind="far", center_share=-0.8984375,
+         width_exp=-2.5)
 def test_window_observables_match_mpmath(source, kind, center_share,
                                          width_exp, bare_config,
                                          compensated_config,
