@@ -116,7 +116,7 @@ class SourceConfig:
     wavelength, the lab <-> internal angle scale), ``walkoff_B``
     (signed production B at the degenerate wavelength), ``envelope_slope``
     (|B| L / 2, the sinc argument per radian) and ``phase_slope``
-    (d phi / d theta, including compensators).
+    (d phi / d theta, including compensators; an overflow is a ValueError).
     """
 
     production: UniaxialCrystal
@@ -145,6 +145,8 @@ class SourceConfig:
                                           placement.crystal.cut_angle)
             slope += (placement.orientation.sign * 2.0 * abs(b_comp)
                       * placement.crystal.length)
+        if not math.isfinite(slope):  # also catches an overflowed |B| L / 2
+            raise ValueError(f"crystal too long: the phase slope is {slope:g}")
         object.__setattr__(self, "degenerate_wavelength", degenerate)
         object.__setattr__(self, "ordinary_index",
                            index_ordinary(self.production, degenerate))

@@ -92,14 +92,11 @@ def _cmd_bell_angles(args) -> int:
 
 def _cmd_materials(args) -> int:
     for name, record in sorted(builtin_materials().items()):
-        band = f"band {record.band[0] * 1e6:g}-{record.band[1] * 1e6:g} um"
-        ordinary = record.ordinary
-        extraordinary = record.extraordinary
-        print(f"{name}: {band}")
-        print(f"  ordinary:      a={ordinary.a:g} b={ordinary.b:g} "
-              f"c={ordinary.c:g} d={ordinary.d:g}")
-        print(f"  extraordinary: a={extraordinary.a:g} b={extraordinary.b:g} "
-              f"c={extraordinary.c:g} d={extraordinary.d:g}")
+        lo, hi = record.band
+        print(f"{name}: band {lo * 1e6:g}-{hi * 1e6:g} um")
+        for kind, s in (("ordinary", record.ordinary),
+                        ("extraordinary", record.extraordinary)):
+            print(f"  {kind + ':':<15}a={s.a:g} b={s.b:g} c={s.c:g} d={s.d:g}")
     return EXIT_OK
 
 

@@ -14,7 +14,9 @@ follows the index ellipse
 where ``n_eb`` is the principal extraordinary index. For a negative uniaxial
 crystal (n_o > n_eb) the angular derivative dn_e/dtheta is negative on
 (0, pi/2); downstream phase laws use its magnitude. The principal indices
-are read once per wavelength per call: a cut-angle solve reads four.
+are read once per wavelength per call: a cut-angle solve reads four. A
+``MaterialRecord`` (two Sellmeier sets and a band) is checked once, when
+built; a ``UniaxialCrystal`` is a record plus a cut angle and a length.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from dataclasses import dataclass
 from .errors import OutOfBandError, PhaseMatchingError
 
 C_LIGHT = 299792458.0  # m/s
-
-DEFAULT_BAND = (0.3e-6, 1.1e-6)  # m
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,16 @@ class SellmeierCoefficients:
 
 
 @dataclass(frozen=True)
-class UniaxialCrystal:
-    """A uniaxial crystal slab: dispersion data, cut angle and length.
+class MaterialRecord:
+    """One material's Sellmeier sets and supported band (m), checked once:
+    0 < lo < hi, no pole in the band, and n^2 > 1, n_o >= n_eb across it."""
 
-    ``cut_angle`` is the angle between the optic axis and the propagation
-    direction; ``band`` is the supported wavelength interval in meters.
-    """
-
+    name: str
     ordinary: SellmeierCoefficients
     extraordinary: SellmeierCoefficients  # principal value n_eb
-    cut_angle: float  # rad
-    length: float     # m
-    band: tuple[float, float] = DEFAULT_BAND
-    material: str = ""
+    band: tuple[float, float]  # m
 
     def __post_init__(self):
-        if self.length <= 0.0:
-            raise ValueError(f"crystal length must be > 0, got {self.length}")
-        if not 0.0 <= self.cut_angle <= math.pi / 2.0:
-            raise ValueError(
-                f"cut angle must lie in [0, pi/2], got {self.cut_angle}")
         lo, hi = self.band
         if not 0.0 < lo < hi:
             raise ValueError(f"invalid band {self.band}")
@@ -91,10 +81,30 @@ class UniaxialCrystal:
                     f"not negative uniaxial: n_o = {n_o:.6f} < "
                     f"n_eb = {n_eb:.6f} at {wl_um:.4g} um")
 
+    def crystal(self, cut_angle: float, length: float) -> UniaxialCrystal:
+        """Build a crystal slab of this material."""
+        return UniaxialCrystal(self, cut_angle, length)
+
+
+@dataclass(frozen=True)
+class UniaxialCrystal:
+    """A slab of one material, cut at ``cut_angle`` from the optic axis."""
+
+    material: MaterialRecord
+    cut_angle: float  # rad
+    length: float     # m
+
+    def __post_init__(self):
+        if self.length <= 0.0:
+            raise ValueError(f"crystal length must be > 0, got {self.length}")
+        if not 0.0 <= self.cut_angle <= math.pi / 2.0:
+            raise ValueError(
+                f"cut angle must lie in [0, pi/2], got {self.cut_angle}")
+
 
 def _check_band(crystal: UniaxialCrystal, wavelength: float,
                 strict: bool = False) -> None:
-    lo, hi = crystal.band
+    lo, hi = crystal.material.band
     inside = lo < wavelength < hi if strict else lo <= wavelength <= hi
     if not inside:
         raise OutOfBandError(
@@ -105,15 +115,15 @@ def _check_band(crystal: UniaxialCrystal, wavelength: float,
 def index_ordinary(crystal: UniaxialCrystal, wavelength: float) -> float:
     """Ordinary refractive index n_o at ``wavelength`` (meters)."""
     _check_band(crystal, wavelength)
-    return crystal.ordinary.index(wavelength * 1e6)
+    return crystal.material.ordinary.index(wavelength * 1e6)
 
 
 def _principal_indices(crystal: UniaxialCrystal,
                        wavelength: float) -> tuple[float, float]:
     """(n_o, n_eb) at ``wavelength`` (meters), each evaluated once."""
     _check_band(crystal, wavelength)
-    wl_um = wavelength * 1e6
-    return crystal.ordinary.index(wl_um), crystal.extraordinary.index(wl_um)
+    wl_um, material = wavelength * 1e6, crystal.material
+    return material.ordinary.index(wl_um), material.extraordinary.index(wl_um)
 
 
 def _ellipse(n_o: float, n_eb: float, angle_from_axis: float) -> float:

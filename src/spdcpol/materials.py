@@ -18,38 +18,24 @@ supported band:
 
 A ``bbo`` record (Eimerl beta-BBO data) ships with the package; alternative
 coefficient sets can be swapped in by pointing at another catalogue file.
+Each record is checked once, when the catalogue is read: a band, pole or
+dispersion fault is a ``ConfigError`` at the record's ``[name]`` line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 from .config import parse_config
-from .crystal import SellmeierCoefficients, UniaxialCrystal
+from .crystal import MaterialRecord, SellmeierCoefficients
 from .errors import ConfigError
 
 _KINDS = ("ordinary", "extraordinary")
 _COEFFICIENTS = ("a", "b", "c", "d")
 _RECORD_KEYS = ({f"{kind}_{c}" for kind in _KINDS for c in _COEFFICIENTS}
                 | {"band_min_um", "band_max_um"})
-
-
-@dataclass(frozen=True)
-class MaterialRecord:
-    name: str
-    ordinary: SellmeierCoefficients
-    extraordinary: SellmeierCoefficients
-    band: tuple[float, float]  # m
-
-    def crystal(self, cut_angle: float, length: float) -> UniaxialCrystal:
-        """Build a crystal slab of this material."""
-        return UniaxialCrystal(ordinary=self.ordinary,
-                               extraordinary=self.extraordinary,
-                               cut_angle=cut_angle, length=length,
-                               band=self.band, material=self.name)
 
 
 def parse_materials(text: str, path: str = "<materials>") -> dict[str, MaterialRecord]:
@@ -65,10 +51,10 @@ def parse_materials(text: str, path: str = "<materials>") -> dict[str, MaterialR
             for kind in _KINDS)
         band = (section.get_float("band_min_um") * 1e-6,
                 section.get_float("band_max_um") * 1e-6)
-        if not 0.0 < band[0] < band[1]:
-            raise section.error(f"invalid band {band} for '{name}'")
-        records[name] = MaterialRecord(name=name, ordinary=ordinary,
-                                       extraordinary=extraordinary, band=band)
+        try:
+            records[name] = MaterialRecord(name, ordinary, extraordinary, band)
+        except ValueError as exc:
+            raise section.error(f"invalid material '{name}': {exc}")
     if not records:
         raise ConfigError("no material records found", path=path)
     return records

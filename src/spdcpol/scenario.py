@@ -68,7 +68,7 @@ import numpy as np
 from .biphoton import (BellState, CompensatorPlacement, Orientation,
                        SourceConfig, bell_angles)
 from .config import Section, parse_config
-from .crystal import phase_matching_cut_angle
+from .crystal import _check_band, phase_matching_cut_angle
 from .errors import ConfigError, PhaseMatchingError, UniformStateError
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
@@ -285,13 +285,21 @@ def load_scenario(source: str | Path, seed: int | None = None,
         try:
             comp_crystal = comp_material.crystal(cut_angle=comp_cut,
                                                  length=comp_length)
+            _check_band(comp_crystal, 2.0 * pump)  # SourceConfig reads B there
         except ValueError as exc:
             raise sec.error(f"invalid compensator crystal: {exc}")
         compensators.append(CompensatorPlacement(crystal=comp_crystal,
                                                  orientation=orientation))
 
-    source_config = SourceConfig(production=production, pump_wavelength=pump,
-                                 compensators=tuple(compensators))
+    try:
+        source_config = SourceConfig(production, pump, tuple(compensators))
+    except ValueError as exc:
+        # Blame the first crystal whose length overflows the phase slope.
+        for count, sec in enumerate([src, *compensator_sections]):
+            try:
+                SourceConfig(production, pump, tuple(compensators[:count]))
+            except ValueError:
+                raise sec.error(str(exc), key="length_mm")
 
     geo = by_name["geometry"]
     try:
@@ -377,11 +385,8 @@ def load_scenario(source: str | Path, seed: int | None = None,
             duration=sec.get_float("duration_s"),
             peak_rate=sec.get_float("peak_rate_hz"),
             accidental_rate=sec.get_float("accidental_rate_hz", 0.0))
-        for key, value in (("duration_s", counts_spec.duration),
-                           ("peak_rate_hz", counts_spec.peak_rate),
-                           ("accidental_rate_hz",
-                            counts_spec.accidental_rate)):
-            if value < 0.0:
+        for key in ("duration_s", "peak_rate_hz", "accidental_rate_hz"):
+            if sec.get_float(key, 0.0) < 0.0:
                 raise sec.error(f"{key} must be >= 0", key=key)
         # rate_arb <= 1 bounds each mean; counts <= 2**53 are exact as floats.
         mean = ((counts_spec.peak_rate + counts_spec.accidental_rate)

@@ -202,7 +202,8 @@ accidental_rate_hz = 5
 """
 FUZZ_KEY_LINES = [i for i, line in enumerate(FUZZ_BASE.splitlines())
                   if "=" in line]
-HOSTILE = ("nan", "inf", "-1", "0", "1e60", "1e-20", str(10**12), "abc")
+HOSTILE = ("nan", "inf", "-1", "0", "1e60", "1e-20", "1e308", str(10**12),
+           "abc")
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,6 +218,29 @@ def test_hostile_values_exit_cleanly(line, value):
         code = cli.main(["run", str(scenario), "--out",
                          str(Path(directory) / "out")])
     assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("command", [["run"], ["bell-angles", "--state",
+                                               "psi-"]])
+@pytest.mark.parametrize("section", ["[source]", "[compensator]"])
+def test_an_overflowing_crystal_length_exits_2_at_its_line(tmp_path, capsys,
+                                                           section, command):
+    # |B| L overflows to inf: the phase law has no finite slope, and the
+    # crystal whose length_mm pushed it there is named
+    lines = FUZZ_BASE.splitlines()
+    line = next(i for i in range(lines.index(section), len(lines))
+                if lines[i].startswith("length_mm"))
+    lines[line] = "length_mm = 1e308"
+    scenario = tmp_path / "long.cfg"
+    scenario.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert cli.main([command[0], str(scenario), "--out", str(out),
+                     *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert f"{scenario}:{line + 1}: crystal too long" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", [

@@ -82,7 +82,7 @@ def test_extraordinary_limits(production):
     n_o = sp.index_ordinary(production, DEGENERATE)
     assert sp.index_extraordinary(production, DEGENERATE, 0.0) == pytest.approx(
         n_o, rel=1e-15)
-    principal = production.extraordinary.index(DEGENERATE * 1e6)
+    principal = production.material.extraordinary.index(DEGENERATE * 1e6)
     assert sp.index_extraordinary(production, DEGENERATE, math.pi / 2) == \
         pytest.approx(principal, rel=1e-15)
 
@@ -103,7 +103,7 @@ def test_extraordinary_angle_domain(production):
 
 def test_negative_uniaxial_inequality(production):
     # n_e(theta) <= n_o with equality only along the optic axis.
-    for lam in np.linspace(*production.band, 7):
+    for lam in np.linspace(*production.material.band, 7):
         n_o = sp.index_ordinary(production, float(lam))
         for theta in np.linspace(0.0, math.pi / 2, 19):
             n_e = sp.index_extraordinary(production, float(lam), float(theta))
@@ -191,8 +191,8 @@ def test_mismatch_is_built_from_the_public_indices(production):
 
 
 def test_no_phase_matching_for_isotropic_data(bbo):
-    iso = sp.UniaxialCrystal(ordinary=bbo.ordinary, extraordinary=bbo.ordinary,
-                             cut_angle=0.3, length=1e-3, band=bbo.band)
+    iso = sp.MaterialRecord("iso", bbo.ordinary, bbo.ordinary,
+                            bbo.band).crystal(cut_angle=0.3, length=1e-3)
     with pytest.raises(sp.PhaseMatchingError) as info:
         sp.phase_matching_cut_angle(iso, PUMP)
     assert "no phase matching" in str(info.value)
@@ -223,7 +223,8 @@ def test_walkoff_B_finite_difference_oracle(production):
 
 
 def test_dne_dtheta_matches_finite_differences_on_grid(production):
-    lams = np.linspace(production.band[0] + 1e-8, production.band[1] - 1e-8, 10)
+    lo, hi = production.material.band
+    lams = np.linspace(lo + 1e-8, hi - 1e-8, 10)
     thetas = np.linspace(0.0, math.pi / 2, 25)
     h = 1e-6
     for lam in lams:
@@ -238,8 +239,8 @@ def test_dne_dtheta_matches_finite_differences_on_grid(production):
 # ------------------------------------------------------- group mismatch D
 
 def test_group_mismatch_zero_for_identical_dispersion(bbo):
-    iso = sp.UniaxialCrystal(ordinary=bbo.ordinary, extraordinary=bbo.ordinary,
-                             cut_angle=0.5, length=1e-3, band=bbo.band)
+    iso = sp.MaterialRecord("iso", bbo.ordinary, bbo.ordinary,
+                            bbo.band).crystal(cut_angle=0.5, length=1e-3)
     assert abs(sp.group_mismatch_D(iso, DEGENERATE, 0.5)) < 1e-15
 
 
@@ -300,12 +301,10 @@ def test_longitudinal_check_bbo_one_nm_filter(production):
 
 def test_crystal_validation(bbo):
     with pytest.raises(ValueError):
-        sp.UniaxialCrystal(ordinary=bbo.ordinary, extraordinary=bbo.extraordinary,
-                           cut_angle=0.5, length=0.0)
+        sp.UniaxialCrystal(bbo, cut_angle=0.5, length=0.0)
     with pytest.raises(ValueError):
-        sp.UniaxialCrystal(ordinary=bbo.ordinary, extraordinary=bbo.extraordinary,
-                           cut_angle=2.0, length=1e-3)
-    with pytest.raises(ValueError):
-        # positive uniaxial data (swapped sets) must be rejected
-        sp.UniaxialCrystal(ordinary=bbo.extraordinary, extraordinary=bbo.ordinary,
-                           cut_angle=0.5, length=1e-3)
+        sp.UniaxialCrystal(bbo, cut_angle=2.0, length=1e-3)
+    with pytest.raises(ValueError, match="not negative uniaxial"):
+        # positive uniaxial data (swapped sets) is rejected with the record,
+        # before any crystal is cut from it
+        sp.MaterialRecord("swapped", bbo.extraordinary, bbo.ordinary, bbo.band)

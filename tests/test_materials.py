@@ -23,8 +23,9 @@ def test_get_material_is_case_insensitive():
 def test_record_builds_crystal():
     crystal = sp.get_material("bbo").crystal(cut_angle=0.5, length=2e-3)
     assert crystal.length == 2e-3
-    assert crystal.material == "bbo"
-    assert crystal.band == (0.3e-6, 1.1e-6)
+    assert crystal.material is sp.get_material("bbo")
+    assert crystal.material.name == "bbo"
+    assert crystal.material.band == (0.3e-6, 1.1e-6)
 
 
 CUSTOM = """\
@@ -49,6 +50,32 @@ def test_parse_custom_catalogue(tmp_path):
     assert set(catalogue) == {"quartzlike"}
     record = sp.get_material("quartzlike", catalogue)
     assert record.band == pytest.approx((0.35e-6, 1.0e-6))
+
+
+def _swapped_sets(text):
+    return (text.replace("extraordinary_", "swap_")
+            .replace("ordinary_", "extraordinary_")
+            .replace("swap_", "ordinary_"))
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_swapped_sets, "not negative uniaxial"),
+    (lambda text: text.replace("ordinary_c = 0.0100", "ordinary_c = 0.25"),
+     "ordinary Sellmeier pole at 0.5 um lies inside the band"),
+    (lambda text: text.replace("extraordinary_a = 2.30",
+                               "extraordinary_a = 0.5"), "n^2 = "),
+    (lambda text: text.replace("band_min_um = 0.35", "band_min_um = 1.5"),
+     "invalid band"),
+], ids=["positive_uniaxial", "pole_in_band", "n2_below_1", "inverted_band"])
+def test_catalogue_faults_are_refused_at_the_record_line(fault, message):
+    # each record is checked once, when the catalogue is read; a fault
+    # points at its [name] line, before any scenario uses the record
+    text = "# a catalogue\n\n" + fault(CUSTOM)
+    with pytest.raises(ConfigError) as info:
+        sp.parse_materials(text, "mats.txt")
+    assert str(info.value).startswith("mats.txt:3: invalid material "
+                                      "'quartzlike': ")
+    assert message in str(info.value)
 
 
 def test_missing_coefficient_points_at_section():

@@ -29,7 +29,7 @@ def test_presets_resolve():
     for name in sp.PRESETS:
         spec = sp.load_scenario(name)
         assert spec.name == name
-        assert spec.source.production.material == "bbo"
+        assert spec.source.production.material.name == "bbo"
         assert spec.geometry.lens_focal_length == 0.5
     assert len(sp.load_scenario("fig2a").source.compensators) == 0
     assert sp.load_scenario("fig2b").source.compensators[0].orientation is \
@@ -729,14 +729,46 @@ orientation = compensating
 """
     spec = _load_text(tmp_path, text, catalogue={"eimerl": record})
     production = spec.source.production
-    assert production.material == "eimerl"
-    assert spec.source.compensators[0].crystal.material == "eimerl"
+    assert production.material is record
+    assert spec.source.compensators[0].crystal.material is record
     assert production.cut_angle == sp.phase_matching_cut_angle(
         record.crystal(cut_angle=0.0, length=1e-3), 351e-9)
     with pytest.raises(sp.ConfigError) as info:
         _load_text(tmp_path, text)
     assert "eimerl" in str(info.value)
     assert info.value.line == 5  # the [source] material line
+
+
+def test_a_compensator_outside_its_band_is_refused_at_its_section(tmp_path):
+    # its walk-off B is read at the degenerate wavelength, 702 nm here
+    bbo = sp.builtin_materials()["bbo"]
+    short = dataclasses.replace(bbo, name="short", band=(0.3e-6, 0.6e-6))
+    text = BASE + COMPENSATOR.format(length="0.5", orientation="compensating")
+    text = text.replace("material = bbo\nlength_mm = 0.5",
+                        "material = short\nlength_mm = 0.5")
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text, catalogue={"bbo": bbo, "short": short})
+    assert "invalid compensator crystal: wavelength 702 nm" in str(info.value)
+    assert info.value.line == text.splitlines().index("[compensator]") + 1
+
+
+def test_a_scenario_load_checks_no_dispersion_data(monkeypatch):
+    # The catalogue record was checked when builtin_materials() read it: a
+    # load evaluates only the indices the physics needs (11 for a bare
+    # source, 13 with a compensator), not the 33-point band sampling.
+    sp.builtin_materials()
+    calls = []
+    index = sp.SellmeierCoefficients.index
+
+    def counted(self, wavelength_um):
+        calls.append(wavelength_um)
+        return index(self, wavelength_um)
+
+    monkeypatch.setattr(sp.SellmeierCoefficients, "index", counted)
+    for name in sp.PRESETS:
+        calls.clear()
+        sp.load_scenario(name)
+        assert len(calls) <= 16, name
 
 
 def test_scenario_docstring_lists_every_section_key():
