@@ -130,29 +130,29 @@ class SourceConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "compensators", tuple(self.compensators))
-        matched = phase_matching_cut_angle(self.production, self.pump_wavelength)
-        if abs(self.production.cut_angle - matched) > CUT_ANGLE_TOLERANCE:
+        production, pump = self.production, self.pump_wavelength
+        matched = phase_matching_cut_angle(production.material, pump)
+        if abs(production.cut_angle - matched) > CUT_ANGLE_TOLERANCE:
             raise PhaseMatchingError(
-                f"production cut angle {self.production.cut_angle:.8f} rad does "
+                f"production cut angle {production.cut_angle:.8f} rad does "
                 f"not phase-match the pump (expected {matched:.8f} rad within "
                 f"{CUT_ANGLE_TOLERANCE} rad)")
-        degenerate = 2.0 * self.pump_wavelength
-        b_prod = transverse_walkoff_B(self.production, degenerate,
-                                      self.production.cut_angle)
-        slope = abs(b_prod) * self.production.length
+        degenerate = 2.0 * pump
+        b_prod = transverse_walkoff_B(production.material, degenerate,
+                                      production.cut_angle)
+        slope = abs(b_prod) * production.length
         for placement in self.compensators:
-            b_comp = transverse_walkoff_B(placement.crystal, degenerate,
-                                          placement.crystal.cut_angle)
-            slope += (placement.orientation.sign * 2.0 * abs(b_comp)
-                      * placement.crystal.length)
+            comp = placement.crystal
+            b = transverse_walkoff_B(comp.material, degenerate, comp.cut_angle)
+            slope += placement.orientation.sign * 2.0 * abs(b) * comp.length
         if not math.isfinite(slope):  # also catches an overflowed |B| L / 2
             raise ValueError(f"crystal too long: the phase slope is {slope:g}")
         object.__setattr__(self, "degenerate_wavelength", degenerate)
         object.__setattr__(self, "ordinary_index",
-                           index_ordinary(self.production, degenerate))
+                           index_ordinary(production.material, degenerate))
         object.__setattr__(self, "walkoff_B", b_prod)
         object.__setattr__(self, "envelope_slope",
-                           abs(b_prod) * self.production.length / 2.0)
+                           abs(b_prod) * production.length / 2.0)
         object.__setattr__(self, "phase_slope", slope)
 
 

@@ -14,9 +14,9 @@ follows the index ellipse
 where ``n_eb`` is the principal extraordinary index. For a negative uniaxial
 crystal (n_o > n_eb) the angular derivative dn_e/dtheta is negative on
 (0, pi/2); downstream phase laws use its magnitude. The principal indices
-are read once per wavelength per call: a cut-angle solve reads four. A
-``MaterialRecord`` (two Sellmeier sets and a band) is checked once, when
-built; a ``UniaxialCrystal`` is a record plus a cut angle and a length.
+are read once per wavelength per call: a cut-angle solve reads four. The
+dispersion functions read only a ``MaterialRecord``; a ``UniaxialCrystal``
+adds the cut and length read by ``SourceConfig`` and the walk-off check.
 """
 
 from __future__ import annotations
@@ -95,16 +95,16 @@ class UniaxialCrystal:
     length: float     # m
 
     def __post_init__(self):
-        if self.length <= 0.0:
+        if not self.length > 0.0:
             raise ValueError(f"crystal length must be > 0, got {self.length}")
         if not 0.0 <= self.cut_angle <= math.pi / 2.0:
             raise ValueError(
                 f"cut angle must lie in [0, pi/2], got {self.cut_angle}")
 
 
-def _check_band(crystal: UniaxialCrystal, wavelength: float,
+def _check_band(material: MaterialRecord, wavelength: float,
                 strict: bool = False) -> None:
-    lo, hi = crystal.material.band
+    lo, hi = material.band
     inside = lo < wavelength < hi if strict else lo <= wavelength <= hi
     if not inside:
         raise OutOfBandError(
@@ -112,17 +112,17 @@ def _check_band(crystal: UniaxialCrystal, wavelength: float,
             f"[{lo * 1e9:.6g}, {hi * 1e9:.6g}] nm")
 
 
-def index_ordinary(crystal: UniaxialCrystal, wavelength: float) -> float:
-    """Ordinary refractive index n_o at ``wavelength`` (meters)."""
-    _check_band(crystal, wavelength)
-    return crystal.material.ordinary.index(wavelength * 1e6)
+def index_ordinary(material: MaterialRecord, wavelength: float) -> float:
+    """Ordinary refractive index n_o of ``material`` at ``wavelength`` (m)."""
+    _check_band(material, wavelength)
+    return material.ordinary.index(wavelength * 1e6)
 
 
-def _principal_indices(crystal: UniaxialCrystal,
+def _principal_indices(material: MaterialRecord,
                        wavelength: float) -> tuple[float, float]:
     """(n_o, n_eb) at ``wavelength`` (meters), each evaluated once."""
-    _check_band(crystal, wavelength)
-    wl_um, material = wavelength * 1e6, crystal.material
+    _check_band(material, wavelength)
+    wl_um = wavelength * 1e6
     return material.ordinary.index(wl_um), material.extraordinary.index(wl_um)
 
 
@@ -136,19 +136,19 @@ def _ellipse(n_o: float, n_eb: float, angle_from_axis: float) -> float:
     return 1.0 / math.sqrt((cos_t / n_o) ** 2 + (sin_t / n_eb) ** 2)
 
 
-def index_extraordinary(crystal: UniaxialCrystal, wavelength: float,
+def index_extraordinary(material: MaterialRecord, wavelength: float,
                         angle_from_axis: float) -> float:
-    """Extraordinary index n_e(theta) at ``angle_from_axis`` from the optic axis."""
-    return _ellipse(*_principal_indices(crystal, wavelength), angle_from_axis)
+    """n_e of ``material`` at ``angle_from_axis`` from the optic axis."""
+    return _ellipse(*_principal_indices(material, wavelength), angle_from_axis)
 
 
-def dne_dtheta(crystal: UniaxialCrystal, wavelength: float,
+def dne_dtheta(material: MaterialRecord, wavelength: float,
                angle_from_axis: float) -> float:
-    """Analytic derivative of n_e with respect to the propagation angle.
+    """Analytic dn_e/dtheta of ``material`` at ``angle_from_axis``.
 
     dn_e/dtheta = -(n_e(theta)^3 / 2) sin(2 theta) (1/n_eb^2 - 1/n_o^2)
     """
-    n_o, n_eb = _principal_indices(crystal, wavelength)
+    n_o, n_eb = _principal_indices(material, wavelength)
     n_e = _ellipse(n_o, n_eb, angle_from_axis)
     return (-(n_e ** 3 / 2.0) * math.sin(2.0 * angle_from_axis)
             * (1.0 / n_eb ** 2 - 1.0 / n_o ** 2))
@@ -182,10 +182,10 @@ def _bracketed_root(func, lo: float, hi: float, f_lo: float, f_hi: float,
     return 0.5 * (lo + hi)
 
 
-def _mismatch(crystal: UniaxialCrystal, pump_wavelength: float):
+def _mismatch(material: MaterialRecord, pump_wavelength: float):
     # phase_matching_mismatch as a function of theta, indices read once.
-    pump_o, pump_eb = _principal_indices(crystal, pump_wavelength)
-    degenerate_o, degenerate_eb = _principal_indices(crystal,
+    pump_o, pump_eb = _principal_indices(material, pump_wavelength)
+    degenerate_o, degenerate_eb = _principal_indices(material,
                                                      2.0 * pump_wavelength)
 
     def mismatch(theta: float) -> float:
@@ -195,25 +195,25 @@ def _mismatch(crystal: UniaxialCrystal, pump_wavelength: float):
     return mismatch
 
 
-def phase_matching_mismatch(crystal: UniaxialCrystal, pump_wavelength: float,
+def phase_matching_mismatch(material: MaterialRecord, pump_wavelength: float,
                             cut_angle: float) -> float:
-    """Collinear degenerate type-II mismatch in index units.
+    """Collinear degenerate type-II mismatch of ``material`` in index units.
 
     2 n_e(theta, lambda_p) - n_o(lambda_d) - n_e(theta, lambda_d), with
     lambda_d = 2 lambda_p; the phase-matched cut angle is its root.
     """
-    return _mismatch(crystal, pump_wavelength)(cut_angle)
+    return _mismatch(material, pump_wavelength)(cut_angle)
 
 
-def phase_matching_cut_angle(crystal: UniaxialCrystal,
+def phase_matching_cut_angle(material: MaterialRecord,
                              pump_wavelength: float) -> float:
-    """Cut angle for collinear degenerate type-II operation.
+    """Cut angle of ``material`` for collinear degenerate type-II operation.
 
     Solves 2 n_e(theta, lambda_p) = n_o(2 lambda_p) + n_e(theta, 2 lambda_p)
     by bracketed bisection/secant; the residual mismatch at the returned
     angle is below 1e-12 (index units).
     """
-    mismatch = _mismatch(crystal, pump_wavelength)
+    mismatch = _mismatch(material, pump_wavelength)
     f_lo = mismatch(0.0)
     f_hi = mismatch(math.pi / 2.0)
     if f_lo == 0.0:
@@ -233,38 +233,38 @@ def phase_matching_cut_angle(crystal: UniaxialCrystal,
     return root
 
 
-def transverse_walkoff_B(crystal: UniaxialCrystal, wavelength: float,
+def transverse_walkoff_B(material: MaterialRecord, wavelength: float,
                          cut_angle: float) -> float:
-    """Transverse walk-off parameter B = dk_e/dtheta (1/(m rad)).
+    """Transverse walk-off B = dk_e/dtheta (1/(m rad)) at ``cut_angle``.
 
     Evaluated from the analytic index derivative; negative on (0, pi/2) for a
-    negative uniaxial crystal.
+    negative uniaxial material.
     """
-    return (2.0 * math.pi / wavelength) * dne_dtheta(crystal, wavelength,
+    return (2.0 * math.pi / wavelength) * dne_dtheta(material, wavelength,
                                                      cut_angle)
 
 
-def group_mismatch_D(crystal: UniaxialCrystal, wavelength: float,
+def group_mismatch_D(material: MaterialRecord, wavelength: float,
                      cut_angle: float, rel_step: float = 1e-5) -> float:
-    """Group-velocity mismatch D = dk_e/domega - dk_o/domega (s/m).
+    """Group mismatch D = dk_e/domega - dk_o/domega (s/m) at ``cut_angle``.
 
     Central finite differences in angular frequency with a step of
     ``rel_step`` times the carrier; the shifted wavelengths must stay
     strictly inside the band.
     """
-    _check_band(crystal, wavelength, strict=True)
+    _check_band(material, wavelength, strict=True)
     omega = 2.0 * math.pi * C_LIGHT / wavelength
     h = rel_step * omega
     wl_plus = 2.0 * math.pi * C_LIGHT / (omega + h)
     wl_minus = 2.0 * math.pi * C_LIGHT / (omega - h)
-    _check_band(crystal, wl_plus, strict=True)
-    _check_band(crystal, wl_minus, strict=True)
+    _check_band(material, wl_plus, strict=True)
+    _check_band(material, wl_minus, strict=True)
 
     def k_e(wl: float, w: float) -> float:
-        return w * index_extraordinary(crystal, wl, cut_angle) / C_LIGHT
+        return w * index_extraordinary(material, wl, cut_angle) / C_LIGHT
 
     def k_o(wl: float, w: float) -> float:
-        return w * index_ordinary(crystal, wl) / C_LIGHT
+        return w * index_ordinary(material, wl) / C_LIGHT
 
     dke = (k_e(wl_plus, omega + h) - k_e(wl_minus, omega - h)) / (2.0 * h)
     dko = (k_o(wl_plus, omega + h) - k_o(wl_minus, omega - h)) / (2.0 * h)
@@ -286,7 +286,7 @@ def longitudinal_walkoff_check(crystal: UniaxialCrystal, D: float,
     Compares the o/e group delay accumulated over the crystal length with the
     coherence time the filter enforces.
     """
-    if filter_fwhm <= 0.0:
+    if not filter_fwhm > 0.0:
         raise ValueError("filter FWHM must be > 0")
     walkoff_time = abs(D) * crystal.length
     coherence_time = wavelength ** 2 / (C_LIGHT * filter_fwhm)

@@ -31,11 +31,11 @@ class GeometryConfig:
     ambient_index: float = 1.0
 
     def __post_init__(self):
-        if self.lens_focal_length <= 0.0:
+        if not self.lens_focal_length > 0.0:
             raise ValueError("focal length must be > 0")
-        if self.pinhole_diameter < 0.0:
+        if not self.pinhole_diameter >= 0.0:
             raise ValueError("pinhole diameter must be >= 0")
-        if self.ambient_index <= 0.0:
+        if not self.ambient_index > 0.0:
             raise ValueError("ambient index must be > 0")
 
 

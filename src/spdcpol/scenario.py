@@ -256,14 +256,17 @@ def load_scenario(source: str | Path, seed: int | None = None,
     pump = src.get_float("pump_wavelength_nm") * 1e-9
     length = src.get_float("length_mm") * 1e-3
     try:
-        cut = phase_matching_cut_angle(
-            material.crystal(cut_angle=0.0, length=length), pump)
-        production = material.crystal(cut_angle=cut, length=length)
+        cut = phase_matching_cut_angle(material, pump)
     except PhaseMatchingError as exc:
         raise src.error(f"cannot phase-match '{material.name}' at "
                         f"{pump * 1e9:.6g} nm pump: {exc}", key="material")
     except ValueError as exc:
-        raise src.error(f"invalid source crystal: {exc}")
+        raise src.error(f"invalid pump {pump * 1e9:.6g} nm for "
+                        f"'{material.name}': {exc}", key="pump_wavelength_nm")
+    try:
+        production = material.crystal(cut, length)
+    except ValueError as exc:
+        raise src.error(f"invalid source crystal: {exc}", key="length_mm")
 
     compensators = []
     for sec in compensator_sections:
@@ -283,13 +286,11 @@ def load_scenario(source: str | Path, seed: int | None = None,
         else:
             comp_cut = cut
         try:
-            comp_crystal = comp_material.crystal(cut_angle=comp_cut,
-                                                 length=comp_length)
-            _check_band(comp_crystal, 2.0 * pump)  # SourceConfig reads B there
+            comp_crystal = comp_material.crystal(comp_cut, comp_length)
+            _check_band(comp_material, 2.0 * pump)  # SourceConfig reads B there
         except ValueError as exc:
             raise sec.error(f"invalid compensator crystal: {exc}")
-        compensators.append(CompensatorPlacement(crystal=comp_crystal,
-                                                 orientation=orientation))
+        compensators.append(CompensatorPlacement(comp_crystal, orientation))
 
     try:
         source_config = SourceConfig(production, pump, tuple(compensators))
@@ -451,8 +452,7 @@ def _sweep_window(vspec: VisibilitySpec, geometry: GeometryConfig,
     center_int = external_to_internal_angle(vspec.center_ext, geometry,
                                             source)
     if vspec.max_halfwidth_ext is None:
-        return center_int, math.pi / (abs(source.walkoff_B)
-                                      * source.production.length)
+        return center_int, math.pi / (2.0 * source.envelope_slope)
     return center_int, external_to_internal_angle(vspec.max_halfwidth_ext,
                                                   geometry, source)
 

@@ -12,8 +12,7 @@ def bbo():
 
 @pytest.fixture(scope="session")
 def production(bbo):
-    cut = sp.phase_matching_cut_angle(bbo.crystal(cut_angle=0.0, length=1e-3),
-                                      PUMP)
+    cut = sp.phase_matching_cut_angle(bbo, PUMP)
     return bbo.crystal(cut_angle=cut, length=1e-3)
 
 

@@ -93,7 +93,8 @@ def test_criterion_3_singlet_angle():
         table = sp.list_bell_angles(spec, sp.BellState.PSI_MINUS)
         theta_int, theta_ext, _ = table.rows[0]
         assert abs(theta_ext - 0.0055) / 0.0055 <= 0.20
-        b = sp.transverse_walkoff_B(spec.source.production, DEGENERATE,
+        b = sp.transverse_walkoff_B(spec.source.production.material,
+                                    DEGENERATE,
                                     spec.source.production.cut_angle)
         expected = math.pi / (abs(b) * spec.source.production.length)
         assert abs(theta_int - expected) <= 1e-10
@@ -214,7 +215,7 @@ def test_criterion_7_density_matrix_invariants(production, bbo, bare_config):
                 assert abs(sp.concurrence(pure) - 1.0) <= 1e-10
 
 
-def test_criterion_8_dispersion_correctness(production):
+def test_criterion_8_dispersion_correctness(bbo, production):
     """Analytic dn_e/dtheta vs finite differences on a 100x50 grid; residual
     < 1e-12; D vs 5-point stencil to 1e-6; 1 nm filter compensates."""
     with _report("8 dispersion: derivative grid, residual, D stencil, "
@@ -226,13 +227,13 @@ def test_criterion_8_dispersion_correctness(production):
             lam_um = float(lam) * 1e6
             fd = (_independent_ne(thetas + h, lam_um)
                   - _independent_ne(thetas - h, lam_um)) / (2.0 * h)
-            analytic = np.array([sp.dne_dtheta(production, float(lam),
+            analytic = np.array([sp.dne_dtheta(bbo, float(lam),
                                                float(t)) for t in thetas])
             assert np.all(np.abs(analytic - fd)
                           <= 1e-6 * np.abs(fd) + 1e-9)
 
-        cut = sp.phase_matching_cut_angle(production, PUMP)
-        residual = abs(sp.phase_matching_mismatch(production, PUMP, cut))
+        cut = sp.phase_matching_cut_angle(bbo, PUMP)
+        residual = abs(sp.phase_matching_mismatch(bbo, PUMP, cut))
         assert residual < 1e-12
 
         c_light = 299792458.0
@@ -247,7 +248,7 @@ def test_criterion_8_dispersion_correctness(production):
         stencil = (-k_diff(omega + 2 * step) + 8 * k_diff(omega + step)
                    - 8 * k_diff(omega - step)
                    + k_diff(omega - 2 * step)) / (12.0 * step)
-        d_value = sp.group_mismatch_D(production, DEGENERATE, cut)
+        d_value = sp.group_mismatch_D(bbo, DEGENERATE, cut)
         assert abs(d_value - stencil) / abs(stencil) <= 1e-6
 
         report = sp.longitudinal_walkoff_check(production, d_value,

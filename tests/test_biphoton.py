@@ -50,8 +50,7 @@ def _module_config():
     # hypothesis cannot take fixtures; build the bare config once
     if "bare" not in _CONFIG_CACHE:
         material = sp.get_material("bbo")
-        cut = sp.phase_matching_cut_angle(
-            material.crystal(cut_angle=0.0, length=1e-3), PUMP)
+        cut = sp.phase_matching_cut_angle(material, PUMP)
         _CONFIG_CACHE["bare"] = sp.SourceConfig(
             production=material.crystal(cut_angle=cut, length=1e-3),
             pump_wavelength=PUMP)
@@ -181,7 +180,8 @@ def test_source_config_rejects_unmatched_cut(bbo):
 
 def test_source_config_derived_quantities(bare_config, production):
     assert bare_config.degenerate_wavelength == 2.0 * PUMP
-    b = sp.transverse_walkoff_B(production, 2.0 * PUMP, production.cut_angle)
+    b = sp.transverse_walkoff_B(production.material, 2.0 * PUMP,
+                                production.cut_angle)
     assert bare_config.walkoff_B == b
     assert bare_config.phase_slope == abs(b) * production.length
     assert bare_config.envelope_slope == abs(b) * production.length / 2.0

@@ -29,22 +29,22 @@ def _independent_ne(theta, lam_um):
 
 # ---------------------------------------------------------------- indices
 
-def test_index_ordinary_extended_precision_oracle(production):
+def test_index_ordinary_extended_precision_oracle(bbo):
     # Same Sellmeier expression evaluated at 40 decimal digits.
     mp.mp.dps = 40
     lam_um = mp.mpf(DEGENERATE) * mp.mpf(1e6)
     oracle = mp.sqrt(mp.mpf("2.7405") + mp.mpf("0.0184") / (lam_um ** 2 - mp.mpf("0.0179"))
                      - mp.mpf("0.0155") * lam_um ** 2)
-    value = sp.index_ordinary(production, DEGENERATE)
+    value = sp.index_ordinary(bbo, DEGENERATE)
     assert abs(value - float(oracle)) / float(oracle) < 1e-12
     # frozen reference (extended-precision evaluation at exactly 0.702 um)
     assert value == pytest.approx(1.664814166989071626361, rel=1e-12)
 
 
-def test_index_ordinary_frozen_values(production):
-    assert sp.index_ordinary(production, PUMP) == pytest.approx(
+def test_index_ordinary_frozen_values(bbo):
+    assert sp.index_ordinary(bbo, PUMP) == pytest.approx(
         1.706847259271630632977, rel=1e-12)
-    assert sp.index_extraordinary(production, DEGENERATE, math.pi / 2) == \
+    assert sp.index_extraordinary(bbo, DEGENERATE, math.pi / 2) == \
         pytest.approx(1.548436169985093258999, rel=1e-12)
 
 
@@ -57,56 +57,56 @@ def test_sellmeier_coefficient_algebraic_inverse(bbo):
     assert abs(b_back - coeffs.b) / coeffs.b < 1e-12
 
 
-def test_index_local_monotonic_bracket(production):
+def test_index_local_monotonic_bracket(bbo):
     # Dense sampling shows dn/dlambda keeps one sign on [600, 800] nm ...
     lams = np.linspace(600e-9, 800e-9, 4001)
     values = _independent_no(lams * 1e6)
     assert np.all(np.diff(values) < 0.0)
     # ... so nearby evaluations bracket the midpoint.
-    low = sp.index_ordinary(production, 710e-9)
-    mid = sp.index_ordinary(production, 700e-9)
-    high = sp.index_ordinary(production, 690e-9)
+    low = sp.index_ordinary(bbo, 710e-9)
+    mid = sp.index_ordinary(bbo, 700e-9)
+    high = sp.index_ordinary(bbo, 690e-9)
     assert low < mid < high
 
 
-def test_out_of_band_error_names_band(production):
+def test_out_of_band_error_names_band(bbo):
     with pytest.raises(sp.OutOfBandError) as info:
-        sp.index_ordinary(production, 200e-9)
+        sp.index_ordinary(bbo, 200e-9)
     message = str(info.value)
     assert "300" in message and "1100" in message
     with pytest.raises(sp.OutOfBandError):
-        sp.index_extraordinary(production, 1.2e-6, 0.3)
+        sp.index_extraordinary(bbo, 1.2e-6, 0.3)
 
 
-def test_extraordinary_limits(production):
-    n_o = sp.index_ordinary(production, DEGENERATE)
-    assert sp.index_extraordinary(production, DEGENERATE, 0.0) == pytest.approx(
+def test_extraordinary_limits(bbo):
+    n_o = sp.index_ordinary(bbo, DEGENERATE)
+    assert sp.index_extraordinary(bbo, DEGENERATE, 0.0) == pytest.approx(
         n_o, rel=1e-15)
-    principal = production.material.extraordinary.index(DEGENERATE * 1e6)
-    assert sp.index_extraordinary(production, DEGENERATE, math.pi / 2) == \
+    principal = bbo.extraordinary.index(DEGENERATE * 1e6)
+    assert sp.index_extraordinary(bbo, DEGENERATE, math.pi / 2) == \
         pytest.approx(principal, rel=1e-15)
 
 
-def test_extraordinary_ellipse_symmetry(production):
+def test_extraordinary_ellipse_symmetry(bbo):
     for theta in (0.2, 0.7, 1.1, 1.5):
-        a = sp.index_extraordinary(production, DEGENERATE, theta)
-        b = sp.index_extraordinary(production, DEGENERATE, math.pi - theta)
+        a = sp.index_extraordinary(bbo, DEGENERATE, theta)
+        b = sp.index_extraordinary(bbo, DEGENERATE, math.pi - theta)
         assert a == pytest.approx(b, rel=1e-14)
 
 
-def test_extraordinary_angle_domain(production):
+def test_extraordinary_angle_domain(bbo):
     with pytest.raises(ValueError):
-        sp.index_extraordinary(production, DEGENERATE, -0.1)
+        sp.index_extraordinary(bbo, DEGENERATE, -0.1)
     with pytest.raises(ValueError):
-        sp.index_extraordinary(production, DEGENERATE, math.pi + 0.1)
+        sp.index_extraordinary(bbo, DEGENERATE, math.pi + 0.1)
 
 
-def test_negative_uniaxial_inequality(production):
+def test_negative_uniaxial_inequality(bbo):
     # n_e(theta) <= n_o with equality only along the optic axis.
-    for lam in np.linspace(*production.material.band, 7):
-        n_o = sp.index_ordinary(production, float(lam))
+    for lam in np.linspace(*bbo.band, 7):
+        n_o = sp.index_ordinary(bbo, float(lam))
         for theta in np.linspace(0.0, math.pi / 2, 19):
-            n_e = sp.index_extraordinary(production, float(lam), float(theta))
+            n_e = sp.index_extraordinary(bbo, float(lam), float(theta))
             assert n_e <= n_o + 1e-15
             if theta > 1e-3:
                 assert n_e < n_o
@@ -114,12 +114,12 @@ def test_negative_uniaxial_inequality(production):
 
 # ------------------------------------------------------- phase matching
 
-def test_phase_matching_residual(production):
-    cut = sp.phase_matching_cut_angle(production, PUMP)
-    assert abs(phase_matching_mismatch(production, PUMP, cut)) < 1e-12
+def test_phase_matching_residual(bbo):
+    cut = sp.phase_matching_cut_angle(bbo, PUMP)
+    assert abs(phase_matching_mismatch(bbo, PUMP, cut)) < 1e-12
 
 
-def test_phase_matching_grid_bisection_oracle(production):
+def test_phase_matching_grid_bisection_oracle(bbo):
     # Independent formulas, 1e6-point grid scan, then plain bisection.
     lam_p_um = PUMP * 1e6
     lam_d_um = DEGENERATE * 1e6
@@ -143,28 +143,27 @@ def test_phase_matching_grid_bisection_oracle(production):
         else:
             hi = mid
     oracle = 0.5 * (lo + hi)
-    cut = sp.phase_matching_cut_angle(production, PUMP)
+    cut = sp.phase_matching_cut_angle(bbo, PUMP)
     assert abs(cut - oracle) < 1e-8
 
 
-def test_phase_matching_shift_direction(production):
+def test_phase_matching_shift_direction(bbo):
     # A pump shift moves the root against the mismatch gradient.
-    cut = sp.phase_matching_cut_angle(production, PUMP)
+    cut = sp.phase_matching_cut_angle(bbo, PUMP)
     d_lam = 1e-9
-    df_dlam = (phase_matching_mismatch(production, PUMP + d_lam, cut)
-               - phase_matching_mismatch(production, PUMP - d_lam, cut)) / (2 * d_lam)
+    df_dlam = (phase_matching_mismatch(bbo, PUMP + d_lam, cut)
+               - phase_matching_mismatch(bbo, PUMP - d_lam, cut)) / (2 * d_lam)
     d_theta = 1e-6
-    df_dtheta = (phase_matching_mismatch(production, PUMP, cut + d_theta)
-                 - phase_matching_mismatch(production, PUMP, cut - d_theta)) / (2 * d_theta)
+    df_dtheta = (phase_matching_mismatch(bbo, PUMP, cut + d_theta)
+                 - phase_matching_mismatch(bbo, PUMP, cut - d_theta)) / (2 * d_theta)
     predicted_sign = math.copysign(1.0, -df_dlam / df_dtheta)
-    shifted = sp.phase_matching_cut_angle(production, PUMP + d_lam)
+    shifted = sp.phase_matching_cut_angle(bbo, PUMP + d_lam)
     assert math.copysign(1.0, shifted - cut) == predicted_sign
 
 
 def test_cut_solve_reads_each_principal_index_once(bbo, monkeypatch):
     # Two principal indices at lambda_p and two at lambda_d, however many
     # angles the solve tries; the root keeps its bits.
-    crystal = bbo.crystal(cut_angle=0.0, length=1e-3)
     calls = []
     index = sp.SellmeierCoefficients.index
 
@@ -173,26 +172,25 @@ def test_cut_solve_reads_each_principal_index_once(bbo, monkeypatch):
         return index(self, wavelength_um)
 
     monkeypatch.setattr(sp.SellmeierCoefficients, "index", counted)
-    assert sp.phase_matching_cut_angle(crystal, PUMP) == 0.8538525780754935
+    assert sp.phase_matching_cut_angle(bbo, PUMP) == 0.8538525780754935
     assert len(calls) == 4
     calls.clear()
-    sp.dne_dtheta(crystal, DEGENERATE, 0.8538525780754935)
+    sp.dne_dtheta(bbo, DEGENERATE, 0.8538525780754935)
     assert len(calls) == 2
 
 
-def test_mismatch_is_built_from_the_public_indices(production):
+def test_mismatch_is_built_from_the_public_indices(bbo, production):
     angles = [0.0, math.pi / 2.0, *np.linspace(0.0, math.pi / 2.0, 37)[1:-1],
               production.cut_angle]
     for theta in angles:
-        assert phase_matching_mismatch(production, PUMP, theta) == (
-            2 * sp.index_extraordinary(production, PUMP, theta)
-            - sp.index_ordinary(production, DEGENERATE)
-            - sp.index_extraordinary(production, DEGENERATE, theta))
+        assert phase_matching_mismatch(bbo, PUMP, theta) == (
+            2 * sp.index_extraordinary(bbo, PUMP, theta)
+            - sp.index_ordinary(bbo, DEGENERATE)
+            - sp.index_extraordinary(bbo, DEGENERATE, theta))
 
 
 def test_no_phase_matching_for_isotropic_data(bbo):
-    iso = sp.MaterialRecord("iso", bbo.ordinary, bbo.ordinary,
-                            bbo.band).crystal(cut_angle=0.3, length=1e-3)
+    iso = sp.MaterialRecord("iso", bbo.ordinary, bbo.ordinary, bbo.band)
     with pytest.raises(sp.PhaseMatchingError) as info:
         sp.phase_matching_cut_angle(iso, PUMP)
     assert "no phase matching" in str(info.value)
@@ -200,37 +198,37 @@ def test_no_phase_matching_for_isotropic_data(bbo):
 
 # ------------------------------------------------------------ walk-off B
 
-def test_walkoff_B_zero_at_symmetry_angles(production):
-    assert sp.transverse_walkoff_B(production, DEGENERATE, 0.0) == 0.0
+def test_walkoff_B_zero_at_symmetry_angles(bbo):
+    assert sp.transverse_walkoff_B(bbo, DEGENERATE, 0.0) == 0.0
     # sin(2 theta) at pi/2 only vanishes to double precision
-    assert abs(sp.transverse_walkoff_B(production, DEGENERATE,
+    assert abs(sp.transverse_walkoff_B(bbo, DEGENERATE,
                                        math.pi / 2)) < 1e-8
 
 
-def test_walkoff_B_negative_at_cut(production):
-    assert sp.transverse_walkoff_B(production, DEGENERATE,
+def test_walkoff_B_negative_at_cut(bbo, production):
+    assert sp.transverse_walkoff_B(bbo, DEGENERATE,
                                    production.cut_angle) < 0.0
 
 
-def test_walkoff_B_finite_difference_oracle(production):
+def test_walkoff_B_finite_difference_oracle(bbo, production):
     cut = production.cut_angle
     h = 1e-6
     k = lambda theta: (2.0 * math.pi / DEGENERATE) * _independent_ne(
         theta, DEGENERATE * 1e6)
     oracle = (k(cut + h) - k(cut - h)) / (2.0 * h)
-    value = sp.transverse_walkoff_B(production, DEGENERATE, cut)
+    value = sp.transverse_walkoff_B(bbo, DEGENERATE, cut)
     assert abs(value - oracle) / abs(oracle) < 1e-6
 
 
-def test_dne_dtheta_matches_finite_differences_on_grid(production):
-    lo, hi = production.material.band
+def test_dne_dtheta_matches_finite_differences_on_grid(bbo):
+    lo, hi = bbo.band
     lams = np.linspace(lo + 1e-8, hi - 1e-8, 10)
     thetas = np.linspace(0.0, math.pi / 2, 25)
     h = 1e-6
     for lam in lams:
         lam_um = float(lam) * 1e6
         for theta in thetas:
-            analytic = sp.dne_dtheta(production, float(lam), float(theta))
+            analytic = sp.dne_dtheta(bbo, float(lam), float(theta))
             fd = (_independent_ne(theta + h, lam_um)
                   - _independent_ne(theta - h, lam_um)) / (2.0 * h)
             assert abs(analytic - fd) <= 1e-6 * abs(fd) + 1e-9
@@ -239,19 +237,18 @@ def test_dne_dtheta_matches_finite_differences_on_grid(production):
 # ------------------------------------------------------- group mismatch D
 
 def test_group_mismatch_zero_for_identical_dispersion(bbo):
-    iso = sp.MaterialRecord("iso", bbo.ordinary, bbo.ordinary,
-                            bbo.band).crystal(cut_angle=0.5, length=1e-3)
+    iso = sp.MaterialRecord("iso", bbo.ordinary, bbo.ordinary, bbo.band)
     assert abs(sp.group_mismatch_D(iso, DEGENERATE, 0.5)) < 1e-15
 
 
-def test_group_mismatch_step_convergence(production):
+def test_group_mismatch_step_convergence(bbo, production):
     cut = production.cut_angle
-    d_full = sp.group_mismatch_D(production, DEGENERATE, cut, rel_step=1e-5)
-    d_half = sp.group_mismatch_D(production, DEGENERATE, cut, rel_step=5e-6)
+    d_full = sp.group_mismatch_D(bbo, DEGENERATE, cut, rel_step=1e-5)
+    d_half = sp.group_mismatch_D(bbo, DEGENERATE, cut, rel_step=5e-6)
     assert abs(d_full - d_half) / abs(d_half) < 1e-6
 
 
-def test_group_mismatch_five_point_stencil_oracle(production):
+def test_group_mismatch_five_point_stencil_oracle(bbo, production):
     cut = production.cut_angle
     c = 299792458.0
     omega = 2.0 * math.pi * c / DEGENERATE
@@ -263,13 +260,13 @@ def test_group_mismatch_five_point_stencil_oracle(production):
 
     oracle = (-k_diff(omega + 2 * h) + 8 * k_diff(omega + h)
               - 8 * k_diff(omega - h) + k_diff(omega - 2 * h)) / (12.0 * h)
-    value = sp.group_mismatch_D(production, DEGENERATE, cut)
+    value = sp.group_mismatch_D(bbo, DEGENERATE, cut)
     assert abs(value - oracle) / abs(oracle) < 1e-6
 
 
-def test_group_mismatch_step_leaving_band(production):
+def test_group_mismatch_step_leaving_band(bbo, production):
     with pytest.raises(sp.OutOfBandError):
-        sp.group_mismatch_D(production, 1.09999e-6, production.cut_angle)
+        sp.group_mismatch_D(bbo, 1.09999e-6, production.cut_angle)
 
 
 # --------------------------------------------- longitudinal walk-off check
@@ -280,8 +277,8 @@ def test_longitudinal_check_zero_mismatch(production):
     assert report.compensated
 
 
-def test_longitudinal_check_narrow_filter_limit(production):
-    d = sp.group_mismatch_D(production, DEGENERATE, production.cut_angle)
+def test_longitudinal_check_narrow_filter_limit(bbo, production):
+    d = sp.group_mismatch_D(bbo, DEGENERATE, production.cut_angle)
     report = sp.longitudinal_walkoff_check(production, d, DEGENERATE, 1e-30)
     assert report.coherence_time > 1e6
     assert report.compensated
@@ -289,9 +286,9 @@ def test_longitudinal_check_narrow_filter_limit(production):
         sp.longitudinal_walkoff_check(production, d, DEGENERATE, 0.0)
 
 
-def test_longitudinal_check_bbo_one_nm_filter(production):
+def test_longitudinal_check_bbo_one_nm_filter(bbo, production):
     # 1 mm BBO with a 1 nm filter: walk-off sits inside the coherence time.
-    d = sp.group_mismatch_D(production, DEGENERATE, production.cut_angle)
+    d = sp.group_mismatch_D(bbo, DEGENERATE, production.cut_angle)
     report = sp.longitudinal_walkoff_check(production, d, DEGENERATE, 1e-9)
     assert report.walkoff_time == abs(d) * production.length
     assert report.compensated
@@ -308,3 +305,24 @@ def test_crystal_validation(bbo):
         # positive uniaxial data (swapped sets) is rejected with the record,
         # before any crystal is cut from it
         sp.MaterialRecord("swapped", bbo.extraordinary, bbo.ordinary, bbo.band)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda bbo, production: sp.UniaxialCrystal(bbo, 0.5, NAN),
+     "crystal length must be > 0"),
+    (lambda bbo, production: sp.GeometryConfig(lens_focal_length=NAN),
+     "focal length must be > 0"),
+    (lambda bbo, production: sp.GeometryConfig(0.5, pinhole_diameter=NAN),
+     "pinhole diameter must be >= 0"),
+    (lambda bbo, production: sp.GeometryConfig(0.5, ambient_index=NAN),
+     "ambient index must be > 0"),
+    (lambda bbo, production: sp.longitudinal_walkoff_check(
+        production, 0.0, DEGENERATE, NAN), "filter FWHM must be > 0"),
+], ids=["crystal_length", "focal_length", "pinhole_diameter",
+        "ambient_index", "filter_fwhm"])
+def test_nan_fails_the_sign_checks(bbo, production, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(bbo, production)

@@ -12,7 +12,7 @@ def test_zero_offset(geometry, bare_config):
 def test_internal_angle_is_external_over_ordinary_index(geometry,
                                                         bare_config):
     theta_int = sp.external_to_internal_angle(0.0055, geometry, bare_config)
-    n_o = sp.index_ordinary(bare_config.production, 702e-9)
+    n_o = sp.index_ordinary(bare_config.production.material, 702e-9)
     assert theta_int == pytest.approx(0.0055 / n_o, rel=1e-12)
     assert theta_int < 0.0055  # refraction compresses the internal angle
 
@@ -28,7 +28,7 @@ def test_round_trip_identity(geometry, bare_config):
 def test_conversions_read_the_source_ordinary_index(bare_config,
                                                     monkeypatch):
     # n_o(lambda_d) is a derived field of the source, evaluated once
-    n_o = sp.index_ordinary(bare_config.production,
+    n_o = sp.index_ordinary(bare_config.production.material,
                             bare_config.degenerate_wavelength)
     assert bare_config.ordinary_index == n_o
     geometry = sp.GeometryConfig(lens_focal_length=0.5, ambient_index=1.25)

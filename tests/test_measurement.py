@@ -59,8 +59,7 @@ _CACHE = {}
 def _config():
     if "bare" not in _CACHE:
         material = sp.get_material("bbo")
-        cut = sp.phase_matching_cut_angle(
-            material.crystal(cut_angle=0.0, length=1e-3), 351e-9)
+        cut = sp.phase_matching_cut_angle(material, 351e-9)
         _CACHE["bare"] = sp.SourceConfig(
             production=material.crystal(cut_angle=cut, length=1e-3),
             pump_wavelength=351e-9)

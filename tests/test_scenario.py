@@ -229,7 +229,7 @@ def test_scan_grid_is_external_mrad_spec():
     assert len(theta_ext) == 321
     # internal column really is external / n_o
     table = _table(tables, "fig2a_scan_45_45")
-    n_o = sp.index_ordinary(spec.source.production, 702e-9)
+    n_o = sp.index_ordinary(spec.source.production.material, 702e-9)
     assert _column(table, "theta_int_rad") == pytest.approx(theta_ext / n_o,
                                                             rel=1e-12)
 
@@ -492,7 +492,7 @@ def test_bell_angles_fig2c_table():
     assert envelopes[1] == pytest.approx(0.3001, abs=1e-3)
     theta_int = _column(table, "theta_int_rad")
     theta_ext = _column(table, "theta_ext_rad")
-    n_o = sp.index_ordinary(spec.source.production, 702e-9)
+    n_o = sp.index_ordinary(spec.source.production.material, 702e-9)
     assert theta_ext == pytest.approx(theta_int * n_o, rel=1e-12)
 
 
@@ -580,6 +580,29 @@ def test_invalid_compensator_length_is_config_error(tmp_path):
     with pytest.raises(sp.ConfigError) as info:
         _load_text(tmp_path, text)
     assert "compensator" in str(info.value)
+
+
+def test_source_faults_are_reported_at_their_key(tmp_path):
+    # [source] is line 4: material 5, pump_wavelength_nm 6, length_mm 7
+    for old, new, line, message in [
+            ("pump_wavelength_nm = 351", "pump_wavelength_nm = 100", 6,
+             "invalid pump 100 nm for 'bbo': wavelength 100 nm outside"),
+            ("pump_wavelength_nm = 351", "pump_wavelength_nm = 600", 6,
+             "invalid pump 600 nm for 'bbo': wavelength 1200 nm outside"),
+            ("length_mm = 1.0", "length_mm = -1", 7,
+             "invalid source crystal: crystal length must be > 0")]:
+        with pytest.raises(sp.ConfigError) as info:
+            _load_text(tmp_path, BASE.replace(old, new))
+        assert info.value.line == line
+        assert message in str(info.value)
+    # a pump in band that cannot phase-match stays at the material line
+    bbo = sp.builtin_materials()["bbo"]
+    iso = sp.MaterialRecord("iso", bbo.ordinary, bbo.ordinary, bbo.band)
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, BASE.replace("material = bbo", "material = iso"),
+                   catalogue={"iso": iso})
+    assert info.value.line == 5
+    assert "cannot phase-match 'iso' at 351 nm pump" in str(info.value)
 
 
 def test_non_finite_values_point_at_their_key(tmp_path):
@@ -731,8 +754,8 @@ orientation = compensating
     production = spec.source.production
     assert production.material is record
     assert spec.source.compensators[0].crystal.material is record
-    assert production.cut_angle == sp.phase_matching_cut_angle(
-        record.crystal(cut_angle=0.0, length=1e-3), 351e-9)
+    assert production.cut_angle == sp.phase_matching_cut_angle(record,
+                                                               351e-9)
     with pytest.raises(sp.ConfigError) as info:
         _load_text(tmp_path, text)
     assert "eimerl" in str(info.value)
@@ -769,6 +792,23 @@ def test_a_scenario_load_checks_no_dispersion_data(monkeypatch):
         calls.clear()
         sp.load_scenario(name)
         assert len(calls) <= 16, name
+
+
+def test_a_scenario_load_builds_one_crystal_per_slab(monkeypatch):
+    # The cut is solved on the material record: no crystal is built for it.
+    built = []
+    check = sp.UniaxialCrystal.__post_init__
+
+    def counted(self):
+        built.append(self)
+        return check(self)
+
+    monkeypatch.setattr(sp.UniaxialCrystal, "__post_init__", counted)
+    for name, slabs in (("fig2a", 1), ("fig2b", 2), ("fig2c", 2),
+                        ("fig3", 2)):
+        built.clear()
+        sp.load_scenario(name)
+        assert len(built) == slabs, name
 
 
 def test_scenario_docstring_lists_every_section_key():
