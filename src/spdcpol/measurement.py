@@ -16,8 +16,9 @@ diagonal and coherence M1 / (2 M0). Its Wootters concurrence, 2 |rho_HV,VH| =
 |M1| / M0, quantifies how the coherent phase spread degrades polarization
 entanglement, and its Bell fidelities are F(Psi+-) = C++ / M0 and C+- / M0.
 One batched composite Gauss-Legendre pass per sweep gives both moments of
-every window, each with an error estimate held to ``QUAD_TOL`` relative to
-its M0; a window of halfwidth 0 is a point. ``concurrence`` evaluates
+every window under every phase law the sweep compares, each with an error
+estimate held to ``QUAD_TOL`` relative to its M0; a window of halfwidth 0
+is a point. ``concurrence`` evaluates
 Wootters' formula for any two-qubit density matrix.
 """
 
@@ -119,20 +120,18 @@ class DensityMatrix4:
 # half-order rule whose difference from it is the error estimate.
 _GL_ORDER = 32
 _GL_CHECK_ORDER = 16
-# Panels per pass: 2**13 panels of 48 nodes keep the kernel's arrays near
-# 20 MB, and one window of a 12 cm BBO crystal over the whole model domain
-# fits in a pass.
+# Panels per pass: 2**13 panels of 48 nodes keep the arrays near 20 MB per
+# phase law, and a 12 cm BBO crystal's window over the whole domain fits.
 _MAX_PANELS = 1 << 13
 
 
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1].
 
-    Newton's method on P_n from the asymptotic guesses
-    cos(pi (i + 3/4) / (n + 1/2)) reaches the nodes to rounding in four
-    steps; the weights 2 / ((1 - x^2) P_n'(x)^2) follow from the same
-    three-term recurrence and are good to a few ulp. No LAPACK routine is
-    touched, which would map its code into memory for one 32 x 32 problem.
+    Newton's method on P_n from the guesses cos(pi (i + 3/4) / (n + 1/2))
+    reaches the nodes to rounding in four steps; the weights
+    2 / ((1 - x^2) P_n'(x)^2) follow from the same recurrence, good to a few
+    ulp, and no LAPACK code is mapped into memory for one 32 x 32 problem.
     """
     def legendre(x):
         p_prev, p = np.ones_like(x), x
@@ -151,36 +150,39 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _kernel_rule() -> tuple[np.ndarray, np.ndarray]:
     """Both kernel rules as one node set 1 + x on [0, 2] (x the nodes on
-    [-1, 1]) and a (nodes, 2) weight matrix whose columns apply the
-    32-point and the 16-point rule.
-
+    [-1, 1]) and a (nodes, 2) weight matrix whose columns apply the 32-point
+    rule and its difference from the 16-point rule, the error estimate.
     Built on first use, so imports and scan-only runs never pay for it.
     """
     fine_nodes, fine_weights = _gauss_legendre(_GL_ORDER)
     check_nodes, check_weights = _gauss_legendre(_GL_CHECK_ORDER)
     nodes = 1.0 + np.concatenate((fine_nodes, check_nodes))
     weights = np.zeros((nodes.size, 2))
-    weights[:_GL_ORDER, 0] = fine_weights
-    weights[_GL_ORDER:, 1] = check_weights
+    weights[:_GL_ORDER] = fine_weights[:, None]
+    weights[_GL_ORDER:, 1] = -check_weights
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
 class _Moments(NamedTuple):
-    """M0 = int w and M1 = int w e^{i phi} over windows, w = sinc^2(a theta).
+    """M0 = int w and M1 = int w e^{i phi} over windows, w = sinc^2(a theta),
+    and what the kernel did to get them.
 
     M0 and Re M1 are carried as their halves ``even`` = (M0 + Re M1) / 2 =
     int w cos^2(phi/2) and ``odd`` = (M0 - Re M1) / 2 = int w sin^2(phi/2):
     both integrands are nonnegative, so each half keeps its relative accuracy
     where the difference M0 - Re M1 would cancel (narrow windows on a small
-    phase, or windows around a Psi- angle). The kernel returns one array
-    entry per window; the one-window functions hold floats.
+    phase, or windows around a Psi- angle). Each field has the shape of the
+    kernel's phase slopes plus a window axis (``panels``, shared by every
+    law, the window axis alone); the one-window functions hold floats.
     """
 
     even: np.ndarray
     odd: np.ndarray
     imag: np.ndarray  # Im M1 = int w sin(phi)
+    error: np.ndarray  # error estimate over M0; 0 at a point
+    panels: np.ndarray  # Gauss-Legendre panels; 0 at a point
 
     @property
     def m0(self) -> np.ndarray:
@@ -205,163 +207,160 @@ def _split(x):
 
 
 def _integrands(lefts: np.ndarray, offsets: np.ndarray,
-                envelope_slope: float, phase_slope: float) -> np.ndarray:
-    """w cos^2(phi/2), w sin^2(phi/2) and w sin(phi) at every node
-    theta = ``lefts[i]`` + ``offsets[i, j]``, stacked along a new first
-    axis.
+                rates: np.ndarray) -> np.ndarray:
+    """w cos^2(phi/2), w sin^2(phi/2) and w sin(phi) of every phase law at
+    every node theta = ``lefts[i]`` + ``offsets[i, j]``, shape (3, laws,
+    panels, nodes); ``rates`` is the column (a, k_1 / 2, k_2 / 2, ...) of
+    the angles a theta and phi / 2 per unit theta, and the weight w is
+    evaluated once for every law.
 
-    Far off axis the angles a theta and phi / 2 reach about 90 rad, where
-    rounding the node theta and then the product would cost about 1e-14
-    rad; near a zero of a sine or cosine that is more than the kernel's
-    1e-12 relative accuracy allows. So each angle is slope * left +
-    slope * offset, and slope * left is the exact product of the two 26-bit
-    heads plus a rest below 1e-7 of it (after Dekker, "A floating-point
-    technique for extending the available precision", Numer. Math. 18,
-    1971, without a fused multiply-add). Whole turns of pi come off the
-    exact part exactly, which leaves an angle ``rest`` of a few rad at most,
-    rounded to below 1e-15 rad. A turn flips the sign of a sine and a cosine alike and every
-    integrand is even in that sign, so the sines and cosines are those of
-    the rests. The sinc divides by turns pi + rest, which next to theta = 0
+    Far off axis the angles reach about 90 rad, where rounding the node and
+    then the product would cost about 1e-14 rad, more than the 1e-12
+    relative accuracy allows near a zero of a sine. So rate * left is the
+    exact product of the two 26-bit heads plus a rest below 1e-7 of it
+    (Dekker, Numer. Math. 18, 1971, without a fused multiply-add), whole
+    turns of pi come off it exactly, and rate * offset is added to the
+    ``rest`` of a few rad. Every integrand is even in the sign a turn
+    flips. The sinc divides by turns pi + rest, which next to theta = 0
     cancels exactly to the small angle whose sine is its numerator.
     """
-    slopes = (envelope_slope, 0.5 * phase_slope)
-    heads, tails = np.array([_split(slope) for slope in slopes]).T[..., None]
+    heads, tails = _split(rates)
     left_heads, left_tails = _split(lefts)
     exact = heads * left_heads
     turns = np.rint(exact / math.pi)
     whole, part = turns * _PI_HEAD, turns * _PI_TAIL
     base = ((exact - whole) - part) + (heads * left_tails + tails * lefts)
-    rest = base[..., None] + np.array(slopes)[:, None, None] * offsets
+    rest = base[..., None] + rates[..., None] * offsets
     sines = np.sin(rest)
     arg = (whole[0, :, None] + rest[0]) + part[0, :, None]
     envelope = np.divide(sines[0], arg, out=np.ones_like(arg),
                          where=arg != 0.0)
     weight = envelope * envelope
-    cos_half = np.cos(rest[1])
-    weighted_sin = weight * sines[1]
-    return np.array((weight * cos_half * cos_half, weighted_sin * sines[1],
+    cos_half = np.cos(rest[1:])
+    sin_half = sines[1:]
+    weighted_sin = weight * sin_half
+    return np.array((weight * cos_half * cos_half, weighted_sin * sin_half,
                      2.0 * weighted_sin * cos_half))
 
 
-def _panel_pass(lo: np.ndarray, hi: np.ndarray, envelope_slope: float,
-                phase_slope: float) -> tuple[np.ndarray, np.ndarray]:
-    """32-point sums (even, odd, imag) of the windows [lo_i, hi_i], shape
-    (3, windows), and each window's error estimate: the largest over the
-    three integrands of its summed |32-point - 16-point| panel values."""
-    a, k = envelope_slope, abs(phase_slope)
-    # The grid of ``_window_moments``; with no envelope its step is one
-    # phase period, and with neither it is as wide as the model domain.
-    if a > 0.0:
-        step = math.pi / (a * max(1.0, math.ceil(k / (2.0 * a))))
-    else:
-        step = 2.0 * math.pi / k if k > 0.0 else 2.0 * MAX_SUPPORTED_ANGLE
-    # A window's edges are lo, the grid points strictly inside it and hi,
-    # stored window after window, so neighbouring panels share one float.
-    first = np.floor(lo / step)
-    counts = np.maximum(np.ceil(hi / step) - first, 1.0).astype(int)
-    sizes = counts + 1
-    ends = np.cumsum(sizes) - 1
-    starts = ends - counts
-    owner = np.repeat(np.arange(lo.size), sizes)
-    edges = np.clip((first[owner] + (np.arange(owner.size) - starts[owner]))
-                    * step, lo[owner], hi[owner])
-    edges[starts] = lo
-    edges[ends] = hi
-    # every edge but a window's last opens a panel that the next one closes
-    opens = np.ones(edges.size, dtype=bool)
-    opens[ends] = False
-    lefts = edges[opens]
-    halves = 0.5 * (edges[1:][opens[:-1]] - lefts)
-    # each window before window i has one edge more than it has panels
-    window_starts = starts - np.arange(lo.size)
+def _panel_pass(lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
+                panels: np.ndarray, step: float,
+                rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """32-point sums (even, odd, imag) of the windows [lo_i, hi_i] under
+    every law of ``rates``, shape (3, laws, windows), and each window's
+    error per law: the largest over the three integrands of its summed
+    |32-point - 16-point| panel values over M0, inf where M0 = 0.
 
+    Window i takes ``panels[i]`` panels; the j-th opens at the grid point
+    (first_i + j) ``step`` clipped to the window, the first at lo_i, and
+    each closes where the next opens, the last at hi_i.
+    """
+    ends = np.cumsum(panels)
+    starts = ends - panels
+    grid = (np.arange(ends[-1]) + np.repeat(first - starts, panels)) * step
+    lefts = np.minimum(np.maximum(grid, np.repeat(lo, panels)),
+                       np.repeat(hi, panels))
+    lefts[starts] = lo
+    rights = np.concatenate((lefts[1:], hi[-1:]))
+    rights[ends - 1] = hi
+    scale = 0.5 * (rights - lefts)[:, None]
     nodes, weights = _kernel_rule()
-    # Nodes left + half (1 + x), never rounded to one float: far off axis
-    # the slopes times half an ulp of theta move both angles more than the
-    # tolerance allows.
-    panels = (_integrands(lefts, halves[:, None] * nodes, a, phase_slope)
-              @ weights) * halves[:, None]  # (3, panels, 2)
-    fine, coarse = panels[..., 0], panels[..., 1]
-    sums = np.add.reduceat(fine, window_starts, axis=1)
-    errors = np.add.reduceat(np.abs(fine - coarse), window_starts, axis=1)
-    return sums, errors.max(axis=0)
+    # Nodes left + half (1 + x), never rounded to one float (see
+    # _integrands). Columns: the 32-point value, the error estimate.
+    values = (_integrands(lefts, scale * nodes, rates) @ weights) * scale
+    np.abs(values[..., 1], out=values[..., 1])
+    sums = np.add.reduceat(values, starts, axis=2)
+    m0 = sums[0, ..., 0] + sums[1, ..., 0]
+    return sums[..., 0], np.divide(sums[..., 1].max(axis=0), m0,
+                                   out=np.full_like(m0, math.inf),
+                                   where=m0 > 0.0)
 
 
 def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
-                    envelope_slope: float, phase_slope: float) -> _Moments:
-    """Both moments of every window [c_i - h_i, c_i + h_i], in one batch.
+                    envelope_slope: float, phase_slopes) -> _Moments:
+    """Both moments of every window [c_i - h_i, c_i + h_i] under every
+    phase law in one pass, with each window's error and panels.
 
-    The weight is w = sinc^2(a theta) with a = ``envelope_slope`` and the
-    phase phi = k theta with k = ``phase_slope``. One grid of step
-    pi / (a m), m = max(1, ceil(|k| / 2a)), cuts every window into panels:
-    it holds every sinc zero n pi / a, and no panel spans more than one
-    period 2 pi / |k| of e^{i k theta}, so on each panel the integrands are
-    entire functions of small bandwidth. A window's panels run from its
-    lower edge through the grid points inside it to its upper edge, and
-    neighbouring panels share their edge. The panels of all windows go
-    through one 32-point Gauss-Legendre pass, cut into passes of at most
-    ``_MAX_PANELS`` panels, and per-window sums; the 16-point rule on the
-    same panels estimates the error of the 32-point one.
+    The weight is w = sinc^2(a theta), a = ``envelope_slope``; a law's
+    phase is k theta, and ``phase_slopes`` is one k or a sequence, whose
+    shape every moment and error takes before its window axis. One grid of
+    step pi / (a m), m = max(1, ceil(K / 2a)) for the largest |k| = K, cuts
+    each window into panels at the grid points inside it: it holds every
+    sinc zero, and no panel spans more than one period of any law. All
+    panels take one 32-point Gauss-Legendre pass (several beyond
+    ``_MAX_PANELS``) with w evaluated once per node, and the 16-point rule
+    on the same panels gives the error estimate.
 
-    Every check applies per window, and an error names the first window
-    that fails it: ValueError when a window leaves the model domain;
-    QuadratureError when one would need more than ``_MAX_PANELS`` panels,
-    when its error estimate exceeds ``QUAD_TOL`` * M0, or when its M0 is not
-    positive (a window narrower than float resolution). At halfwidth 0 the
-    moments are the integrands at the center, the h -> 0 limit of each
-    moment over the width 2 h.
+    An error names the first window that fails: ValueError outside the
+    model domain; QuadratureError for more than ``_MAX_PANELS`` panels, or
+    for an error estimate above ``QUAD_TOL`` * M0 or an M0 that is not
+    positive (a window narrower than float resolution) under some law. At
+    halfwidth 0 the moments are the integrands at the center, the h -> 0
+    limit of each moment over the width 2 h.
     """
     centers = np.asarray(centers, dtype=float)
     halfwidths = np.asarray(halfwidths, dtype=float)
-    inside = (halfwidths >= 0.0) \
-        & (np.abs(centers) + halfwidths <= MAX_SUPPORTED_ANGLE)
-    if not inside.all():
-        outside = int(np.argmin(inside))
-        _check_domain(float(centers[outside]), float(halfwidths[outside]))
-    lo = centers - halfwidths
-    hi = centers + halfwidths
-    # An upper bound on each window's panels: a long crystal or a steep
-    # phase law would ask for unbounded memory.
-    panels = (hi - lo) * (envelope_slope / math.pi
-                          + abs(phase_slope) / (2.0 * math.pi)) + 2.0
-    fits = panels <= _MAX_PANELS
-    if not fits.all():
-        big = int(np.argmin(fits))
+    slopes = np.asarray(phase_slopes, dtype=float)
+    shape = (*slopes.shape, centers.size)
+    if not centers.size:
+        return _Moments(*np.zeros((4, *shape)), np.zeros(0, dtype=int))
+    shortest = halfwidths.min()
+    if not (shortest >= 0.0 and (np.abs(centers) + halfwidths).max()
+            <= MAX_SUPPORTED_ANGLE):
+        for center, halfwidth in zip(centers, halfwidths):
+            _check_domain(float(center), float(halfwidth))
+    a, laws = envelope_slope, slopes.ravel().tolist()
+    k = max(map(abs, laws))
+    # the sinc argument a theta and each half phase k theta / 2, per theta
+    rates = np.array([[a], *([0.5 * law] for law in laws)])
+    if a > 0.0:
+        step = math.pi / (a * max(1.0, math.ceil(k / (2.0 * a))))
+    else:  # one phase period, or with no phase the model domain
+        step = 2.0 * math.pi / k if k > 0.0 else 2.0 * MAX_SUPPORTED_ANGLE
+    lo, hi = centers - halfwidths, centers + halfwidths
+    # A bound on each window's panels, checked before any memory is asked for.
+    bound = (hi - lo) * (a / math.pi + k / (2.0 * math.pi)) + 2.0
+    if not bound.max() <= _MAX_PANELS:
+        big = int(np.argmax(~(bound <= _MAX_PANELS)))
         raise QuadratureError(
             f"window quadrature on [{lo[big]}, {hi[big]}] rad needs about "
-            f"{panels[big]:.3g} panels, more than the limit of {_MAX_PANELS}")
-    moments = np.empty((3, centers.size))
-    errors = np.zeros(centers.size)
-    points = halfwidths == 0.0
-    if points.any():
-        moments[:, points] = _integrands(
-            centers[points], np.zeros((np.count_nonzero(points), 1)),
-            envelope_slope, phase_slope)[..., 0]
-    spans = np.flatnonzero(~points)
-    reach = np.cumsum(panels[spans])
-    start = 0
-    while start < spans.size:
-        # Each window fits alone, so every pass takes at least one.
-        stop = int(np.searchsorted(
-            reach, (reach[start - 1] if start else 0.0) + _MAX_PANELS,
-            side="right"))
-        batch = spans[start:stop]
-        moments[:, batch], errors[batch] = _panel_pass(
-            lo[batch], hi[batch], envelope_slope, phase_slope)
-        start = stop
-    m0 = moments[0] + moments[1]
-    # A window narrower than float resolution leaves M0 = 0: no tolerance
-    # relative to it can be met.
-    failed = ~points & ~((m0 > 0.0) & (errors <= QUAD_TOL * m0))
-    if failed.any():
-        bad = int(np.argmax(failed))
-        achieved = errors[bad] / m0[bad] if m0[bad] > 0.0 else math.inf
+            f"{bound[big]:.3g} panels, more than the limit of {_MAX_PANELS}")
+    first = np.floor(lo / step)
+    panels = np.maximum(np.ceil(hi / step) - first, 1.0).astype(int)
+    if shortest > 0.0 and panels.sum() <= _MAX_PANELS:
+        sums, error = _panel_pass(lo, hi, first, panels, step, rates)
+    else:
+        points = halfwidths == 0.0
+        panels[points] = 0
+        sums = np.empty((3, len(laws), centers.size))
+        error = np.zeros(sums.shape[1:])  # a point is exact
+        if shortest == 0.0:
+            sums[..., points] = _integrands(
+                centers[points], np.zeros((np.count_nonzero(points), 1)),
+                rates)[..., 0]
+        spans = np.flatnonzero(panels)
+        reach = np.cumsum(panels[spans])
+        start = 0
+        while start < spans.size:
+            # Each window fits alone, so every pass takes at least one.
+            stop = int(np.searchsorted(
+                reach, (reach[start - 1] if start else 0) + _MAX_PANELS,
+                side="right"))
+            batch = spans[start:stop]
+            sums[..., batch], error[:, batch] = _panel_pass(
+                lo[batch], hi[batch], first[batch], panels[batch], step,
+                rates)
+            start = stop
+    if not error.max() <= QUAD_TOL:
+        worst = error.max(axis=0)
+        bad = int(np.argmax(~(worst <= QUAD_TOL)))
         raise QuadratureError(
             f"window quadrature on [{lo[bad]}, {hi[bad]}] rad failed: M0 = "
-            f"{m0[bad]:.3e}, error estimate {achieved:.3e} of M0 against "
-            f"the requested relative tolerance {QUAD_TOL:.3e}",
-            achieved=float(achieved), requested=QUAD_TOL)
-    return _Moments(*moments)
+            f"{sums[0, 0, bad] + sums[1, 0, bad]:.3e}, error estimate "
+            f"{worst[bad]:.3e} of M0 against the requested relative "
+            f"tolerance {QUAD_TOL:.3e}", achieved=float(worst[bad]),
+            requested=QUAD_TOL)
+    return _Moments(*sums.reshape(3, *shape), error.reshape(shape), panels)
 
 
 def _one_window(window: AngularWindow, config: SourceConfig) -> _Moments:
@@ -428,11 +427,12 @@ def visibility(window: AngularWindow, config: SourceConfig) -> float:
 
 def _sweep_columns(centers: np.ndarray, halfwidths: np.ndarray,
                    envelope_slope: float,
-                   phase_slope: float) -> tuple[np.ndarray, ...]:
-    """(C_pp, C_pm, V, concurrence) of every window: the visibility sweep
-    columns, from one kernel call."""
+                   phase_slopes) -> tuple[np.ndarray, ...]:
+    """(C_pp, C_pm, V, concurrence) of every window under every phase law,
+    shaped as in ``_window_moments``: the visibility sweep columns, from one
+    kernel call."""
     moments = _window_moments(centers, halfwidths, envelope_slope,
-                              phase_slope)
+                              phase_slopes)
     m0 = moments.m0
     re_m1 = moments.even - moments.odd
     # The averaged state is the {HV, VH} block with 1/2 on its diagonal and
@@ -441,10 +441,10 @@ def _sweep_columns(centers: np.ndarray, halfwidths: np.ndarray,
     abs_m1 = np.hypot(re_m1, moments.imag)
     excess = abs_m1 > (1.0 + 2.0 * PSD_TOL) * m0
     if excess.any():
-        bad = int(np.argmax(excess))
+        bad = np.argmax(excess)
         raise StateInvariantError(
             f"aperture-averaged state not positive: |M1| / M0 = "
-            f"{float(abs_m1[bad] / m0[bad])!r} exceeds 1")
+            f"{float(abs_m1.flat[bad] / m0.flat[bad])!r} exceeds 1")
     # The kernel holds M0 > 0 on every window of nonzero width.
     return moments.even, moments.odd, np.abs(re_m1 / m0), abs_m1 / m0
 

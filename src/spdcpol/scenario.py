@@ -45,10 +45,10 @@ laws' bits. Scan, counts and visibility tables hold the float64 and int64
 arrays the run computes as their columns (see `spdcpol.output`); nothing
 is turned into rows on the way to CSV text.
 The visibility sweep reads every column from the two window moments M0 and
-M1 (concurrence is |M1| / M0), and each of its tables takes the moments of
-all its windows from one batched kernel call; the uncompensated baseline is
-the same production crystal with the bare phase slope |B| L, so it needs no
-second cut solve.
+M1 (concurrence is |M1| / M0), and a sweep takes the moments of all its
+windows from one kernel call. The uncompensated baseline shares that call
+and its panel grid: it is the same production crystal with the bare phase
+slope |B| L, so it needs no second cut solve.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
 the bare production crystal, pi / (|B| L) internal. Each sweep window and
 the pinhole are resolved to internal angles once, by one helper each, and
@@ -511,18 +511,19 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
             halfwidths, spec.geometry, spec.source)
         centers = np.full(vspec.points, center_int)
         envelope_slope = spec.source.envelope_slope
-        variants = [("", spec.source.phase_slope)]
+        suffixes, phase_slopes = ("",), (spec.source.phase_slope,)
         if vspec.compare_uncompensated:
             # The bare production crystal: its phase slope |B| L is twice
             # its envelope slope |B| L / 2, bit for bit.
-            variants.append(("_uncompensated", 2.0 * envelope_slope))
-        for suffix, phase_slope in variants:
-            columns = _sweep_columns(centers, halfwidths, envelope_slope,
-                                     phase_slope)
+            suffixes += ("_uncompensated",)
+            phase_slopes += (2.0 * envelope_slope,)
+        columns = _sweep_columns(centers, halfwidths, envelope_slope,
+                                 phase_slopes)
+        for suffix, *law_columns in zip(suffixes, *columns):
             tables.append(Table(
                 name=f"{spec.name}_visibility{suffix}",
                 columns=VISIBILITY_COLUMNS,
-                _columns=(halfwidths_ext, *columns),
+                _columns=(halfwidths_ext, *law_columns),
                 _float_text=float_text))
 
     return tables

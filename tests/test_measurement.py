@@ -200,7 +200,7 @@ def test_visibility_against_dense_trapezoid(bare_config):
 def test_visibility_undefined_when_counts_vanish(bare_config, monkeypatch):
     # the kernel finds no weight at the point
     monkeypatch.setattr(measurement, "_window_moments",
-                        lambda *args: measurement._Moments(*np.zeros((3, 1))))
+                        lambda *args: measurement._Moments(*np.zeros((5, 1))))
     with pytest.raises(sp.UndefinedVisibilityError):
         sp.visibility(sp.AngularWindow(0.0, 0.0), bare_config)
 
@@ -418,6 +418,44 @@ def test_panels_follow_one_grid_of_sinc_zeros_and_phase_periods(
         assert passes == [10 * m]
 
 
+def test_phase_laws_share_the_grid_of_the_steepest(bare_config,
+                                                   monkeypatch):
+    # Laws passed together share one grid, m = ceil(K / 2a) for the
+    # largest |k| = K: a +-5-lobe window takes 20 panels under (2a, 4a)
+    # and 10 under (0, 2a), each law on every panel.
+    a = bare_config.envelope_slope
+    lobe = math.pi / a
+    passes = []
+    integrands = measurement._integrands
+
+    def spy(theta, *args):
+        passes.append(len(theta))
+        return integrands(theta, *args)
+    monkeypatch.setattr(measurement, "_integrands", spy)
+    for slopes, panels in (((2.0 * a, 4.0 * a), 20), ((0.0, 2.0 * a), 10)):
+        passes.clear()
+        moments = measurement._window_moments(
+            np.array([0.0]), np.array([5.0 * lobe]), a, slopes)
+        assert passes == [panels]
+        assert moments.panels.tolist() == [panels]
+        assert moments.even.shape == moments.error.shape == (2, 1)
+
+
+def test_one_call_for_every_law_matches_one_law_calls(
+        bare_config, compensated_config, anticompensated_config):
+    # each source with its uncompensated baseline k = 2a; the
+    # anticompensated baseline moves from the m = 1 grid to m = 2
+    centers, halfwidths = np.array(_MIXED_WINDOWS).T
+    for config in (bare_config, compensated_config, anticompensated_config):
+        a = config.envelope_slope
+        slopes = (config.phase_slope, 2.0 * a)
+        together = measurement._sweep_columns(centers, halfwidths, a, slopes)
+        for law, slope in enumerate(slopes):
+            _assert_same_columns(
+                [column[law] for column in together],
+                measurement._sweep_columns(centers, halfwidths, a, slope))
+
+
 @pytest.mark.parametrize("phase_slope", [0.0, 2026.9])
 def test_windows_without_envelope_match_the_closed_forms(phase_slope):
     # w = 1: even, odd = h +- (sin k hi - sin k lo) / 2k and
@@ -443,11 +481,10 @@ def test_batch_names_the_window_that_fails(anticompensated_config,
     lo, hi = centers - halfwidths, centers + halfwidths
     slopes = (anticompensated_config.envelope_slope,
               anticompensated_config.phase_slope)
-    # The estimates sit near rounding level. The kernel repeats this pass
-    # bit for bit, so a tolerance just below the largest estimate fails
-    # that window alone.
-    sums, errors = measurement._panel_pass(lo, hi, *slopes)
-    relative = errors / (sums[0] + sums[1])
+    # The errors sit near rounding level. The kernel repeats this pass bit
+    # for bit, so a tolerance just below the largest fails that window alone.
+    relative = measurement._window_moments(centers, halfwidths,
+                                           *slopes).error
     worst = int(np.argmax(relative))
     runner_up = np.delete(relative, worst).max()
     assert relative[worst] > runner_up

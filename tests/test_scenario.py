@@ -362,16 +362,18 @@ def test_sweep_rejects_a_non_positive_state(monkeypatch):
     # |M1| > M0 would give the averaged state a negative eigenvalue
     from spdcpol import measurement
 
-    def kernel(centers, halfwidths, envelope_slope, phase_slope):
-        ones = np.ones(len(centers))
-        return measurement._Moments(ones, 0.0 * ones, 1e-4 * ones)
+    def kernel(centers, halfwidths, envelope_slope, phase_slopes):
+        ones = np.ones((len(phase_slopes), len(centers)))
+        return measurement._Moments(ones, 0.0 * ones, 1e-4 * ones,
+                                    0.0 * ones, np.ones(len(centers)))
     monkeypatch.setattr(measurement, "_window_moments", kernel)
     with pytest.raises(sp.StateInvariantError):
         sp.run_scenario(sp.load_scenario("fig3"))
 
 
-def test_sweep_is_one_kernel_call_per_table(monkeypatch):
-    # the uncompensated baseline reuses the verified production crystal
+def test_sweep_is_one_kernel_call_per_sweep(monkeypatch):
+    # the uncompensated baseline shares the production crystal and the
+    # compensated table's kernel call
     from spdcpol import biphoton, measurement
     spec = sp.load_scenario("fig3")
     calls = {"kernel": 0, "cut_solve": 0}
@@ -387,7 +389,33 @@ def test_sweep_is_one_kernel_call_per_table(monkeypatch):
                         counted("cut_solve",
                                 biphoton.phase_matching_cut_angle))
     assert len(sp.run_scenario(spec)) == 2
-    assert calls == {"kernel": 2, "cut_solve": 0}
+    assert calls == {"kernel": 1, "cut_solve": 0}
+
+
+def test_sweep_kernel_reports_its_errors_and_panels(monkeypatch):
+    # fig3's one kernel call reports every window's error against M0 and
+    # the panels it integrated
+    from spdcpol import measurement
+    spec = sp.load_scenario("fig3")
+    reports, panels = [], []
+    kernel, integrands = measurement._window_moments, measurement._integrands
+
+    def reporting(*args):
+        reports.append(kernel(*args))
+        return reports[-1]
+
+    def spy(lefts, *args):
+        panels.append(len(lefts))
+        return integrands(lefts, *args)
+    monkeypatch.setattr(measurement, "_window_moments", reporting)
+    monkeypatch.setattr(measurement, "_integrands", spy)
+    sp.run_scenario(spec)
+    [report] = reports
+    assert report.error.shape == (2, spec.visibility.points)
+    assert 0.0 < report.error.max() <= measurement.QUAD_TOL
+    assert report.panels.shape == (spec.visibility.points,)
+    assert np.all(report.panels >= 1)
+    assert panels == [report.panels.sum()]
 
 
 def test_sweep_outside_the_domain_is_refused_at_run():
