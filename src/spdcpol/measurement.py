@@ -120,18 +120,20 @@ class DensityMatrix4:
 # half-order rule whose difference from it is the error estimate.
 _GL_ORDER = 32
 _GL_CHECK_ORDER = 16
-# Panels per pass: 2**13 panels of 48 nodes keep the arrays near 20 MB per
-# phase law, and a 12 cm BBO crystal's window over the whole domain fits.
+# Panels per pass: a pass of 2**13 panels of 48 nodes peaks near 51 MB for
+# one phase law and 32 MB more for each further law, and one window of a
+# 12 cm BBO crystal over the whole model domain fits in a pass.
 _MAX_PANELS = 1 << 13
 
 
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1].
 
-    Newton's method on P_n from the guesses cos(pi (i + 3/4) / (n + 1/2))
-    reaches the nodes to rounding in four steps; the weights
-    2 / ((1 - x^2) P_n'(x)^2) follow from the same recurrence, good to a few
-    ulp, and no LAPACK code is mapped into memory for one 32 x 32 problem.
+    Newton's method on P_n from the asymptotic guesses
+    cos(pi (i + 3/4) / (n + 1/2)) reaches the nodes to rounding in four
+    steps; the weights 2 / ((1 - x^2) P_n'(x)^2) follow from the same
+    three-term recurrence and are good to a few ulp. No LAPACK routine is
+    touched, which would map its code into memory for one 32 x 32 problem.
     """
     def legendre(x):
         p_prev, p = np.ones_like(x), x
@@ -214,15 +216,20 @@ def _integrands(lefts: np.ndarray, offsets: np.ndarray,
     the angles a theta and phi / 2 per unit theta, and the weight w is
     evaluated once for every law.
 
-    Far off axis the angles reach about 90 rad, where rounding the node and
-    then the product would cost about 1e-14 rad, more than the 1e-12
-    relative accuracy allows near a zero of a sine. So rate * left is the
-    exact product of the two 26-bit heads plus a rest below 1e-7 of it
-    (Dekker, Numer. Math. 18, 1971, without a fused multiply-add), whole
-    turns of pi come off it exactly, and rate * offset is added to the
-    ``rest`` of a few rad. Every integrand is even in the sign a turn
-    flips. The sinc divides by turns pi + rest, which next to theta = 0
-    cancels exactly to the small angle whose sine is its numerator.
+    Far off axis the angles a theta and phi / 2 reach about 90 rad, where
+    rounding the node theta and then the product would cost about 1e-14
+    rad; near a zero of a sine or cosine that is more than the kernel's
+    1e-12 relative accuracy allows. So each angle is rate * left +
+    rate * offset, and rate * left is the exact product of the two 26-bit
+    heads plus a rest below 1e-7 of it (after Dekker, "A floating-point
+    technique for extending the available precision", Numer. Math. 18,
+    1971, without a fused multiply-add). Whole turns of pi come off the
+    exact part exactly, which leaves an angle ``rest`` of a few rad at most,
+    rounded to below 1e-15 rad. A turn flips the sign of a sine and a
+    cosine alike and every integrand is even in that sign, so the sines and
+    cosines are those of the rests. The sinc divides by turns pi + rest,
+    which next to theta = 0 cancels exactly to the small angle whose sine
+    is its numerator.
     """
     heads, tails = _split(rates)
     left_heads, left_tails = _split(lefts)
@@ -327,6 +334,8 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
             f"{bound[big]:.3g} panels, more than the limit of {_MAX_PANELS}")
     first = np.floor(lo / step)
     panels = np.maximum(np.ceil(hi / step) - first, 1.0).astype(int)
+    # The common case, one pass and no point, skips the planning below: that
+    # takes 4.5 % off window_sweep's median op (BENCH_20.json).
     if shortest > 0.0 and panels.sum() <= _MAX_PANELS:
         sums, error = _panel_pass(lo, hi, first, panels, step, rates)
     else:

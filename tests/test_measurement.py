@@ -481,10 +481,15 @@ def test_batch_names_the_window_that_fails(anticompensated_config,
     lo, hi = centers - halfwidths, centers + halfwidths
     slopes = (anticompensated_config.envelope_slope,
               anticompensated_config.phase_slope)
-    # The errors sit near rounding level. The kernel repeats this pass bit
-    # for bit, so a tolerance just below the largest fails that window alone.
-    relative = measurement._window_moments(centers, halfwidths,
-                                           *slopes).error
+    # The estimates sit near rounding level. The kernel repeats this pass
+    # on its grid of step pi / (a m) bit for bit, so a tolerance just below
+    # the largest estimate fails that window alone.
+    a, k = slopes
+    step = math.pi / (a * max(1, math.ceil(abs(k) / (2.0 * a))))
+    first = np.floor(lo / step)
+    panels = np.maximum(np.ceil(hi / step) - first, 1).astype(int)
+    relative = measurement._panel_pass(lo, hi, first, panels, step,
+                                       np.array([[a], [0.5 * k]]))[1][0]
     worst = int(np.argmax(relative))
     runner_up = np.delete(relative, worst).max()
     assert relative[worst] > runner_up
