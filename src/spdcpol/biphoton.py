@@ -42,11 +42,12 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 CUT_ANGLE_TOLERANCE = 1e-6  # rad, production cut vs phase-matched angle
 
 
-def sinc(x: float) -> float:
-    """sin(x)/x with sinc(0) = 1 (unnormalized convention)."""
-    if x == 0.0:
-        return 1.0
-    return math.sin(x) / x
+def sinc(x: float | np.ndarray) -> float | np.ndarray:
+    """sin(x)/x with sinc(0) = 1 (unnormalized convention), elementwise."""
+    # a float, the scan rates' hot path, settles the test with one check
+    if isinstance(x, float) or not isinstance(x, np.ndarray):
+        return math.sin(x) / x if x else 1.0
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 class Orientation(enum.Enum):
@@ -108,23 +109,20 @@ class SourceConfig:
     """Production crystal plus ordered downstream compensators.
 
     Construction verifies that the production cut angle phase-matches the
-    pump (within 1e-6 rad) and caches the derived phase-law slopes. Instances
-    are immutable, so all operations over them are thread-safe.
+    pump (within 1e-6 rad) and caches the three numbers the physics reads.
+    Instances are immutable, so all operations over them are thread-safe.
 
-    Derived fields: ``degenerate_wavelength`` (2 lambda_p),
-    ``ordinary_index`` (n_o of the production crystal at the degenerate
-    wavelength, the lab <-> internal angle scale), ``walkoff_B``
-    (signed production B at the degenerate wavelength), ``envelope_slope``
-    (|B| L / 2, the sinc argument per radian) and ``phase_slope``
-    (d phi / d theta, including compensators; an overflow is a ValueError).
+    Derived fields, all at the degenerate wavelength 2 lambda_p:
+    ``ordinary_index`` (n_o of the production crystal, the lab <-> internal
+    angle scale), ``envelope_slope`` (|B| L / 2 of the production crystal,
+    the sinc argument per radian) and ``phase_slope`` (d phi / d theta,
+    including compensators; an overflow is a ValueError).
     """
 
     production: UniaxialCrystal
     pump_wavelength: float
     compensators: tuple[CompensatorPlacement, ...] = ()
-    degenerate_wavelength: float = field(init=False)
     ordinary_index: float = field(init=False)
-    walkoff_B: float = field(init=False)
     envelope_slope: float = field(init=False)
     phase_slope: float = field(init=False)
 
@@ -147,21 +145,21 @@ class SourceConfig:
             slope += placement.orientation.sign * 2.0 * abs(b) * comp.length
         if not math.isfinite(slope):  # also catches an overflowed |B| L / 2
             raise ValueError(f"crystal too long: the phase slope is {slope:g}")
-        object.__setattr__(self, "degenerate_wavelength", degenerate)
         object.__setattr__(self, "ordinary_index",
                            index_ordinary(production.material, degenerate))
-        object.__setattr__(self, "walkoff_B", b_prod)
         object.__setattr__(self, "envelope_slope",
                            abs(b_prod) * production.length / 2.0)
         object.__setattr__(self, "phase_slope", slope)
 
 
-def relative_phase(theta: float, config: SourceConfig) -> float:
+def relative_phase(theta: float | np.ndarray,
+                   config: SourceConfig) -> float | np.ndarray:
     """Total relative phase phi(theta) between the HV and VH amplitudes."""
     return config.phase_slope * theta
 
 
-def angular_envelope(theta: float, config: SourceConfig) -> float:
+def angular_envelope(theta: float | np.ndarray,
+                     config: SourceConfig) -> float | np.ndarray:
     """Emission amplitude envelope sinc(|B| L theta / 2).
 
     Compensators act after pair generation and never change the envelope.

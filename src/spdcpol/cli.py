@@ -1,7 +1,7 @@
 """Command-line interface.
 
     spdcpol run <spec> [--out DIR] [--format csv|json] [--seed N]
-    spdcpol bell-angles <spec> --state psi+|psi- [--out DIR] [--format csv|json] [--seed N]
+    spdcpol bell-angles <spec> --state psi+|psi- [--out DIR] [--format csv|json]
     spdcpol materials list
 
 ``<spec>`` is a scenario file path or a preset name (fig2a, fig2b, fig2c,
@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bell.add_argument("--out", default=None,
                       help="write the table here instead of stdout")
     bell.add_argument("--format", choices=("csv", "json"), default="csv")
-    bell.add_argument("--seed", type=int, default=None)
 
     materials = sub.add_parser("materials", help="material catalogue")
     materials.add_argument("action", choices=("list",))
@@ -76,7 +75,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bell_angles(args) -> int:
-    spec = load_scenario(args.spec, seed=args.seed)
+    spec = load_scenario(args.spec)
     which = BellState.PSI_PLUS if args.state == "psi+" else BellState.PSI_MINUS
     table = list_bell_angles(spec, which)
     if table.note:

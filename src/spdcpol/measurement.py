@@ -17,8 +17,9 @@ diagonal and coherence M1 / (2 M0). Its Wootters concurrence, 2 |rho_HV,VH| =
 entanglement, and its Bell fidelities are F(Psi+-) = C++ / M0 and C+- / M0.
 One batched composite Gauss-Legendre pass per sweep gives both moments of
 every window under every phase law the sweep compares, each with an error
-estimate held to ``QUAD_TOL`` relative to its M0; a window of halfwidth 0
-is a point. ``concurrence`` evaluates
+estimate held to ``QUAD_TOL`` relative to its M0; every sweep window needs
+a width in floating point. The one-window functions also take halfwidth 0,
+a point: the integrands at its center. ``concurrence`` evaluates
 Wootters' formula for any two-qubit density matrix.
 """
 
@@ -298,21 +299,17 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
     ``_MAX_PANELS``) with w evaluated once per node, and the 16-point rule
     on the same panels gives the error estimate.
 
-    An error names the first window that fails: ValueError outside the
-    model domain; QuadratureError for more than ``_MAX_PANELS`` panels, or
-    for an error estimate above ``QUAD_TOL`` * M0 or an M0 that is not
-    positive (a window narrower than float resolution) under some law. At
-    halfwidth 0 the moments are the integrands at the center, the h -> 0
-    limit of each moment over the width 2 h.
+    The kernel integrates windows only; a point is ``_one_window``'s. An
+    error names the first window that fails: ValueError outside the model
+    domain; QuadratureError for more than ``_MAX_PANELS`` panels, or for an
+    error estimate above ``QUAD_TOL`` * M0 or an M0 that is not positive (a
+    window of halfwidth 0, or narrower than float resolution) under some
+    law.
     """
     centers = np.asarray(centers, dtype=float)
     halfwidths = np.asarray(halfwidths, dtype=float)
     slopes = np.asarray(phase_slopes, dtype=float)
-    shape = (*slopes.shape, centers.size)
-    if not centers.size:
-        return _Moments(*np.zeros((4, *shape)), np.zeros(0, dtype=int))
-    shortest = halfwidths.min()
-    if not (shortest >= 0.0 and (np.abs(centers) + halfwidths).max()
+    if not (halfwidths.min() >= 0.0 and (np.abs(centers) + halfwidths).max()
             <= MAX_SUPPORTED_ANGLE):
         for center, halfwidth in zip(centers, halfwidths):
             _check_domain(float(center), float(halfwidth))
@@ -334,31 +331,23 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
             f"{bound[big]:.3g} panels, more than the limit of {_MAX_PANELS}")
     first = np.floor(lo / step)
     panels = np.maximum(np.ceil(hi / step) - first, 1.0).astype(int)
-    # The common case, one pass and no point, skips the planning below: that
-    # takes 4.5 % off window_sweep's median op (BENCH_20.json).
-    if shortest > 0.0 and panels.sum() <= _MAX_PANELS:
+    # The common case, one pass, skips the planning below: that takes 4.5 %
+    # off window_sweep's median op (BENCH_20.json).
+    if panels.sum() <= _MAX_PANELS:
         sums, error = _panel_pass(lo, hi, first, panels, step, rates)
     else:
-        points = halfwidths == 0.0
-        panels[points] = 0
         sums = np.empty((3, len(laws), centers.size))
-        error = np.zeros(sums.shape[1:])  # a point is exact
-        if shortest == 0.0:
-            sums[..., points] = _integrands(
-                centers[points], np.zeros((np.count_nonzero(points), 1)),
-                rates)[..., 0]
-        spans = np.flatnonzero(panels)
-        reach = np.cumsum(panels[spans])
+        error = np.empty(sums.shape[1:])
+        reach = np.cumsum(panels)
         start = 0
-        while start < spans.size:
+        while start < centers.size:
             # Each window fits alone, so every pass takes at least one.
             stop = int(np.searchsorted(
                 reach, (reach[start - 1] if start else 0) + _MAX_PANELS,
                 side="right"))
-            batch = spans[start:stop]
-            sums[..., batch], error[:, batch] = _panel_pass(
-                lo[batch], hi[batch], first[batch], panels[batch], step,
-                rates)
+            sums[..., start:stop], error[:, start:stop] = _panel_pass(
+                lo[start:stop], hi[start:stop], first[start:stop],
+                panels[start:stop], step, rates)
             start = stop
     if not error.max() <= QUAD_TOL:
         worst = error.max(axis=0)
@@ -369,11 +358,18 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
             f"{worst[bad]:.3e} of M0 against the requested relative "
             f"tolerance {QUAD_TOL:.3e}", achieved=float(worst[bad]),
             requested=QUAD_TOL)
+    shape = (*slopes.shape, centers.size)
     return _Moments(*sums.reshape(3, *shape), error.reshape(shape), panels)
 
 
 def _one_window(window: AngularWindow, config: SourceConfig) -> _Moments:
-    """The kernel's moments of one window, as floats."""
+    """The moments of one window, as floats: one kernel call, or at
+    halfwidth 0 the integrands at the center, the h -> 0 limit of each
+    moment over the width 2 h (error 0, no panels)."""
+    if window.halfwidth == 0.0:
+        rates = np.array([[config.envelope_slope], [0.5 * config.phase_slope]])
+        point = _integrands(np.array([window.center]), np.zeros((1, 1)), rates)
+        return _Moments(*(float(value) for value in point.ravel()), 0.0, 0)
     moments = _window_moments(np.array([window.center]),
                               np.array([window.halfwidth]),
                               config.envelope_slope, config.phase_slope)

@@ -39,9 +39,8 @@ sin^2(T1 + T2) R(45, 45) + sin^2(T1 - T2) R(45, -45), so the number of
 pairs adds no rate evaluations. Distinct pairs must have distinct table
 labels; an exact repeat of a pair is kept once, so every scan and counts
 table name appears once. The ``envelope`` and ``phase_rad`` columns are
-`spdcpol.biphoton.angular_envelope` and ``relative_phase`` evaluated over
-the whole grid in numpy, operation for operation, so they keep the scalar
-laws' bits. Scan, counts and visibility tables hold the float64 and int64
+`spdcpol.biphoton.angular_envelope` and ``relative_phase`` called on the
+whole grid. Scan, counts and visibility tables hold the float64 and int64
 arrays the run computes as their columns (see `spdcpol.output`); nothing
 is turned into rows on the way to CSV text.
 The visibility sweep reads every column from the two window moments M0 and
@@ -52,7 +51,9 @@ slope |B| L, so it needs no second cut solve.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
 the bare production crystal, pi / (|B| L) internal. Each sweep window and
 the pinhole are resolved to internal angles once, by one helper each, and
-`load_scenario` fences the domain on the same values `run_scenario` uses.
+`load_scenario` fences the domain on the same values `run_scenario` uses;
+the kernel integrates windows only, so it also refuses a narrowest window
+with no width in floating point.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ from pathlib import Path
 import numpy as np
 
 from .biphoton import (BellState, CompensatorPlacement, Orientation,
-                       SourceConfig, bell_angles)
+                       SourceConfig, angular_envelope, bell_angles,
+                       relative_phase)
 from .config import Section, parse_config
 from .crystal import _check_band, phase_matching_cut_angle
 from .errors import ConfigError, PhaseMatchingError, UniformStateError
@@ -471,12 +473,8 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                            spec.scan.points)
         theta_int = external_to_internal_angle(grid, spec.geometry,
                                                spec.source)
-        # biphoton.angular_envelope and relative_phase, operation for
-        # operation: sinc(x) = sin(x) / x with sinc(0) = 1, x = a theta.
-        x = spec.source.envelope_slope * theta_int
-        envelopes = np.divide(np.sin(x), x, out=np.ones_like(x),
-                              where=x != 0.0)
-        phases = spec.source.phase_slope * theta_int
+        envelopes = angular_envelope(theta_int, spec.source)
+        phases = relative_phase(theta_int, spec.source)
         even, odd = _reference_rates(theta_int, spec)
         for table_index, pair in enumerate(spec.scan.settings_deg):
             theta1, theta2 = map(math.radians, pair)

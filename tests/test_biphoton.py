@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,16 @@ def test_sinc_definition():
     assert sp.sinc(0.0) == 1.0
     assert sp.sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
     assert sp.sinc(1.0) == pytest.approx(math.sin(1.0), rel=1e-15)
+
+
+def test_sinc_is_elementwise_on_an_array():
+    x = np.array([0.0, 1.0, -2.5, math.pi, 1e-300, -40.0])
+    values = sp.sinc(x)
+    assert isinstance(values, np.ndarray) and values.shape == x.shape
+    assert values[0] == 1.0
+    np.testing.assert_allclose(values, [sp.sinc(float(v)) for v in x],
+                               rtol=1e-15, atol=1e-16)
+    assert type(sp.sinc(1.0)) is float
 
 
 # -------------------------------------------------------------------- state
@@ -179,9 +190,13 @@ def test_source_config_rejects_unmatched_cut(bbo):
 
 
 def test_source_config_derived_quantities(bare_config, production):
-    assert bare_config.degenerate_wavelength == 2.0 * PUMP
     b = sp.transverse_walkoff_B(production.material, 2.0 * PUMP,
                                 production.cut_angle)
-    assert bare_config.walkoff_B == b
+    assert bare_config.ordinary_index == sp.index_ordinary(
+        production.material, 2.0 * PUMP)
     assert bare_config.phase_slope == abs(b) * production.length
     assert bare_config.envelope_slope == abs(b) * production.length / 2.0
+    # the three numbers the physics reads, and no other derived field
+    assert [f.name for f in dataclasses.fields(sp.SourceConfig)
+            if not f.init] == ["ordinary_index", "envelope_slope",
+                               "phase_slope"]

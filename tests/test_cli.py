@@ -66,9 +66,16 @@ def test_main_calls_share_no_state(monkeypatch, tmp_path):
         assert cli.main(argv) == 0
     assert seen == [{**plain_run, "seed": 5}, plain_run,
                     {"command": "bell-angles", "spec": "fig2a",
-                     "state": "psi-", "out": out, "format": "csv",
-                     "seed": None},
+                     "state": "psi-", "out": out, "format": "csv"},
                     plain_run]
+
+
+def test_bell_angles_takes_no_seed(capsys):
+    # a Bell table never reads the seed
+    with pytest.raises(SystemExit) as info:
+        cli.main(["bell-angles", "fig2a", "--state", "psi+", "--seed", "1"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_run_unknown_spec_exits_2(tmp_path, capsys):

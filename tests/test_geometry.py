@@ -29,7 +29,7 @@ def test_conversions_read_the_source_ordinary_index(bare_config,
                                                     monkeypatch):
     # n_o(lambda_d) is a derived field of the source, evaluated once
     n_o = sp.index_ordinary(bare_config.production.material,
-                            bare_config.degenerate_wavelength)
+                            2.0 * bare_config.pump_wavelength)
     assert bare_config.ordinary_index == n_o
     geometry = sp.GeometryConfig(lens_focal_length=0.5, ambient_index=1.25)
     calls = []

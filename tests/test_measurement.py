@@ -166,6 +166,35 @@ def test_visibility_point_window_is_one(bare_config):
         pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("source", ["bare", "compensated",
+                                    "anticompensated"])
+def test_point_window_is_the_integrands_at_its_center(source, request):
+    # Halfwidth 0 is the one-window functions' point: C++ = w cos^2(phi/2),
+    # C+- = w sin^2(phi/2), and the coherence M1 / (2 M0) = e^{i phi} / 2,
+    # all at the center, against 30-digit mpmath.
+    config = request.getfixturevalue(f"{source}_config")
+    for center in (0.0, 6.75e-3, 0.05, 0.1, -0.1):
+        window = sp.AngularWindow(center, 0.0)
+        with mpmath.workdps(30):
+            x = mpmath.mpf(config.envelope_slope) * center
+            weight = (mpmath.sin(x) / x) ** 2 if x else mpmath.mpf(1)
+            phi = mpmath.mpf(config.phase_slope) * center
+            c_pp = weight * mpmath.cos(phi / 2) ** 2
+            c_pm = weight * mpmath.sin(phi / 2) ** 2
+            want = [complex(value) for value in (
+                c_pp, c_pm, abs(c_pp - c_pm) / (c_pp + c_pm),
+                weight * mpmath.expj(phi) / (2 * weight))]
+        got = (sp.window_coincidences(sp.PolarizerSettings(P45, P45),
+                                      window, config),
+               sp.window_coincidences(sp.PolarizerSettings(P45, -P45),
+                                      window, config),
+               sp.visibility(window, config),
+               sp.aperture_density_matrix(window, config).matrix[2, 1])
+        for index, (value, exact) in enumerate(zip(got, want)):
+            assert abs(value - exact) <= 1e-12 * abs(exact) + 1e-15, \
+                (center, index)
+
+
 def test_visibility_compensated_window_independent(compensated_config):
     lobe = math.pi / compensated_config.envelope_slope
     for k in range(1, 11):
@@ -198,9 +227,9 @@ def test_visibility_against_dense_trapezoid(bare_config):
 
 
 def test_visibility_undefined_when_counts_vanish(bare_config, monkeypatch):
-    # the kernel finds no weight at the point
-    monkeypatch.setattr(measurement, "_window_moments",
-                        lambda *args: measurement._Moments(*np.zeros((5, 1))))
+    # the integrands find no weight at the point
+    monkeypatch.setattr(measurement, "_integrands",
+                        lambda *args: np.zeros((3, 1, 1, 1)))
     with pytest.raises(sp.UndefinedVisibilityError):
         sp.visibility(sp.AngularWindow(0.0, 0.0), bare_config)
 
@@ -335,9 +364,9 @@ def test_window_kernel_reports_unmet_tolerance(anticompensated_config,
 
 # --------------------------------------------------- batched window kernel
 
-# (center, halfwidth) internal: a point, a window straddling theta = 0, one
-# far off axis, a wide one and fig2c's 6.75 +- 0.57 mrad.
-_MIXED_WINDOWS = ((2e-3, 0.0), (1e-3, 3e-3), (0.09, 0.005), (0.02, 0.079),
+# (center, halfwidth) internal: a window straddling theta = 0, one far off
+# axis, a wide one and fig2c's 6.75 +- 0.57 mrad.
+_MIXED_WINDOWS = ((1e-3, 3e-3), (0.09, 0.005), (0.02, 0.079),
                   (6.75e-3, 0.57e-3))
 
 
@@ -477,7 +506,7 @@ def test_windows_without_envelope_match_the_closed_forms(phase_slope):
 
 def test_batch_names_the_window_that_fails(anticompensated_config,
                                            monkeypatch):
-    centers, halfwidths = np.array(_MIXED_WINDOWS[1:]).T
+    centers, halfwidths = np.array(_MIXED_WINDOWS).T
     lo, hi = centers - halfwidths, centers + halfwidths
     slopes = (anticompensated_config.envelope_slope,
               anticompensated_config.phase_slope)
@@ -506,6 +535,12 @@ def test_batch_names_the_window_that_fails(anticompensated_config,
         measurement._window_moments(np.array([0.0, 1e-3, 5e-3]),
                                     np.array([2e-3, 1e-20, 1e-3]), *slopes)
     assert "[0.001, 0.001]" in str(info.value)
+    assert info.value.achieved == math.inf
+    # the kernel integrates windows only: halfwidth 0 has no weight
+    with pytest.raises(sp.QuadratureError) as info:
+        measurement._window_moments(np.array([0.0, 2e-3, 5e-3]),
+                                    np.array([2e-3, 0.0, 1e-3]), *slopes)
+    assert "[0.002, 0.002]" in str(info.value)
     assert info.value.achieved == math.inf
 
 
