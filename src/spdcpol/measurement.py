@@ -121,9 +121,10 @@ class DensityMatrix4:
 # half-order rule whose difference from it is the error estimate.
 _GL_ORDER = 32
 _GL_CHECK_ORDER = 16
-# Panels per pass: a pass of 2**13 panels of 48 nodes peaks near 51 MB for
-# one phase law and 32 MB more for each further law, and one window of a
-# 12 cm BBO crystal over the whole model domain fits in a pass.
+# Panels per pass: 2**13 panels of 48 nodes peak near 51 MB for one phase
+# law and 32 MB more for each further law. A pass holds a whole-domain
+# window of a bare or compensated BBO source up to about 25 cm long, and of
+# one anticompensated by half its length up to about 12.7 cm.
 _MAX_PANELS = 1 << 13
 
 
@@ -287,24 +288,25 @@ def _panel_pass(lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
 def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
                     envelope_slope: float, phase_slopes) -> _Moments:
     """Both moments of every window [c_i - h_i, c_i + h_i] under every
-    phase law in one pass, with each window's error and panels.
+    phase law, with each window's error and panels.
 
     The weight is w = sinc^2(a theta), a = ``envelope_slope``; a law's
     phase is k theta, and ``phase_slopes`` is one k or a sequence, whose
     shape every moment and error takes before its window axis. One grid of
     step pi / (a m), m = max(1, ceil(K / 2a)) for the largest |k| = K, cuts
     each window into panels at the grid points inside it: it holds every
-    sinc zero, and no panel spans more than one period of any law. All
-    panels take one 32-point Gauss-Legendre pass (several beyond
-    ``_MAX_PANELS``) with w evaluated once per node, and the 16-point rule
-    on the same panels gives the error estimate.
+    sinc zero, and no panel spans more than one period of any law. The
+    windows go in order through 32-point Gauss-Legendre passes, in equal
+    runs of ``_MAX_PANELS`` // (the widest window's panels) windows, with w
+    evaluated once per node; a batch that fits takes one pass. The 16-point
+    rule on the same panels gives the error estimate.
 
     The kernel integrates windows only; a point is ``_one_window``'s. An
     error names the first window that fails: ValueError outside the model
-    domain; QuadratureError for more than ``_MAX_PANELS`` panels, or for an
-    error estimate above ``QUAD_TOL`` * M0 or an M0 that is not positive (a
-    window of halfwidth 0, or narrower than float resolution) under some
-    law.
+    domain; QuadratureError for a window of more than ``_MAX_PANELS``
+    panels, or for an error estimate above ``QUAD_TOL`` * M0 or an M0 that
+    is not positive (a window of halfwidth 0, or narrower than float
+    resolution) under some law.
     """
     centers = np.asarray(centers, dtype=float)
     halfwidths = np.asarray(halfwidths, dtype=float)
@@ -322,33 +324,21 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
     else:  # one phase period, or with no phase the model domain
         step = 2.0 * math.pi / k if k > 0.0 else 2.0 * MAX_SUPPORTED_ANGLE
     lo, hi = centers - halfwidths, centers + halfwidths
-    # A bound on each window's panels, checked before any memory is asked for.
-    bound = (hi - lo) * (a / math.pi + k / (2.0 * math.pi)) + 2.0
-    if not bound.max() <= _MAX_PANELS:
-        big = int(np.argmax(~(bound <= _MAX_PANELS)))
-        raise QuadratureError(
-            f"window quadrature on [{lo[big]}, {hi[big]}] rad needs about "
-            f"{bound[big]:.3g} panels, more than the limit of {_MAX_PANELS}")
     first = np.floor(lo / step)
-    panels = np.maximum(np.ceil(hi / step) - first, 1.0).astype(int)
-    # The common case, one pass, skips the planning below: that takes 4.5 %
-    # off window_sweep's median op (BENCH_20.json).
-    if panels.sum() <= _MAX_PANELS:
-        sums, error = _panel_pass(lo, hi, first, panels, step, rates)
-    else:
-        sums = np.empty((3, len(laws), centers.size))
-        error = np.empty(sums.shape[1:])
-        reach = np.cumsum(panels)
-        start = 0
-        while start < centers.size:
-            # Each window fits alone, so every pass takes at least one.
-            stop = int(np.searchsorted(
-                reach, (reach[start - 1] if start else 0) + _MAX_PANELS,
-                side="right"))
-            sums[..., start:stop], error[:, start:stop] = _panel_pass(
-                lo[start:stop], hi[start:stop], first[start:stop],
-                panels[start:stop], step, rates)
-            start = stop
+    counts = np.maximum(np.ceil(hi / step) - first, 1.0)
+    if not counts.max() <= _MAX_PANELS:  # before any memory is asked for
+        big = int(np.argmax(~(counts <= _MAX_PANELS)))
+        raise QuadratureError(
+            f"window quadrature on [{lo[big]}, {hi[big]}] rad needs "
+            f"{counts[big]:.0f} panels, more than the limit of {_MAX_PANELS}")
+    panels = counts.astype(int)
+    run = _MAX_PANELS // int(panels.max())
+    sums = np.empty((3, len(laws), centers.size))
+    error = np.empty(sums.shape[1:])
+    for start in range(0, centers.size, run):
+        part = slice(start, start + run)
+        sums[..., part], error[:, part] = _panel_pass(
+            lo[part], hi[part], first[part], panels[part], step, rates)
     if not error.max() <= QUAD_TOL:
         worst = error.max(axis=0)
         bad = int(np.argmax(~(worst <= QUAD_TOL)))

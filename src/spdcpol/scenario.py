@@ -23,7 +23,8 @@ both angle columns.
     [visibility] points, max_halfwidth = first_singlet |
                  max_halfwidth_mrad = <external mrad>,
                  center_mrad (optional), compare_uncompensated (optional)
-    [counts]     duration_s, peak_rate_hz, accidental_rate_hz (optional)
+    [counts]     duration_s, peak_rate_hz, accidental_rate_hz (optional);
+                 needs [scan], whose rates it draws counts from
 
 Presets ``fig2a`` (bare 1 mm BBO source, 351 nm pump), ``fig2b`` (0.5 mm
 compensator), ``fig2c`` (0.5 mm anti-compensator) and ``fig3`` (visibility
@@ -384,6 +385,9 @@ def load_scenario(source: str | Path, seed: int | None = None,
     counts_spec = None
     if "counts" in by_name:
         sec = by_name["counts"]
+        if scan_spec is None:
+            raise sec.error("[counts] draws counts from the scan rates and "
+                            "needs a [scan] section")
         counts_spec = CountsSpec(
             duration=sec.get_float("duration_s"),
             peak_rate=sec.get_float("peak_rate_hz"),

@@ -351,15 +351,46 @@ def test_window_kernel_reports_unmet_tolerance(anticompensated_config,
         sp.visibility(sp.AngularWindow(1e-3, 1e-20), anticompensated_config)
     assert info.value.achieved == math.inf
     assert info.value.requested == measurement.QUAD_TOL
-    # a 25 cm crystal over the whole domain needs about twice the panels
-    # the kernel builds; it refuses before allocating them
+    # a bare 26 cm crystal over the whole domain needs more panels than a
+    # pass holds; the kernel names the count and refuses before allocating
     bbo = sp.get_material("bbo")
     cut = anticompensated_config.production.cut_angle
     long_source = sp.SourceConfig(
-        production=bbo.crystal(cut_angle=cut, length=0.25),
+        production=bbo.crystal(cut_angle=cut, length=0.26),
         pump_wavelength=351e-9)
-    with pytest.raises(sp.QuadratureError, match="panels"):
+    step = math.pi / long_source.envelope_slope
+    count = math.ceil(0.1 / step) - math.floor(-0.1 / step)
+    assert count > measurement._MAX_PANELS
+    with pytest.raises(sp.QuadratureError, match=f"needs {count} panels"):
         sp.visibility(sp.AngularWindow(0.0, 0.1), long_source)
+
+
+def test_whole_domain_windows_of_long_sources_fit_one_pass(production):
+    # The kernel refuses a window only when its own panel count exceeds
+    # _MAX_PANELS: the whole domain of a bare 20 cm source and of a 10 cm
+    # source anticompensated by 5 cm takes 6452 panels each. M0 depends on
+    # the envelope slope a alone: int_{-H}^{H} sinc^2(a theta) = (2 / a)
+    # (Si(2 a H) - sin^2(a H) / (a H)).
+    bbo = sp.get_material("bbo")
+
+    def crystal(length):
+        return bbo.crystal(cut_angle=production.cut_angle, length=length)
+    anticompensator = sp.CompensatorPlacement(
+        crystal(0.05), sp.Orientation.ANTICOMPENSATING)
+    for source in (sp.SourceConfig(production=crystal(0.2),
+                                   pump_wavelength=351e-9),
+                   sp.SourceConfig(production=crystal(0.1),
+                                   pump_wavelength=351e-9,
+                                   compensators=(anticompensator,))):
+        moments = measurement._window_moments(
+            np.array([0.0]), np.array([0.1]), source.envelope_slope,
+            source.phase_slope)
+        assert 6000 < moments.panels[0] <= measurement._MAX_PANELS
+        with mpmath.workdps(30):
+            a, edge = mpmath.mpf(source.envelope_slope), mpmath.mpf(0.1)
+            want = float(2 / a * (mpmath.si(2 * a * edge)
+                                  - mpmath.sin(a * edge) ** 2 / (a * edge)))
+        assert abs(moments.m0[0] - want) <= 1e-12 * want
 
 
 # --------------------------------------------------- batched window kernel
@@ -400,7 +431,7 @@ def test_one_kernel_call_matches_one_window_calls(bare_config,
 def test_batch_beyond_the_panel_limit_runs_in_passes(anticompensated_config,
                                                      monkeypatch):
     # a 20 cm crystal: each 0.1 rad window needs about 3200 panels, so one
-    # pass cannot hold all four
+    # pass cannot hold all four and the kernel runs them two to a pass
     bbo = sp.get_material("bbo")
     long_source = sp.SourceConfig(
         production=bbo.crystal(

@@ -468,6 +468,26 @@ def test_counts_change_with_seed(tmp_path):
     assert rows_a != rows_b
 
 
+def test_counts_without_a_scan_exit_2_at_the_counts_line(tmp_path, capsys):
+    # counts are drawn from the scan rates, so [counts] needs a [scan]
+    path = tmp_path / "scenario.cfg"
+    path.write_text(COUNTS.replace(
+        "[scan]\ntheta_ext_min_mrad = -2\ntheta_ext_max_mrad = 2\n"
+        "points = 11\nsettings_deg = 45 45\n",
+        "[visibility]\npoints = 2\n"))
+    with pytest.raises(sp.ConfigError, match=r"needs a \[scan\]") as info:
+        sp.load_scenario(path)
+    assert info.value.line == 15
+    out = tmp_path / "out"
+    for argv in (["run", str(path), "--out", str(out)],
+                 ["bell-angles", str(path), "--state", "psi+"]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:15:" in err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_an_exact_repeated_pair_gives_each_table_once(tmp_path):
     # each counts table draws from (seed, table index): a repeated pair once
     # gave a second, different counts table under the same name
