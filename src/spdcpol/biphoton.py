@@ -115,8 +115,9 @@ class SourceConfig:
     Derived fields, all at the degenerate wavelength 2 lambda_p:
     ``ordinary_index`` (n_o of the production crystal, the lab <-> internal
     angle scale), ``envelope_slope`` (|B| L / 2 of the production crystal,
-    the sinc argument per radian) and ``phase_slope`` (d phi / d theta,
-    including compensators; an overflow is a ValueError).
+    the sinc argument per radian; an infinite first zero pi / slope is a
+    ValueError) and ``phase_slope`` (d phi / d theta, including
+    compensators; an overflow is a ValueError).
     """
 
     production: UniaxialCrystal
@@ -145,10 +146,13 @@ class SourceConfig:
             slope += placement.orientation.sign * 2.0 * abs(b) * comp.length
         if not math.isfinite(slope):  # also catches an overflowed |B| L / 2
             raise ValueError(f"crystal too long: the phase slope is {slope:g}")
+        envelope_slope = abs(b_prod) * production.length / 2.0
+        if envelope_slope > 0.0 and math.pi / envelope_slope == math.inf:
+            raise ValueError(f"crystal too short: the first sinc zero is "
+                             f"pi / {envelope_slope:g} = inf")
         object.__setattr__(self, "ordinary_index",
                            index_ordinary(production.material, degenerate))
-        object.__setattr__(self, "envelope_slope",
-                           abs(b_prod) * production.length / 2.0)
+        object.__setattr__(self, "envelope_slope", envelope_slope)
         object.__setattr__(self, "phase_slope", slope)
 
 

@@ -8,7 +8,7 @@
 fig3). ``bell-angles`` without ``--out`` prints the table to stdout in the
 chosen format and any note to stderr. Exit codes: 0 success, 2 configuration
 error (an unreadable scenario or an unwritable ``--out`` included),
-3 numerical-convergence error.
+3 any other spdcpol error, all of them numerical.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .biphoton import BellState
-from .errors import ConfigError, PhaseMatchingError, QuadratureError
+from .errors import ConfigError, SpdcpolError
 from .materials import builtin_materials
 from .output import _serialize, write_table
 from .scenario import PRESETS, list_bell_angles, load_scenario, run_scenario
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, PhaseMatchingError) as exc:
+    except SpdcpolError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 

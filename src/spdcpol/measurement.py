@@ -395,9 +395,15 @@ def window_coincidences(settings: PolarizerSettings, window: AngularWindow,
     estimate relative to M0.
     """
     moments = _one_window(window, config)
+    return _analyzer_mix(settings, moments.even, moments.odd)
+
+
+def _analyzer_mix(settings: PolarizerSettings, even, odd):
+    """sin^2(T1 + T2) even + sin^2(T1 - T2) odd: the rate at ``settings``
+    from the (45, 45) and (45, -45) rates, floats or arrays alike."""
     s_sum = math.sin(settings.theta1 + settings.theta2)
     s_diff = math.sin(settings.theta1 - settings.theta2)
-    return s_sum * s_sum * moments.even + s_diff * s_diff * moments.odd
+    return s_sum * s_sum * even + s_diff * s_diff * odd
 
 
 def visibility_from_counts(c_pp: float, c_pm: float) -> float:

@@ -31,11 +31,13 @@ compensator), ``fig2c`` (0.5 mm anti-compensator) and ``fig3`` (visibility
 vs pinhole halfwidth, compensated with uncompensated baseline) ship with the
 package and can be passed to the CLI by name.
 
-Scan rates average the two-point Gauss rule across the angular width the
-pinhole diameter subtends (point evaluation for a zero-diameter pinhole);
-a scan edge plus half that width must stay inside the model domain. A scan
-evaluates the two reference rates R(45, 45) and R(45, -45) once per Gauss
-node and point, and each settings pair's rate column is the linear mix
+Scan rates average the pinhole as a slit in the scan-plane angle, like
+sweep windows: two Gauss nodes theta +- h / sqrt(3), h the internal
+half-width the pinhole diameter subtends, or the one node theta for a zero
+diameter (whether to average a disk instead is open); a scan edge plus h
+must stay inside the model domain. A scan evaluates the two reference rates
+R(45, 45) and R(45, -45) once per Gauss node and point, and each settings
+pair's rate column is the linear mix
 sin^2(T1 + T2) R(45, 45) + sin^2(T1 - T2) R(45, -45), so the number of
 pairs adds no rate evaluations. Distinct pairs must have distinct table
 labels; an exact repeat of a pair is kept once, so every scan and counts
@@ -71,13 +73,15 @@ from .biphoton import (BellState, CompensatorPlacement, Orientation,
                        SourceConfig, angular_envelope, bell_angles,
                        relative_phase)
 from .config import Section, parse_config
-from .crystal import _check_band, phase_matching_cut_angle
-from .errors import ConfigError, PhaseMatchingError, UniformStateError
+from .crystal import phase_matching_cut_angle
+from .errors import (ConfigError, OutOfBandError, PhaseMatchingError,
+                     UniformStateError)
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import MaterialRecord, get_material
 from .measurement import (MAX_SUPPORTED_ANGLE, PolarizerSettings,
-                          _sweep_columns, coincidence_rate, simulate_counts)
+                          _analyzer_mix, _sweep_columns, coincidence_rate,
+                          simulate_counts)
 from .output import Table
 
 PRESETS = ("fig2a", "fig2b", "fig2c", "fig3")
@@ -290,19 +294,21 @@ def load_scenario(source: str | Path, seed: int | None = None,
             comp_cut = cut
         try:
             comp_crystal = comp_material.crystal(comp_cut, comp_length)
-            _check_band(comp_material, 2.0 * pump)  # SourceConfig reads B there
         except ValueError as exc:
             raise sec.error(f"invalid compensator crystal: {exc}")
         compensators.append(CompensatorPlacement(comp_crystal, orientation))
 
     try:
         source_config = SourceConfig(production, pump, tuple(compensators))
-    except ValueError as exc:
-        # Blame the first crystal whose length overflows the phase slope.
+    except ValueError:
+        # Blame the first crystal in beam order whose prefix SourceConfig
+        # refuses, with that prefix's own refusal (its band or its length).
         for count, sec in enumerate([src, *compensator_sections]):
             try:
                 SourceConfig(production, pump, tuple(compensators[:count]))
-            except ValueError:
+            except OutOfBandError as exc:
+                raise sec.error(f"invalid compensator crystal: {exc}")
+            except ValueError as exc:
                 raise sec.error(str(exc), key="length_mm")
 
     geo = by_name["geometry"]
@@ -330,11 +336,9 @@ def load_scenario(source: str | Path, seed: int | None = None,
         edge_int = external_to_internal_angle(max(-lo, hi), geometry,
                                               source_config)
         _fence(sec, edge_key, "scan", edge_int)
-        # Scan rates sample the pinhole's width around every scan point;
-        # its half-width is sqrt(3) times the Gauss node offset.
+        # Scan rates average the pinhole's half-width around every point.
         _fence(geo, "pinhole_diameter_um", "the pinhole at the scan edge",
-               edge_int + math.sqrt(3.0) * _pinhole_gauss_offset(
-                   geometry, source_config))
+               edge_int + _pinhole_halfwidth(geometry, source_config))
         scan_spec = ScanSpec(theta_ext_min=lo, theta_ext_max=hi,
                              points=points,
                              settings_deg=_parse_settings(sec))
@@ -422,32 +426,24 @@ def _settings_label(pair: tuple[float, float]) -> str:
     return f"{pair[0]:g}_{pair[1]:g}"
 
 
-def _reference_rates(theta_int: np.ndarray,
-                     spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
+def _reference_rates(theta_int: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     # The pinhole-averaged rates R(45, 45) and R(45, -45) at every scan
-    # point, each node's even and odd half: one coincidence_rate call per
-    # reference, Gauss node and point (the points themselves for a point
-    # detector).
-    gauss_offset = _pinhole_gauss_offset(spec.geometry, spec.source)
-    nodes = (theta_int if gauss_offset == 0.0 else
-             np.concatenate((theta_int - gauss_offset,
-                             theta_int + gauss_offset))).tolist()
+    # point, the mean over the Gauss nodes +/- h / sqrt(3) (0 for a point
+    # detector): one coincidence_rate call per reference, node and point.
+    node = _pinhole_halfwidth(spec.geometry, spec.source) / math.sqrt(3.0)
+    offsets = (-node, node) if node else (0.0,)
+    nodes = np.concatenate([theta_int + offset for offset in offsets])
     rates = np.array([coincidence_rate(t, settings, spec.source)
-                      for settings in _REFERENCES for t in nodes])
-    if gauss_offset == 0.0:
-        return tuple(rates.reshape(2, -1))
-    (even_lo, even_hi), (odd_lo, odd_hi) = rates.reshape(2, 2, -1)
-    return 0.5 * (even_lo + even_hi), 0.5 * (odd_lo + odd_hi)
+                      for settings in _REFERENCES for t in nodes.tolist()])
+    return rates.reshape(2, len(offsets), -1).mean(axis=1)
 
 
-def _pinhole_gauss_offset(geometry: GeometryConfig,
-                          source: SourceConfig) -> float:
-    # Two-point Gauss rule across the internal angular width the pinhole
-    # diameter subtends: nodes at +/- width / (2 sqrt(3)).
-    width_int = external_to_internal_angle(
-        geometry.pinhole_diameter / geometry.lens_focal_length, geometry,
-        source)
-    return width_int / (2.0 * math.sqrt(3.0))
+def _pinhole_halfwidth(geometry: GeometryConfig,
+                       source: SourceConfig) -> float:
+    # The internal half-width h of the angle the pinhole diameter subtends.
+    return external_to_internal_angle(
+        geometry.pinhole_diameter / (2.0 * geometry.lens_focal_length),
+        geometry, source)
 
 
 def _sweep_window(vspec: VisibilitySpec, geometry: GeometryConfig,
@@ -481,10 +477,8 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
         phases = relative_phase(theta_int, spec.source)
         even, odd = _reference_rates(theta_int, spec)
         for table_index, pair in enumerate(spec.scan.settings_deg):
-            theta1, theta2 = map(math.radians, pair)
-            s_sum = math.sin(theta1 + theta2)
-            s_diff = math.sin(theta1 - theta2)
-            rates = s_sum * s_sum * even + s_diff * s_diff * odd
+            rates = _analyzer_mix(
+                PolarizerSettings(*map(math.radians, pair)), even, odd)
             tables.append(Table(
                 name=f"{spec.name}_scan_{_settings_label(pair)}",
                 columns=SCAN_COLUMNS,

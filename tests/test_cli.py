@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import spdcpol
 import spdcpol.cli as cli
-from spdcpol.errors import QuadratureError
+from spdcpol.errors import (PhaseMatchingError, QuadratureError,
+                            StateInvariantError)
 
 
 def test_run_preset_writes_csv(tmp_path, capsys):
@@ -102,10 +103,12 @@ lens_focal_length_mm = 500
     assert "bad.cfg:2" in err
 
 
-def test_numerics_failure_exits_3(monkeypatch, capsys):
+@pytest.mark.parametrize("error", [QuadratureError, PhaseMatchingError,
+                                   StateInvariantError])
+def test_numerics_failure_exits_3(monkeypatch, capsys, error):
+    # every spdcpol error but a ConfigError is numerical
     def boom(spec):
-        raise QuadratureError("synthetic non-convergence", achieved=1e-6,
-                              requested=1e-10)
+        raise error("synthetic numerical failure")
 
     monkeypatch.setattr(cli, "run_scenario", boom)
     code = cli.main(["run", "fig2a"])
@@ -209,8 +212,8 @@ accidental_rate_hz = 5
 """
 FUZZ_KEY_LINES = [i for i, line in enumerate(FUZZ_BASE.splitlines())
                   if "=" in line]
-HOSTILE = ("nan", "inf", "-1", "0", "1e60", "1e-20", "1e308", str(10**12),
-           "abc")
+HOSTILE = ("nan", "inf", "-1", "0", "1e60", "1e-20", "1e-320", "1e308",
+           str(10**12), "abc")
 
 
 @settings(max_examples=300, deadline=None)
@@ -245,6 +248,32 @@ def test_an_overflowing_crystal_length_exits_2_at_its_line(tmp_path, capsys,
                      *command[1:]]) == 2
     err = capsys.readouterr().err
     assert f"{scenario}:{line + 1}: crystal too long" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"],
+                                     ["bell-angles", "--state", "psi+"],
+                                     ["bell-angles", "--state", "psi-"]])
+@pytest.mark.parametrize("source", ["bare", "anticompensated"])
+def test_a_crystal_too_short_for_its_sinc_exits_2_at_its_line(
+        tmp_path, capsys, source, command):
+    # |B| L / 2 is subnormal: the first sinc zero, the first Bell angle and
+    # the window grid step are infinite, and the source length is named
+    blocks = FUZZ_BASE.split("\n\n")
+    if source == "bare":
+        blocks = [b for b in blocks if not b.startswith("[compensator]")]
+    lines = "\n\n".join(blocks).splitlines()
+    line = lines.index("length_mm = 1.0")
+    lines[line] = "length_mm = 1e-320"
+    scenario = tmp_path / "thin.cfg"
+    scenario.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert cli.main([command[0], str(scenario), "--out", str(out),
+                     *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert f"{scenario}:{line + 1}: crystal too short" in err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert not out.exists()

@@ -175,8 +175,8 @@ def test_fig2a_tables(geometry):
     center = len(theta_ext) // 2
     # on axis the crossed rate is tiny but not zero: the finite pinhole
     # admits neighbouring modes whose phase already differs
-    from spdcpol.scenario import _pinhole_gauss_offset
-    delta = _pinhole_gauss_offset(spec.geometry, spec.source)
+    from spdcpol.scenario import _pinhole_halfwidth
+    delta = _pinhole_halfwidth(spec.geometry, spec.source) / math.sqrt(3.0)
     expected_center = math.sin(spec.source.phase_slope * delta / 2.0) ** 2 \
         * sp.sinc(spec.source.envelope_slope * delta) ** 2
     assert rate_pm[center] == pytest.approx(expected_center, rel=1e-12)
@@ -201,8 +201,8 @@ def test_fig2b_scan_suppressed_and_envelope_shaped():
     assert _column(crossed, "rate_arb").max() < 1e-12
     parallel = _table(tables, "fig2b_scan_45_45")
     # with a flat phase the parallel curve is the pinhole-averaged envelope^2
-    from spdcpol.scenario import _pinhole_gauss_offset
-    delta = _pinhole_gauss_offset(spec.geometry, spec.source)
+    from spdcpol.scenario import _pinhole_halfwidth
+    delta = _pinhole_halfwidth(spec.geometry, spec.source) / math.sqrt(3.0)
     for row in parallel.rows[:: len(parallel.rows) // 17]:
         theta_int = row[1]
         expected = 0.5 * (sp.angular_envelope(theta_int - delta, spec.source) ** 2
@@ -261,8 +261,8 @@ def test_scan_at_general_settings_is_linear_in_the_reference_rates(tmp_path):
             .replace("settings_deg = 45 45",
                      "settings_deg = 45 45; 45 -45; 0 90; 30 -60; 100 25"))
     spec = _load_text(tmp_path, text)
-    from spdcpol.scenario import _pinhole_gauss_offset
-    delta = _pinhole_gauss_offset(spec.geometry, spec.source)
+    from spdcpol.scenario import _pinhole_halfwidth
+    delta = _pinhole_halfwidth(spec.geometry, spec.source) / math.sqrt(3.0)
     assert delta > 0.0
     tables = sp.run_scenario(spec)
     reference = {pair: _column(_table(tables, f"demo_scan_{pair}"), "rate_arb")
@@ -310,7 +310,8 @@ def test_scans_evaluate_the_two_reference_rates_once_per_node(tmp_path,
         assert len(calls) == 2 * nodes * points
         assert set(calls) == {sp.PolarizerSettings(P45, P45),
                               sp.PolarizerSettings(P45, -P45)}
-        delta = scenario._pinhole_gauss_offset(spec.geometry, spec.source)
+        delta = (scenario._pinhole_halfwidth(spec.geometry, spec.source)
+                 / math.sqrt(3.0))
         for deg2 in (45, -45):
             settings = sp.PolarizerSettings(P45, math.radians(deg2))
             table = _table(tables, f"demo_scan_45_{deg2}")
@@ -821,6 +822,21 @@ def test_a_compensator_outside_its_band_is_refused_at_its_section(tmp_path):
         _load_text(tmp_path, text, catalogue={"bbo": bbo, "short": short})
     assert "invalid compensator crystal: wavelength 702 nm" in str(info.value)
     assert info.value.line == text.splitlines().index("[compensator]") + 1
+
+
+def test_the_first_refused_crystal_in_beam_order_is_blamed(tmp_path):
+    # compensator 1 overflows the phase slope and compensator 2 is read out
+    # of its band: the load names compensator 1, with its own refusal
+    bbo = sp.builtin_materials()["bbo"]
+    short = dataclasses.replace(bbo, name="short", band=(0.3e-6, 0.6e-6))
+    text = (BASE
+            + COMPENSATOR.format(length="1e308", orientation="compensating")
+            + COMPENSATOR.format(length="0.5", orientation="compensating")
+            .replace("material = bbo", "material = short"))
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text, catalogue={"bbo": bbo, "short": short})
+    assert "crystal too long" in str(info.value)
+    assert info.value.line == text.splitlines().index("length_mm = 1e308") + 1
 
 
 def test_a_scenario_load_checks_no_dispersion_data(monkeypatch):
