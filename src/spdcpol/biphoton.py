@@ -198,8 +198,10 @@ def bell_angles(config: SourceConfig, which: BellState,
                 max_order: int = 5) -> BellAngleSet:
     """Scattering angles where the state is exactly the requested Bell state.
 
-    Solves phi(theta) = 0 mod 2 pi (Psi+) or pi mod 2 pi (Psi-) for
-    theta >= 0, up to ``max_order`` solutions, with the envelope at each.
+    Solves phi(theta) = pi (2 n + delta), delta = 0 for Psi+ and 1 for
+    Psi-, for n = 0, 1, ..., up to ``max_order`` solutions theta >= 0, with
+    the envelope at each; the list stops before the first angle whose sinc
+    argument, or the angle itself, overflows.
     On a fully compensated (flat-phase) configuration Psi+ returns theta = 0
     flagged uniform and Psi- raises UniformStateError.
     """
@@ -213,11 +215,12 @@ def bell_angles(config: SourceConfig, which: BellState,
                 "is identically zero, Psi- never appears")
         return BellAngleSet(uniform=True,
                             angles=(BellAngle(theta=0.0, envelope=1.0),))
-    if which is BellState.PSI_PLUS:
-        targets = [2.0 * math.pi * k for k in range(max_order)]
-    else:
-        targets = [math.pi * (2 * k + 1) for k in range(max_order)]
-    angles = tuple(BellAngle(theta=t / slope,
-                             envelope=angular_envelope(t / slope, config))
-                   for t in targets)
-    return BellAngleSet(uniform=False, angles=angles)
+    delta = 0 if which is BellState.PSI_PLUS else 1
+    angles = []
+    for n in range(max_order):
+        theta = math.pi * (2 * n + delta) / slope
+        if not math.isfinite(config.envelope_slope * theta):
+            break  # beyond float range, as is every later angle
+        angles.append(BellAngle(theta=theta,
+                                envelope=angular_envelope(theta, config)))
+    return BellAngleSet(uniform=False, angles=tuple(angles))

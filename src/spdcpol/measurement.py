@@ -91,30 +91,27 @@ def coincidence_rate(theta: float, settings: PolarizerSettings,
 
 @dataclass(frozen=True)
 class DensityMatrix4:
-    """4x4 Hermitian unit-trace positive matrix over (HH, HV, VH, VV)."""
+    """4x4 Hermitian unit-trace positive matrix over (HH, HV, VH, VV),
+    checked when built and kept as a read-only copy, so it stays valid."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (4, 4):
             raise StateInvariantError(f"expected a 4x4 matrix, got {mat.shape}")
-        object.__setattr__(self, "matrix", mat)
-
-    def validate(self) -> "DensityMatrix4":
-        mat = self.matrix
-        if float(np.max(np.abs(mat - mat.conj().T))) > HERMITICITY_TOL:
+        if not float(np.max(np.abs(mat - mat.conj().T))) <= HERMITICITY_TOL:
             raise StateInvariantError("density matrix not Hermitian")
-        if abs(float(mat.trace().real) - 1.0) > TRACE_TOL or \
-                abs(float(mat.trace().imag)) > TRACE_TOL:
-            raise StateInvariantError(
-                f"density matrix trace {mat.trace()} != 1")
+        trace = mat.trace()
+        if not abs(trace - 1.0) <= TRACE_TOL:
+            raise StateInvariantError(f"density matrix trace {trace} != 1")
         eigenvalues = np.linalg.eigvalsh(mat)
         if float(eigenvalues.min()) < -PSD_TOL:
             raise StateInvariantError(
                 f"density matrix not positive: min eigenvalue "
                 f"{eigenvalues.min():.3e}")
-        return self
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
 
 
 # Gauss-Legendre orders of the window kernel: the integral and the
@@ -292,10 +289,12 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
 
     The weight is w = sinc^2(a theta), a = ``envelope_slope``; a law's
     phase is k theta, and ``phase_slopes`` is one k or a sequence, whose
-    shape every moment and error takes before its window axis. One grid of
-    step pi / (a m), m = max(1, ceil(K / 2a)) for the largest |k| = K, cuts
-    each window into panels at the grid points inside it: it holds every
-    sinc zero, and no panel spans more than one period of any law. The
+    shape every moment and error takes before its window axis. One grid
+    cuts each window into panels at the grid points inside it, so that no
+    panel spans more than one period of any law: of step pi / (a m),
+    m = max(1, ceil(K / 2a)) for the largest |k| = K, which holds every
+    sinc zero, when the first zero pi / a lies in the model domain, and
+    otherwise of step 2 pi / K (the domain width for K = 0). The
     windows go in order through 32-point Gauss-Legendre passes, in equal
     runs of ``_MAX_PANELS`` // (the widest window's panels) windows, with w
     evaluated once per node; a batch that fits takes one pass. The 16-point
@@ -319,7 +318,7 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
     k = max(map(abs, laws))
     # the sinc argument a theta and each half phase k theta / 2, per theta
     rates = np.array([[a], *([0.5 * law] for law in laws)])
-    if a > 0.0:
+    if a * MAX_SUPPORTED_ANGLE >= math.pi:  # a sinc zero in the domain
         step = math.pi / (a * max(1.0, math.ceil(k / (2.0 * a))))
     else:  # one phase period, or with no phase the model domain
         step = 2.0 * math.pi / k if k > 0.0 else 2.0 * MAX_SUPPORTED_ANGLE
@@ -330,7 +329,7 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
         big = int(np.argmax(~(counts <= _MAX_PANELS)))
         raise QuadratureError(
             f"window quadrature on [{lo[big]}, {hi[big]}] rad needs "
-            f"{counts[big]:.0f} panels, more than the limit of {_MAX_PANELS}")
+            f"{counts[big]:.6g} panels, more than the limit of {_MAX_PANELS}")
     panels = counts.astype(int)
     run = _MAX_PANELS // int(panels.max())
     sums = np.empty((3, len(laws), centers.size))
@@ -383,7 +382,7 @@ def aperture_density_matrix(window: AngularWindow,
     mat[1, 1] = mat[2, 2] = 0.5
     mat[1, 2] = coherence.conjugate()
     mat[2, 1] = coherence
-    return DensityMatrix4(mat).validate()
+    return DensityMatrix4(mat)
 
 
 def window_coincidences(settings: PolarizerSettings, window: AngularWindow,
@@ -463,9 +462,8 @@ def concurrence(rho: DensityMatrix4) -> float:
     keeps the near-zero values at machine accuracy instead of the sqrt(eps)
     noise a direct eigenvalue square root would give.
     """
-    rho.validate()
     eigenvalues, vectors = np.linalg.eigh(rho.matrix)
-    # clip rounding-level negatives only after validate() accepted them
+    # clip the rounding-level negatives that construction accepted
     sqrt_rho = (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) \
         @ vectors.conj().T
     lambdas = np.linalg.svd(sqrt_rho @ _SIGMA_Y_PAIR @ sqrt_rho.conj(),

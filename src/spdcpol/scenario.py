@@ -538,6 +538,12 @@ def list_bell_angles(spec: ScenarioSpec, which: BellState) -> Table:
                                         spec.source),
              entry.envelope)
             for entry in result.angles]
-    note = ("state is uniform across the line-shape: Psi+ everywhere"
-            if result.uniform else "")
+    # bell_angles keeps theta_int finite; the lab angle can still overflow
+    rows = [row for row in rows if math.isfinite(row[1])]
+    note = ""
+    if result.uniform:
+        note = "state is uniform across the line-shape: Psi+ everywhere"
+    elif len(rows) < spec.bell_max_order:
+        note = (f"{spec.bell_max_order - len(rows)} of the first "
+                f"{spec.bell_max_order} angles lie beyond float range")
     return Table(name=name, columns=BELL_COLUMNS, rows=rows, note=note)

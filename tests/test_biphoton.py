@@ -167,6 +167,35 @@ def test_bell_angles_bare_crystal(bare_config):
         2.0 * math.pi / bare_config.phase_slope, rel=1e-15)
 
 
+
+@pytest.mark.parametrize("source", ["bare_config", "anticompensated_config"])
+def test_bell_angles_are_the_targets_over_the_slope_exactly(request, source):
+    config = request.getfixturevalue(source)
+    slope = abs(config.phase_slope)
+    plus = sp.bell_angles(config, sp.BellState.PSI_PLUS, max_order=8)
+    minus = sp.bell_angles(config, sp.BellState.PSI_MINUS, max_order=8)
+    assert [a.theta for a in plus.angles] == [2.0 * math.pi * n / slope
+                                              for n in range(8)]
+    assert [a.theta for a in minus.angles] == [(2 * n + 1) * math.pi / slope
+                                               for n in range(8)]
+
+
+def test_bell_angles_stop_before_float_overflow(production):
+    # |B| L ~ 1e-307: the first Psi- angle pi / slope is near 3e307 rad
+    thin = dataclasses.replace(production, length=1e-313)
+    config = sp.SourceConfig(production=thin, pump_wavelength=PUMP)
+    slope = config.phase_slope
+    for which, delta in ((sp.BellState.PSI_PLUS, 0),
+                         (sp.BellState.PSI_MINUS, 1)):
+        angles = sp.bell_angles(config, which, max_order=8).angles
+        assert 1 <= len(angles) < 8
+        assert [a.theta for a in angles] == [(2 * n + delta) * math.pi / slope
+                                             for n in range(len(angles))]
+        assert all(math.isfinite(a.envelope) for a in angles)
+        next_theta = (2 * len(angles) + delta) * math.pi / slope
+        assert not math.isfinite(config.envelope_slope * next_theta)
+
+
 def test_bell_angles_uniform_config(compensated_config):
     result = sp.bell_angles(compensated_config, sp.BellState.PSI_PLUS)
     assert result.uniform

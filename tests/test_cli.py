@@ -279,6 +279,49 @@ def test_a_crystal_too_short_for_its_sinc_exits_2_at_its_line(
     assert not out.exists()
 
 
+def test_a_phase_slope_far_beyond_the_envelope_slope_exits_3(tmp_path,
+                                                             capsys):
+    # k / 2a overflows: with no sinc zero in the domain the window grid
+    # follows the phase period, and its panel count is refused
+    text = FUZZ_BASE.replace("length_mm = 1.0", "length_mm = 1e-300")
+    text = text.replace("length_mm = 0.5", "length_mm = 1e300")
+    scenario = tmp_path / "steep.cfg"
+    scenario.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: window quadrature")
+    assert "e+299 panels, more than the limit" in err
+    assert len(err.splitlines()) == 1
+    assert cli.main(["bell-angles", str(scenario), "--state", "psi-"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 + 4  # bell_max_order = 4
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("length, state, kept", [
+    ("1e-310", "psi+", 2), ("1e-310", "psi-", 2),
+    ("3e-310", "psi+", 6), ("3e-310", "psi-", 5)])
+def test_bell_angles_beyond_float_range_are_dropped_with_a_note(
+        tmp_path, capsys, length, state, kept):
+    # the Bell angles of a bare crystal this thin pass 1e307 rad: those
+    # whose internal or lab angle overflows are left out, not written as inf
+    blocks = [b for b in FUZZ_BASE.split("\n\n")
+              if not b.startswith("[compensator]")]
+    text = "\n\n".join(blocks).replace("length_mm = 1.0",
+                                         f"length_mm = {length}")
+    scenario = tmp_path / "thin.cfg"
+    scenario.write_text(text.replace("bell_max_order = 4",
+                                     "bell_max_order = 8") + "\n")
+    assert cli.main(["bell-angles", str(scenario), "--state", state]) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == kept
+    assert "inf" not in captured.out
+    assert captured.err == (f"note: {8 - kept} of the first 8 angles "
+                            f"lie beyond float range\n")
+
+
 @pytest.mark.parametrize("name", [
     "", ".", "..", "../escaped", "a/b", "a\0b",
     *([f"a{os.altsep}b"] if os.altsep else [])])

@@ -620,6 +620,31 @@ def test_concurrence_rejects_invalid_matrix():
         sp.concurrence(sp.DensityMatrix4(skew))
 
 
+
+def test_density_matrix_refuses_an_invalid_matrix_when_built():
+    skew = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+    skew[1, 2] = 0.25  # its mirror entry stays 0: not Hermitian
+    negative = np.diag([1.5, -0.5, 0.0, 0.0])  # trace 1, eigenvalue -0.5
+    for bad, message in ((skew, "not Hermitian"),
+                         (np.eye(4) / 2.0, "trace"),
+                         (negative, "not positive"),
+                         (np.full((4, 4), math.nan), "not Hermitian"),
+                         (np.eye(3) / 3.0, "4x4")):
+        with pytest.raises(sp.StateInvariantError, match=message):
+            sp.DensityMatrix4(bad)
+
+
+def test_density_matrix_holds_a_read_only_copy():
+    mat = np.array(PSI_PLUS)
+    rho = sp.DensityMatrix4(mat)
+    mat[1, 1] = 7.0  # the caller's array is not the state's
+    assert np.array_equal(rho.matrix, PSI_PLUS)
+    with pytest.raises(ValueError):
+        rho.matrix[1, 1] = 7.0
+    assert np.array_equal(rho.matrix, PSI_PLUS)
+    assert sp.concurrence(rho) == pytest.approx(1.0, abs=1e-12)
+
+
 # ------------------------------------------------------------------ counts
 
 def test_counts_zero_duration():
