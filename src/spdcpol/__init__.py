@@ -27,7 +27,7 @@ from .crystal import (SellmeierCoefficients, UniaxialCrystal, WalkoffReport,
                       transverse_walkoff_B)
 from .errors import (ConfigError, OutOfBandError, PhaseMatchingError,
                      QuadratureError, SpdcpolError, StateInvariantError,
-                     UndefinedVisibilityError, UniformStateError)
+                     UndefinedVisibilityError)
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import (MaterialRecord, builtin_materials, get_material,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .crystal import (UniaxialCrystal, index_ordinary,
                       phase_matching_cut_angle, transverse_walkoff_B)
-from .errors import PhaseMatchingError, StateInvariantError, UniformStateError
+from .errors import PhaseMatchingError, StateInvariantError
 
 BASIS = ("HH", "HV", "VH", "VV")
 
@@ -68,12 +68,12 @@ class BellState(enum.Enum):
 
 @dataclass(frozen=True)
 class TwoPhotonState:
-    """Normalized two-qubit pure state over the ordered basis (HH, HV, VH, VV)."""
+    """Normalized two-qubit state over (HH, HV, VH, VV), copied read-only."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (4,):
             raise StateInvariantError(
                 f"expected 4 amplitudes over {BASIS}, got shape {amps.shape}")
@@ -81,6 +81,7 @@ class TwoPhotonState:
         if abs(norm_sq - 1.0) > 1e-12:
             raise StateInvariantError(
                 f"state not normalized: |psi|^2 = {norm_sq!r}")
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     def overlap(self, other: "TwoPhotonState") -> complex:
@@ -190,7 +191,7 @@ class BellAngle:
 
 @dataclass(frozen=True)
 class BellAngleSet:
-    uniform: bool  # flat phase law: Psi+ everywhere, no discrete angles
+    uniform: bool  # flat phase law: Psi+ at every angle, so Psi- at none
     angles: tuple[BellAngle, ...]
 
 
@@ -202,20 +203,16 @@ def bell_angles(config: SourceConfig, which: BellState,
     Psi-, for n = 0, 1, ..., up to ``max_order`` solutions theta >= 0, with
     the envelope at each; the list stops before the first angle whose sinc
     argument, or the angle itself, overflows.
-    On a fully compensated (flat-phase) configuration Psi+ returns theta = 0
-    flagged uniform and Psi- raises UniformStateError.
+    A flat phase law (full compensation) is flagged uniform: Psi+ at every
+    angle, listed as theta = 0 alone, and Psi- at none, an empty list.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     slope = abs(config.phase_slope)
-    if slope == 0.0:
-        if which is BellState.PSI_MINUS:
-            raise UniformStateError(
-                "state is uniform, no such angle: the compensated phase law "
-                "is identically zero, Psi- never appears")
-        return BellAngleSet(uniform=True,
-                            angles=(BellAngle(theta=0.0, envelope=1.0),))
     delta = 0 if which is BellState.PSI_PLUS else 1
+    if slope == 0.0:
+        return BellAngleSet(uniform=True, angles=() if delta else (
+            BellAngle(theta=0.0, envelope=1.0),))
     angles = []
     for n in range(max_order):
         theta = math.pi * (2 * n + delta) / slope

@@ -76,8 +76,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bell_angles(args) -> int:
     spec = load_scenario(args.spec)
-    which = BellState.PSI_PLUS if args.state == "psi+" else BellState.PSI_MINUS
-    table = list_bell_angles(spec, which)
+    table = list_bell_angles(spec, BellState(args.state))
     if table.note:
         # stdout stays a clean table when the table itself goes there
         print(f"note: {table.note}",

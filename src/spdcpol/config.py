@@ -86,7 +86,9 @@ def parse_config(text: str, path: str = "<config>") -> list[Section]:
     """Parse ``text`` into an ordered list of sections."""
     sections: list[Section] = []
     current: Section | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only \n, \r\n and \r end a line (str.splitlines: also \f, \x85, ...)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

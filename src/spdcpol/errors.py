@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; an outcome of the physics is
+not one (a flat phase law is the uniform ``BellAngleSet``, Psi- at none)."""
 
 
 class SpdcpolError(Exception):
@@ -21,10 +22,6 @@ class QuadratureError(SpdcpolError):
         super().__init__(message)
         self.achieved = achieved
         self.requested = requested
-
-
-class UniformStateError(SpdcpolError):
-    """The phase law is flat: the requested Bell state never appears off axis."""
 
 
 class UndefinedVisibilityError(SpdcpolError):

@@ -300,20 +300,16 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
     evaluated once per node; a batch that fits takes one pass. The 16-point
     rule on the same panels gives the error estimate.
 
-    The kernel integrates windows only; a point is ``_one_window``'s. An
-    error names the first window that fails: ValueError outside the model
-    domain; QuadratureError for a window of more than ``_MAX_PANELS``
-    panels, or for an error estimate above ``QUAD_TOL`` * M0 or an M0 that
-    is not positive (a window of halfwidth 0, or narrower than float
-    resolution) under some law.
+    The kernel integrates windows only (a point is ``_one_window``'s), and
+    does numerics only: ``AngularWindow`` and ``run_scenario`` hold every
+    window in the model domain. A QuadratureError names the first window
+    of more than ``_MAX_PANELS`` panels, or with an error estimate above
+    ``QUAD_TOL`` * M0 or an M0 that is not positive (a window of halfwidth
+    0, or narrower than float resolution) under some law.
     """
     centers = np.asarray(centers, dtype=float)
     halfwidths = np.asarray(halfwidths, dtype=float)
     slopes = np.asarray(phase_slopes, dtype=float)
-    if not (halfwidths.min() >= 0.0 and (np.abs(centers) + halfwidths).max()
-            <= MAX_SUPPORTED_ANGLE):
-        for center, halfwidth in zip(centers, halfwidths):
-            _check_domain(float(center), float(halfwidth))
     a, laws = envelope_slope, slopes.ravel().tolist()
     k = max(map(abs, laws))
     # the sinc argument a theta and each half phase k theta / 2, per theta

@@ -53,10 +53,11 @@ and its panel grid: it is the same production crystal with the bare phase
 slope |B| L, so it needs no second cut solve.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
 the bare production crystal, pi / (|B| L) internal. Each sweep window and
-the pinhole are resolved to internal angles once, by one helper each, and
-`load_scenario` fences the domain on the same values `run_scenario` uses;
-the kernel integrates windows only, so it also refuses a narrowest window
-with no width in floating point.
+the pinhole are resolved to internal angles once, by one helper each.
+`load_scenario` fences the domain at each key's line, and `run_scenario`
+fences a hand-built spec on the same sums; the kernel integrates windows
+only, so a load also refuses a narrowest window with no width in floating
+point. On a flat phase law the Psi- Bell table is empty, with a note.
 """
 
 from __future__ import annotations
@@ -74,14 +75,13 @@ from .biphoton import (BellState, CompensatorPlacement, Orientation,
                        relative_phase)
 from .config import Section, parse_config
 from .crystal import phase_matching_cut_angle
-from .errors import (ConfigError, OutOfBandError, PhaseMatchingError,
-                     UniformStateError)
+from .errors import ConfigError, OutOfBandError, PhaseMatchingError
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import MaterialRecord, get_material
 from .measurement import (MAX_SUPPORTED_ANGLE, PolarizerSettings,
-                          _analyzer_mix, _sweep_columns, coincidence_rate,
-                          simulate_counts)
+                          _analyzer_mix, _check_domain, _sweep_columns,
+                          coincidence_rate, simulate_counts)
 from .output import Table
 
 PRESETS = ("fig2a", "fig2b", "fig2c", "fig3")
@@ -464,6 +464,16 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
     if spec.scan is None and spec.visibility is None:
         raise ConfigError(
             f"scenario '{spec.name}' defines neither [scan] nor [visibility]")
+    # a hand-built spec meets load_scenario's domain fences, same sums
+    if spec.scan is not None:
+        edges = np.abs((spec.scan.theta_ext_min, spec.scan.theta_ext_max))
+        _check_domain(external_to_internal_angle(edges.max(), spec.geometry,
+                                                 spec.source),
+                      _pinhole_halfwidth(spec.geometry, spec.source))
+    if spec.visibility is not None:
+        center_int, hmax_int = _sweep_window(spec.visibility, spec.geometry,
+                                             spec.source)
+        _check_domain(center_int, hmax_int)
     tables: list[Table] = []
     # One CSV text memo for all tables: they repeat the grid columns.
     float_text: dict = {}
@@ -500,8 +510,6 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
 
     if spec.visibility is not None:
         vspec = spec.visibility
-        center_int, hmax_int = _sweep_window(vspec, spec.geometry,
-                                             spec.source)
         halfwidths = hmax_int * np.arange(1, vspec.points + 1) / vspec.points
         halfwidths_ext = internal_to_external_angle(
             halfwidths, spec.geometry, spec.source)
@@ -527,12 +535,7 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
 
 def list_bell_angles(spec: ScenarioSpec, which: BellState) -> Table:
     """Bell-state angles of the scenario source in internal and lab coordinates."""
-    suffix = "psi_plus" if which is BellState.PSI_PLUS else "psi_minus"
-    name = f"{spec.name}_bell_{suffix}"
-    try:
-        result = bell_angles(spec.source, which, spec.bell_max_order)
-    except UniformStateError as exc:
-        return Table(name=name, columns=BELL_COLUMNS, rows=[], note=str(exc))
+    result = bell_angles(spec.source, which, spec.bell_max_order)
     rows = [(entry.theta,
              internal_to_external_angle(entry.theta, spec.geometry,
                                         spec.source),
@@ -541,9 +544,13 @@ def list_bell_angles(spec: ScenarioSpec, which: BellState) -> Table:
     # bell_angles keeps theta_int finite; the lab angle can still overflow
     rows = [row for row in rows if math.isfinite(row[1])]
     note = ""
-    if result.uniform:
+    if result.uniform and which is BellState.PSI_PLUS:
         note = "state is uniform across the line-shape: Psi+ everywhere"
+    elif result.uniform:
+        note = ("state is uniform, no such angle: the compensated phase law "
+                "is identically zero, Psi- never appears")
     elif len(rows) < spec.bell_max_order:
         note = (f"{spec.bell_max_order - len(rows)} of the first "
                 f"{spec.bell_max_order} angles lie beyond float range")
-    return Table(name=name, columns=BELL_COLUMNS, rows=rows, note=note)
+    return Table(name=f"{spec.name}_bell_{which.name.lower()}",
+                 columns=BELL_COLUMNS, rows=rows, note=note)

@@ -197,12 +197,22 @@ def test_bell_angles_stop_before_float_overflow(production):
 
 
 def test_bell_angles_uniform_config(compensated_config):
+    # a flat phase law is Psi+ at every angle and Psi- at none: both are
+    # the uniform result, Psi- with no angles
     result = sp.bell_angles(compensated_config, sp.BellState.PSI_PLUS)
-    assert result.uniform
-    assert result.angles == (sp.BellAngle(theta=0.0, envelope=1.0),)
-    with pytest.raises(sp.UniformStateError) as info:
-        sp.bell_angles(compensated_config, sp.BellState.PSI_MINUS)
-    assert "uniform" in str(info.value)
+    assert result == sp.BellAngleSet(
+        uniform=True, angles=(sp.BellAngle(theta=0.0, envelope=1.0),))
+    assert sp.bell_angles(compensated_config, sp.BellState.PSI_MINUS) == \
+        sp.BellAngleSet(uniform=True, angles=())
+
+
+def test_two_photon_state_holds_a_read_only_copy():
+    amplitudes = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+    state = sp.TwoPhotonState(amplitudes)
+    amplitudes[0] = 5.0
+    assert np.vdot(state.amplitudes, state.amplitudes).real == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[1] = 0.0
 
 
 def test_bell_angles_max_order_validation(bare_config):

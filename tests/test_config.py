@@ -55,6 +55,30 @@ def test_duplicate_key():
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1d", "\x1e",
+                                       "\x85", "\u2028", "\u2029"])
+def test_only_newlines_end_a_line(separator):
+    # str.splitlines also ends a line at these; a file read as text does not
+    text = (f"# page one{separator} page two\n[scenario]\n"
+            f"name = caf{separator}e\n")
+    (section,) = parse_config(text, "s.cfg")
+    assert section.line == 2
+    assert section.entries["name"].value == f"caf{separator}e"
+    assert section.entries["name"].line == 3
+    with pytest.raises(ConfigError, match=r"^s\.cfg:4: expected"):
+        parse_config(text + "garbage\n", "s.cfg")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_keep_the_line_numbers(newline):
+    text = newline.join(["# comment", "[alpha]", "x = 1", "", "garbage", ""])
+    with pytest.raises(ConfigError, match=r"^s\.cfg:5: expected"):
+        parse_config(text, "s.cfg")
+    (section,) = parse_config(text.replace("garbage", "y = 2"))
+    assert section.entries["x"].value == "1"
+    assert [entry.line for entry in section.entries.values()] == [3, 5]
+
+
 def test_garbage_line():
     with pytest.raises(ConfigError) as info:
         parse_config("[s]\nnot a pair\n")

@@ -428,6 +428,26 @@ def test_sweep_outside_the_domain_is_refused_at_run():
         sp.run_scenario(wide)
 
 
+def test_scan_outside_the_domain_is_refused_at_run():
+    # a hand-built scan meets the same fence as a loaded one: scan edge
+    # plus pinhole half-width
+    spec = sp.load_scenario("fig2a")
+    wide = dataclasses.replace(spec, scan=dataclasses.replace(
+        spec.scan, theta_ext_min=-2.0, theta_ext_max=2.0))
+    with pytest.raises(ValueError, match="supported range"):
+        sp.run_scenario(wide)
+    h = scenario._pinhole_halfwidth(spec.geometry, spec.source)
+    edge = sp.internal_to_external_angle(scenario.MAX_SUPPORTED_ANGLE - 2 * h,
+                                         spec.geometry, spec.source)
+    near = dataclasses.replace(spec, scan=dataclasses.replace(
+        spec.scan, theta_ext_min=-edge, theta_ext_max=0.0))
+    assert len(sp.run_scenario(near)) == 2
+    past = dataclasses.replace(near, geometry=dataclasses.replace(
+        spec.geometry, pinhole_diameter=4.0 * spec.geometry.pinhole_diameter))
+    with pytest.raises(ValueError, match="supported range"):
+        sp.run_scenario(past)
+
+
 def test_visibility_explicit_halfwidth(tmp_path):
     text = BASE + "\n[visibility]\npoints = 3\nmax_halfwidth_mrad = 2.0\n"
     spec = _load_text(tmp_path, text)
@@ -550,6 +570,27 @@ def test_bell_angles_fig2a_psi_plus_starts_on_axis():
                                 sp.BellState.PSI_PLUS)
     assert table.rows[0][0] == 0.0
     assert table.rows[0][2] == 1.0
+
+
+PSI_PLUS_FLAT = "state is uniform across the line-shape: Psi+ everywhere"
+PSI_MINUS_FLAT = ("state is uniform, no such angle: the compensated phase "
+                  "law is identically zero, Psi- never appears")
+
+
+def test_bell_angles_on_a_flat_law(capsys):
+    # fig3's source is compensated: Psi+ lists theta = 0, Psi- nothing;
+    # each carries its note, and the CLI prints the empty table
+    spec = sp.load_scenario("fig3")
+    plus = sp.list_bell_angles(spec, sp.BellState.PSI_PLUS)
+    assert (plus.name, plus.rows, plus.note) == (
+        "fig3_bell_psi_plus", [(0.0, 0.0, 1.0)], PSI_PLUS_FLAT)
+    minus = sp.list_bell_angles(spec, sp.BellState.PSI_MINUS)
+    assert (minus.name, minus.rows, minus.note) == (
+        "fig3_bell_psi_minus", [], PSI_MINUS_FLAT)
+    assert cli.main(["bell-angles", "fig3", "--state", "psi-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "theta_int_rad,theta_ext_rad,envelope\n"
+    assert captured.err == f"note: {PSI_MINUS_FLAT}\n"
 
 
 def test_bell_angles_fig2b_uniform_notice():
