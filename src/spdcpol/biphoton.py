@@ -44,10 +44,9 @@ CUT_ANGLE_TOLERANCE = 1e-6  # rad, production cut vs phase-matched angle
 
 def sinc(x: float | np.ndarray) -> float | np.ndarray:
     """sin(x)/x with sinc(0) = 1 (unnormalized convention), elementwise."""
-    # a float, the scan rates' hot path, settles the test with one check
-    if isinstance(x, float) or not isinstance(x, np.ndarray):
-        return math.sin(x) / x if x else 1.0
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    if isinstance(x, np.ndarray):
+        return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    return math.sin(x) / x if x else 1.0
 
 
 class Orientation(enum.Enum):
@@ -78,7 +77,7 @@ class TwoPhotonState:
             raise StateInvariantError(
                 f"expected 4 amplitudes over {BASIS}, got shape {amps.shape}")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # a NaN norm fails too
             raise StateInvariantError(
                 f"state not normalized: |psi|^2 = {norm_sq!r}")
         amps.flags.writeable = False

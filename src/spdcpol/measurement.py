@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .biphoton import SourceConfig, angular_envelope, relative_phase
+from .biphoton import SourceConfig
 from .errors import (QuadratureError, StateInvariantError,
                      UndefinedVisibilityError)
 
@@ -48,10 +48,24 @@ MAX_SUPPORTED_ANGLE = 0.1  # rad, internal
 
 @dataclass(frozen=True)
 class PolarizerSettings:
-    """Glan-prism analysis angles in radians, interpreted mod pi."""
+    """Glan-prism analysis angles in radians, interpreted mod pi.
+
+    Derived fields, computed once when built: ``sum_weight`` =
+    sin^2(Theta1 + Theta2) and ``diff_weight`` = sin^2(Theta1 - Theta2),
+    the weights of the cos^2(phi/2) and sin^2(phi/2) parts of every rate at
+    these settings. They take no part in ``==``, ``hash`` or ``repr``.
+    """
 
     theta1: float
     theta2: float
+    sum_weight: float = field(init=False, repr=False, compare=False)
+    diff_weight: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s_sum = math.sin(self.theta1 + self.theta2)
+        s_diff = math.sin(self.theta1 - self.theta2)
+        object.__setattr__(self, "sum_weight", s_sum * s_sum)
+        object.__setattr__(self, "diff_weight", s_diff * s_diff)
 
 
 @dataclass(frozen=True)
@@ -79,14 +93,20 @@ def _check_domain(center: float, halfwidth: float) -> None:
 
 def coincidence_rate(theta: float, settings: PolarizerSettings,
                      config: SourceConfig) -> float:
-    """Coincidence rate (arbitrary units) at internal angle ``theta``."""
-    envelope = angular_envelope(theta, config)
-    phi = relative_phase(theta, config)
-    s_sum = math.sin(settings.theta1 + settings.theta2)
-    s_diff = math.sin(settings.theta1 - settings.theta2)
+    """Coincidence rate (arbitrary units) at internal angle ``theta``.
+
+    The law runs in this one frame, on the settings' derived weights: the
+    envelope sinc(a theta), a = ``config.envelope_slope``, and the half
+    phase phi / 2 = k theta / 2 are the same float operations as
+    ``angular_envelope`` and ``relative_phase``, and a test holds the rate
+    bit-equal to the law composed from those two.
+    """
+    x = config.envelope_slope * theta
+    envelope = math.sin(x) / x if x else 1.0
+    half = config.phase_slope * theta / 2.0
     return (envelope * envelope
-            * (s_sum * s_sum * math.cos(phi / 2.0) ** 2
-               + s_diff * s_diff * math.sin(phi / 2.0) ** 2))
+            * (settings.sum_weight * math.cos(half) ** 2
+               + settings.diff_weight * math.sin(half) ** 2))
 
 
 @dataclass(frozen=True)
@@ -394,11 +414,10 @@ def window_coincidences(settings: PolarizerSettings, window: AngularWindow,
 
 
 def _analyzer_mix(settings: PolarizerSettings, even, odd):
-    """sin^2(T1 + T2) even + sin^2(T1 - T2) odd: the rate at ``settings``
-    from the (45, 45) and (45, -45) rates, floats or arrays alike."""
-    s_sum = math.sin(settings.theta1 + settings.theta2)
-    s_diff = math.sin(settings.theta1 - settings.theta2)
-    return s_sum * s_sum * even + s_diff * s_diff * odd
+    """sin^2(T1 + T2) even + sin^2(T1 - T2) odd, from the settings'
+    derived weights: the rate at ``settings`` from the (45, 45) and
+    (45, -45) rates, floats or arrays alike."""
+    return settings.sum_weight * even + settings.diff_weight * odd
 
 
 def visibility_from_counts(c_pp: float, c_pm: float) -> float:

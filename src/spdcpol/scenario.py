@@ -429,12 +429,16 @@ def _settings_label(pair: tuple[float, float]) -> str:
 def _reference_rates(theta_int: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     # The pinhole-averaged rates R(45, 45) and R(45, -45) at every scan
     # point, the mean over the Gauss nodes +/- h / sqrt(3) (0 for a point
-    # detector): one coincidence_rate call per reference, node and point.
-    node = _pinhole_halfwidth(spec.geometry, spec.source) / math.sqrt(3.0)
+    # detector): one coincidence_rate call per reference, node and point,
+    # over one node list and one source, with each reference's weights
+    # computed when _REFERENCES was built.
+    source = spec.source
+    node = _pinhole_halfwidth(spec.geometry, source) / math.sqrt(3.0)
     offsets = (-node, node) if node else (0.0,)
-    nodes = np.concatenate([theta_int + offset for offset in offsets])
-    rates = np.array([coincidence_rate(t, settings, spec.source)
-                      for settings in _REFERENCES for t in nodes.tolist()])
+    nodes = np.concatenate([theta_int + offset
+                            for offset in offsets]).tolist()
+    rates = np.array([coincidence_rate(t, settings, source)
+                      for settings in _REFERENCES for t in nodes])
     return rates.reshape(2, len(offsets), -1).mean(axis=1)
 
 

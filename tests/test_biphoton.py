@@ -142,6 +142,15 @@ def test_state_invariant_errors():
         sp.TwoPhotonState(np.array([1.0, 0.0, 0.0]))  # wrong shape
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+def test_state_refuses_non_finite_amplitudes(bad):
+    # a NaN norm compares False both ways, so the test must be "not <= tol"
+    with pytest.raises(sp.StateInvariantError, match="not normalized"):
+        sp.TwoPhotonState(np.array([bad, 0.0, 0.0, 0.0]))
+    with pytest.raises(sp.StateInvariantError, match="not normalized"):
+        sp.TwoPhotonState(np.array([0.0, math.sqrt(0.5), bad, 0.0]))
+
+
 # -------------------------------------------------------------- bell angles
 
 def test_bell_angles_anticompensated_singlets(anticompensated_config):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -51,6 +53,94 @@ def test_rate_polarizers_mod_pi(theta1, theta2, theta):
     shifted = sp.coincidence_rate(
         theta, sp.PolarizerSettings(theta1 + math.pi, theta2), config)
     assert shifted == pytest.approx(base, abs=1e-12)
+
+
+@pytest.mark.parametrize("source", ["bare", "compensated",
+                                    "anticompensated"])
+def test_rate_is_the_law_composed_from_its_owners(source, request):
+    # The rate evaluates the law in its own frame; it must stay bit-equal
+    # to envelope^2 (sin^2(T1 + T2) cos^2(phi/2) + sin^2(T1 - T2)
+    # sin^2(phi/2)) composed from angular_envelope and relative_phase.
+    config = request.getfixturevalue(f"{source}_config")
+    rng = np.random.default_rng(2626)
+    pairs = [(P45, P45), (P45, -P45), (0.0, 0.0), (P45, 0.0)] + [
+        tuple(rng.uniform(-math.pi, math.pi, 2).tolist()) for _ in range(4)]
+    # theta = 0, +-0.1 rad, the first two sinc zeros on each side inside
+    # the model domain, and seeded draws from it: enough draws that a
+    # cos(half) * cos(half) in place of cos(half) ** 2 (about 1 in 1000
+    # differ) shows
+    zeros = [n * math.pi / config.envelope_slope for n in (-2, -1, 1, 2)]
+    thetas = ([0.0, 0.1, -0.1] + [z for z in zeros if abs(z) <= 0.1]
+              + rng.uniform(-0.1, 0.1, 5000).tolist())
+    for theta in thetas:
+        envelope = sp.angular_envelope(theta, config)
+        phi = sp.relative_phase(theta, config)
+        for theta1, theta2 in pairs:
+            s_sum = math.sin(theta1 + theta2)
+            s_diff = math.sin(theta1 - theta2)
+            want = (envelope * envelope
+                    * (s_sum * s_sum * math.cos(phi / 2.0) ** 2
+                       + s_diff * s_diff * math.sin(phi / 2.0) ** 2))
+            got = sp.coincidence_rate(
+                theta, sp.PolarizerSettings(theta1, theta2), config)
+            assert got == want, (theta, theta1, theta2)
+
+
+def test_rate_runs_in_one_frame(anticompensated_config):
+    # The scan's hot path: no Python call beyond coincidence_rate's own
+    # frame (math.sin and math.cos are C functions).
+    settings = sp.PolarizerSettings(P45, -P45)
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        for theta in (0.0, 3e-3, -0.1):
+            sp.coincidence_rate(theta, settings, anticompensated_config)
+    finally:
+        sys.setprofile(None)
+    assert frames == ["coincidence_rate"] * 3
+
+
+def test_settings_carry_their_two_weights():
+    rng = np.random.default_rng(26)
+    for theta1, theta2 in [(P45, P45), (P45, -P45), (0.0, 0.0)] + [
+            tuple(rng.uniform(-math.pi, math.pi, 2).tolist())
+            for _ in range(20)]:
+        settings = sp.PolarizerSettings(theta1, theta2)
+        s_sum = math.sin(theta1 + theta2)
+        s_diff = math.sin(theta1 - theta2)
+        assert settings.sum_weight == s_sum * s_sum
+        assert settings.diff_weight == s_diff * s_diff
+    # the weights are derived: not arguments, and no part of ==, hash, repr
+    settings = sp.PolarizerSettings(1.0, 0.5)
+    assert repr(settings) == "PolarizerSettings(theta1=1.0, theta2=0.5)"
+    assert settings == sp.PolarizerSettings(1.0, 0.5)
+    assert settings != sp.PolarizerSettings(1.0, -0.5)
+    assert hash(settings) == hash((1.0, 0.5))
+    flipped = dataclasses.replace(settings, theta2=-0.5)
+    assert flipped.diff_weight == math.sin(1.5) * math.sin(1.5)
+    with pytest.raises(TypeError):
+        sp.PolarizerSettings(1.0, 0.5, 0.2)  # type: ignore[call-arg]
+
+
+def test_analyzer_mix_on_arrays_is_the_weighted_sum():
+    rng = np.random.default_rng(396)
+    even, odd = rng.uniform(0.0, 1.0, (2, 3, 50))
+    for theta1, theta2 in [(P45, P45), (P45, -P45)] + [
+            tuple(rng.uniform(-math.pi, math.pi, 2).tolist())
+            for _ in range(10)]:
+        settings = sp.PolarizerSettings(theta1, theta2)
+        s_sum = math.sin(theta1 + theta2)
+        s_diff = math.sin(theta1 - theta2)
+        got = measurement._analyzer_mix(settings, even, odd)
+        assert np.array_equal(got,
+                              s_sum * s_sum * even + s_diff * s_diff * odd)
+        assert np.array_equal(
+            got, settings.sum_weight * even + settings.diff_weight * odd)
 
 
 _CACHE = {}
