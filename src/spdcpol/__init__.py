@@ -35,7 +35,7 @@ from .materials import (MaterialRecord, builtin_materials, get_material,
 from .measurement import (AngularWindow, DensityMatrix4, PolarizerSettings,
                           aperture_density_matrix, coincidence_rate,
                           concurrence, simulate_counts, visibility,
-                          visibility_from_counts, window_coincidences)
+                          window_coincidences)
 from .output import Table, from_csv, to_csv, to_json, write_table
 from .quadrature import adaptive_simpson
 from .scenario import (PRESETS, CountsSpec, ScanSpec, ScenarioSpec,

@@ -70,25 +70,19 @@ class PolarizerSettings:
 
 @dataclass(frozen=True)
 class AngularWindow:
-    """Hard-edged internal-angle acceptance window; halfwidth 0 is a point."""
+    """Hard-edged internal-angle acceptance window; halfwidth 0 is a point.
+    Both edges must lie inside the model domain (a NaN edge does not)."""
 
     center: float
     halfwidth: float
 
     def __post_init__(self):
-        _check_domain(self.center, self.halfwidth)
-
-
-def _check_domain(center: float, halfwidth: float) -> None:
-    """ValueError unless [center - halfwidth, center + halfwidth] is a window
-    inside the model domain (a NaN edge is not)."""
-    if not halfwidth >= 0.0:
-        raise ValueError(f"halfwidth must be >= 0, got {halfwidth}")
-    if not abs(center) + halfwidth <= MAX_SUPPORTED_ANGLE:
-        raise ValueError(
-            f"window [{center - halfwidth}, {center + halfwidth}] rad "
-            f"exceeds the supported range |theta| <= {MAX_SUPPORTED_ANGLE} "
-            f"rad")
+        if not self.halfwidth >= 0.0:
+            raise ValueError(f"halfwidth must be >= 0, got {self.halfwidth}")
+        lo, hi = self.center - self.halfwidth, self.center + self.halfwidth
+        if not abs(self.center) + self.halfwidth <= MAX_SUPPORTED_ANGLE:
+            raise ValueError(f"window [{lo}, {hi}] rad exceeds the supported "
+                             f"range |theta| <= {MAX_SUPPORTED_ANGLE} rad")
 
 
 def coincidence_rate(theta: float, settings: PolarizerSettings,
@@ -302,38 +296,18 @@ def _panel_pass(lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
                                    where=m0 > 0.0)
 
 
-def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
-                    envelope_slope: float, phase_slopes) -> _Moments:
-    """Both moments of every window [c_i - h_i, c_i + h_i] under every
-    phase law, with each window's error and panels.
-
-    The weight is w = sinc^2(a theta), a = ``envelope_slope``; a law's
-    phase is k theta, and ``phase_slopes`` is one k or a sequence, whose
-    shape every moment and error takes before its window axis. One grid
-    cuts each window into panels at the grid points inside it, so that no
-    panel spans more than one period of any law: of step pi / (a m),
+def _panel_grid(centers: np.ndarray, halfwidths: np.ndarray,
+                envelope_slope: float, laws) -> tuple[np.ndarray, ...]:
+    """Each window's edges c - h and c + h, the kernel's grid step, and
+    each window's first grid index and panel count under the phase slopes
+    ``laws``; or, before any memory is asked for, a QuadratureError naming
+    the first window of more than ``_MAX_PANELS`` panels. No panel spans
+    more than one period of any law: the step is pi / (a m),
     m = max(1, ceil(K / 2a)) for the largest |k| = K, which holds every
     sinc zero, when the first zero pi / a lies in the model domain, and
-    otherwise of step 2 pi / K (the domain width for K = 0). The
-    windows go in order through 32-point Gauss-Legendre passes, in equal
-    runs of ``_MAX_PANELS`` // (the widest window's panels) windows, with w
-    evaluated once per node; a batch that fits takes one pass. The 16-point
-    rule on the same panels gives the error estimate.
-
-    The kernel integrates windows only (a point is ``_one_window``'s), and
-    does numerics only: ``AngularWindow`` and ``run_scenario`` hold every
-    window in the model domain. A QuadratureError names the first window
-    of more than ``_MAX_PANELS`` panels, or with an error estimate above
-    ``QUAD_TOL`` * M0 or an M0 that is not positive (a window of halfwidth
-    0, or narrower than float resolution) under some law.
+    otherwise 2 pi / K (the domain width for K = 0).
     """
-    centers = np.asarray(centers, dtype=float)
-    halfwidths = np.asarray(halfwidths, dtype=float)
-    slopes = np.asarray(phase_slopes, dtype=float)
-    a, laws = envelope_slope, slopes.ravel().tolist()
-    k = max(map(abs, laws))
-    # the sinc argument a theta and each half phase k theta / 2, per theta
-    rates = np.array([[a], *([0.5 * law] for law in laws)])
+    a, k = envelope_slope, max(map(abs, laws))
     if a * MAX_SUPPORTED_ANGLE >= math.pi:  # a sinc zero in the domain
         step = math.pi / (a * max(1.0, math.ceil(k / (2.0 * a))))
     else:  # one phase period, or with no phase the model domain
@@ -341,12 +315,40 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
     lo, hi = centers - halfwidths, centers + halfwidths
     first = np.floor(lo / step)
     counts = np.maximum(np.ceil(hi / step) - first, 1.0)
-    if not counts.max() <= _MAX_PANELS:  # before any memory is asked for
+    if not counts.max() <= _MAX_PANELS:
         big = int(np.argmax(~(counts <= _MAX_PANELS)))
         raise QuadratureError(
             f"window quadrature on [{lo[big]}, {hi[big]}] rad needs "
             f"{counts[big]:.6g} panels, more than the limit of {_MAX_PANELS}")
-    panels = counts.astype(int)
+    return lo, hi, step, first, counts.astype(int)
+
+
+def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
+                    envelope_slope: float, phase_slopes) -> _Moments:
+    """Both moments of every window [c_i - h_i, c_i + h_i] under every
+    phase law, with each window's error and panels.
+
+    The weight is w = sinc^2(a theta), a = ``envelope_slope``; a law's
+    phase is k theta, and ``phase_slopes`` is one k or a sequence, whose
+    shape every moment and error takes before its window axis. Each window
+    is cut into panels at the points of the ``_panel_grid`` inside it, and
+    the windows go in order through 32-point Gauss-Legendre passes of
+    ``_MAX_PANELS`` // (the widest window's panels) windows each, w
+    evaluated once per node; the 16-point rule gives the error estimate.
+    The kernel integrates windows only (a point is ``_one_window``'s) and
+    does numerics only: ``AngularWindow`` holds each window in the model
+    domain, ``ScenarioSpec`` also within the panel limit. A QuadratureError
+    names the first window of too many panels, or with an error estimate
+    above ``QUAD_TOL`` * M0 or an M0 that is not positive (a window of
+    halfwidth 0, or narrower than float resolution) under some law.
+    """
+    centers = np.asarray(centers, dtype=float)
+    halfwidths = np.asarray(halfwidths, dtype=float)
+    slopes = np.asarray(phase_slopes, dtype=float)
+    a, laws = envelope_slope, slopes.ravel().tolist()
+    # the sinc argument a theta and each half phase k theta / 2, per theta
+    rates = np.array([[a], *([0.5 * law] for law in laws)])
+    lo, hi, step, first, panels = _panel_grid(centers, halfwidths, a, laws)
     run = _MAX_PANELS // int(panels.max())
     sums = np.empty((3, len(laws), centers.size))
     error = np.empty(sums.shape[1:])
@@ -420,15 +422,6 @@ def _analyzer_mix(settings: PolarizerSettings, even, odd):
     return settings.sum_weight * even + settings.diff_weight * odd
 
 
-def visibility_from_counts(c_pp: float, c_pm: float) -> float:
-    """|(C++ - C+-)/(C++ + C+-)|, guarding the all-zero case."""
-    denominator = c_pp + c_pm
-    if denominator == 0.0:
-        raise UndefinedVisibilityError(
-            "both coincidence counts vanish on this window")
-    return abs((c_pp - c_pm) / denominator)
-
-
 def visibility(window: AngularWindow, config: SourceConfig) -> float:
     """Polarization-interference visibility over the window.
 
@@ -437,7 +430,10 @@ def visibility(window: AngularWindow, config: SourceConfig) -> float:
     C(45,-45) = (M0 - Re M1) / 2.
     """
     moments = _one_window(window, config)
-    return visibility_from_counts(moments.even, moments.odd)
+    if moments.m0 == 0.0:
+        raise UndefinedVisibilityError(
+            "both coincidence counts vanish on this window")
+    return abs((moments.even - moments.odd) / moments.m0)
 
 
 def _sweep_columns(centers: np.ndarray, halfwidths: np.ndarray,
@@ -496,9 +492,9 @@ def simulate_counts(true_rate: float | np.ndarray, accidental_rate: float,
     Deterministic per seed; every call owns its generator, so concurrent
     simulations never share state.
     """
-    if np.any(np.asarray(true_rate) < 0.0) or accidental_rate < 0.0:
+    if not (np.all(np.asarray(true_rate) >= 0.0) and accidental_rate >= 0.0):
         raise ValueError("rates must be >= 0")
-    if duration < 0.0:
+    if not duration >= 0.0:
         raise ValueError("duration must be >= 0")
     rng = np.random.default_rng(seed)
     counts = rng.poisson((true_rate + accidental_rate) * duration)

@@ -34,30 +34,24 @@ package and can be passed to the CLI by name.
 Scan rates average the pinhole as a slit in the scan-plane angle, like
 sweep windows: two Gauss nodes theta +- h / sqrt(3), h the internal
 half-width the pinhole diameter subtends, or the one node theta for a zero
-diameter (whether to average a disk instead is open); a scan edge plus h
-must stay inside the model domain. A scan evaluates the two reference rates
-R(45, 45) and R(45, -45) once per Gauss node and point, and each settings
-pair's rate column is the linear mix
+diameter (whether to average a disk instead is open). A scan evaluates the
+two reference rates R(45, 45) and R(45, -45) once per Gauss node and point,
+and each settings pair's rate column is the linear mix
 sin^2(T1 + T2) R(45, 45) + sin^2(T1 - T2) R(45, -45), so the number of
 pairs adds no rate evaluations. Distinct pairs must have distinct table
 labels; an exact repeat of a pair is kept once, so every scan and counts
 table name appears once. The ``envelope`` and ``phase_rad`` columns are
 `spdcpol.biphoton.angular_envelope` and ``relative_phase`` called on the
-whole grid. Scan, counts and visibility tables hold the float64 and int64
-arrays the run computes as their columns (see `spdcpol.output`); nothing
-is turned into rows on the way to CSV text.
+whole grid; tables hold the run's arrays as their columns.
 The visibility sweep reads every column from the two window moments M0 and
 M1 (concurrence is |M1| / M0), and a sweep takes the moments of all its
 windows from one kernel call. The uncompensated baseline shares that call
 and its panel grid: it is the same production crystal with the bare phase
 slope |B| L, so it needs no second cut solve.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
-the bare production crystal, pi / (|B| L) internal. Each sweep window and
-the pinhole are resolved to internal angles once, by one helper each.
-`load_scenario` fences the domain at each key's line, and `run_scenario`
-fences a hand-built spec on the same sums; the kernel integrates windows
-only, so a load also refuses a narrowest window with no width in floating
-point. On a flat phase law the Psi- Bell table is empty, with a note.
+the bare production crystal, pi / (|B| L) internal. `load_scenario` reports
+a `ScenarioSpec`'s refusal of a value at the line of its key.
+On a flat phase law the Psi- Bell table is empty, with a note.
 """
 
 from __future__ import annotations
@@ -75,12 +69,13 @@ from .biphoton import (BellState, CompensatorPlacement, Orientation,
                        relative_phase)
 from .config import Section, parse_config
 from .crystal import phase_matching_cut_angle
-from .errors import ConfigError, OutOfBandError, PhaseMatchingError
+from .errors import (ConfigError, OutOfBandError, PhaseMatchingError,
+                     QuadratureError)
 from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import MaterialRecord, get_material
 from .measurement import (MAX_SUPPORTED_ANGLE, PolarizerSettings,
-                          _analyzer_mix, _check_domain, _sweep_columns,
+                          _analyzer_mix, _panel_grid, _sweep_columns,
                           coincidence_rate, simulate_counts)
 from .output import Table
 
@@ -96,8 +91,7 @@ COUNTS_COLUMNS = ("theta_ext_rad", "theta_int_rad", "true_rate_hz",
 
 FIRST_SINGLET = "first_singlet"
 
-# The analyzer settings (45, 45) and (45, -45) whose rates every scan
-# evaluates: R(T1, T2) = sin^2(T1 + T2) R(45, 45) + sin^2(T1 - T2) R(45, -45).
+# The analyzer settings (45, 45) and (45, -45) whose rates every scan mixes.
 _REFERENCES = (PolarizerSettings(math.radians(45.0), math.radians(45.0)),
                PolarizerSettings(math.radians(45.0), math.radians(-45.0)))
 
@@ -146,6 +140,12 @@ class CountsSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A resolved scenario; building one raises ValueError unless, on the
+    values the run uses, the scan edge, alone and plus the pinhole half-width,
+    and |center| plus the widest sweep halfwidth lie in |theta_int| <= 0.1
+    rad, the narrowest window has a float width and the widest fits the
+    kernel's panel limit under every phase law of the sweep."""
+
     name: str
     seed: int
     source: SourceConfig
@@ -154,6 +154,9 @@ class ScenarioSpec:
     visibility: VisibilitySpec | None = None
     counts: CountsSpec | None = None
     bell_max_order: int = 8
+
+    def __post_init__(self):
+        _fence(self)
 
 
 def preset_text(name: str) -> str:
@@ -332,13 +335,6 @@ def load_scenario(source: str | Path, seed: int | None = None,
         if not lo < hi:
             raise sec.error("theta_ext_min_mrad must be below "
                             "theta_ext_max_mrad")
-        edge_key = "theta_ext_min_mrad" if -lo > hi else "theta_ext_max_mrad"
-        edge_int = external_to_internal_angle(max(-lo, hi), geometry,
-                                              source_config)
-        _fence(sec, edge_key, "scan", edge_int)
-        # Scan rates average the pinhole's half-width around every point.
-        _fence(geo, "pinhole_diameter_um", "the pinhole at the scan edge",
-               edge_int + _pinhole_halfwidth(geometry, source_config))
         scan_spec = ScanSpec(theta_ext_min=lo, theta_ext_max=hi,
                              points=points,
                              settings_deg=_parse_settings(sec))
@@ -359,7 +355,6 @@ def load_scenario(source: str | Path, seed: int | None = None,
             if max_hw <= 0.0:
                 raise sec.error("max_halfwidth_mrad must be > 0",
                                 key="max_halfwidth_mrad")
-            halfwidth_key = "max_halfwidth_mrad"
         else:
             keyword = sec.get_str("max_halfwidth", FIRST_SINGLET)
             if keyword != FIRST_SINGLET:
@@ -367,24 +362,10 @@ def load_scenario(source: str | Path, seed: int | None = None,
                     f"max_halfwidth only understands '{FIRST_SINGLET}' "
                     f"(or use max_halfwidth_mrad)", key="max_halfwidth")
             max_hw = None
-            halfwidth_key = "max_halfwidth"
         visibility_spec = VisibilitySpec(
             points=points, max_halfwidth_ext=max_hw,
             center_ext=sec.get_float("center_mrad", 0.0) * 1e-3,
             compare_uncompensated=sec.get_bool("compare_uncompensated", False))
-        center_int, hmax_int = _sweep_window(visibility_spec, geometry,
-                                             source_config)
-        center_int = abs(center_int)
-        narrowest = hmax_int / points
-        if center_int - narrowest == center_int + narrowest:
-            raise sec.error(
-                f"the narrowest window, {center_int:.4g} +- {narrowest:.4g} "
-                f"rad internal, has no width in floating point",
-                key=halfwidth_key)
-        # Blame the halfwidth when it alone leaves the domain, else the
-        # center that moved the window out.
-        _fence(sec, (halfwidth_key if hmax_int > MAX_SUPPORTED_ANGLE
-                     else "center_mrad"), "window", center_int + hmax_int)
 
     counts_spec = None
     if "counts" in by_name:
@@ -408,18 +389,61 @@ def load_scenario(source: str | Path, seed: int | None = None,
                 f"{mean:.4g} exceeds 2**53, the largest exact count",
                 key="duration_s")
 
-    return ScenarioSpec(name=name, seed=seed_value, source=source_config,
-                        geometry=geometry, scan=scan_spec,
-                        visibility=visibility_spec, counts=counts_spec,
-                        bell_max_order=bell_max_order)
+    try:
+        return ScenarioSpec(name=name, seed=seed_value, source=source_config,
+                            geometry=geometry, scan=scan_spec,
+                            visibility=visibility_spec, counts=counts_spec,
+                            bell_max_order=bell_max_order)
+    except _SpecError as exc:
+        raise by_name[exc.section].error(str(exc), key=exc.key) from None
 
 
-def _fence(section: Section, key: str, what: str, reach: float) -> None:
-    # The model domain, checked on the internal angle a table will reach.
-    if reach > MAX_SUPPORTED_ANGLE:
-        raise section.error(
-            f"{what} reaches {reach:.4g} rad internal, beyond the supported "
-            f"|theta| <= {MAX_SUPPORTED_ANGLE} rad", key=key)
+class _SpecError(ValueError):
+    """A ScenarioSpec refusal with the [section] and key it belongs to."""
+
+    def __init__(self, section: str, key: str, message: str):
+        super().__init__(message)
+        self.section, self.key = section, key
+
+
+def _reach(reach: float, section: str, key: str, what: str) -> None:
+    if not reach <= MAX_SUPPORTED_ANGLE:
+        raise _SpecError(section, key, f"{what} reaches {reach:.4g} rad "
+                         f"internal, beyond the supported range |theta| <= "
+                         f"{MAX_SUPPORTED_ANGLE} rad")
+
+
+def _fence(spec: ScenarioSpec) -> None:
+    geometry, source = spec.geometry, spec.source
+    if spec.scan is not None:
+        lo, hi = spec.scan.theta_ext_min, spec.scan.theta_ext_max
+        edge = external_to_internal_angle(np.abs((lo, hi)).max(), geometry,
+                                          source)
+        _reach(edge, "scan", ("theta_ext_min_mrad" if abs(lo) > abs(hi)
+                              else "theta_ext_max_mrad"), "scan")
+        _reach(edge + _pinhole_halfwidth(geometry, source), "geometry",
+               "pinhole_diameter_um", "the pinhole at the scan edge")
+    if spec.visibility is not None:
+        key = ("max_halfwidth" if spec.visibility.max_halfwidth_ext is None
+               else "max_halfwidth_mrad")
+        center, halfwidths, slopes = _sweep(spec)
+        off_axis, narrowest = abs(center), halfwidths[:1].sum()  # 0 if none
+        if not off_axis - narrowest < off_axis + narrowest:
+            raise _SpecError("visibility", key, (
+                f"the narrowest window, {off_axis:.4g} +- {narrowest:.4g} "
+                f"rad internal, has no width in floating point, outside the "
+                f"supported range"))
+        # Blame the halfwidth when it alone leaves the domain, else the
+        # center that moved the window out.
+        _reach(off_axis + halfwidths[-1], "visibility",
+               key if halfwidths[-1] > MAX_SUPPORTED_ANGLE else "center_mrad",
+               "window")
+        try:
+            _panel_grid(np.array([center]), halfwidths[-1:],
+                        source.envelope_slope, slopes)
+        except QuadratureError as exc:
+            raise _SpecError("visibility", key, f"the widest window lies "
+                             f"outside the supported range: {exc}") from None
 
 
 def _settings_label(pair: tuple[float, float]) -> str:
@@ -428,10 +452,7 @@ def _settings_label(pair: tuple[float, float]) -> str:
 
 def _reference_rates(theta_int: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
     # The pinhole-averaged rates R(45, 45) and R(45, -45) at every scan
-    # point, the mean over the Gauss nodes +/- h / sqrt(3) (0 for a point
-    # detector): one coincidence_rate call per reference, node and point,
-    # over one node list and one source, with each reference's weights
-    # computed when _REFERENCES was built.
+    # point: one coincidence_rate call per reference, Gauss node and point.
     source = spec.source
     node = _pinhole_halfwidth(spec.geometry, source) / math.sqrt(3.0)
     offsets = (-node, node) if node else (0.0,)
@@ -450,17 +471,19 @@ def _pinhole_halfwidth(geometry: GeometryConfig,
         geometry, source)
 
 
-def _sweep_window(vspec: VisibilitySpec, geometry: GeometryConfig,
-                  source: SourceConfig) -> tuple[float, float]:
-    # Internal center and largest halfwidth of a sweep: what load_scenario
-    # fences is what run_scenario sweeps. first_singlet is the first Psi-
-    # angle of the bare production crystal.
-    center_int = external_to_internal_angle(vspec.center_ext, geometry,
-                                            source)
+def _sweep(spec: ScenarioSpec) -> tuple[float, np.ndarray, tuple]:
+    # The internal center and halfwidths of a sweep's windows and the phase
+    # slopes it runs: the source's, and the uncompensated baseline's 2 a.
+    vspec, geometry, source = spec.visibility, spec.geometry, spec.source
+    center = external_to_internal_angle(vspec.center_ext, geometry, source)
     if vspec.max_halfwidth_ext is None:
-        return center_int, math.pi / (2.0 * source.envelope_slope)
-    return center_int, external_to_internal_angle(vspec.max_halfwidth_ext,
-                                                  geometry, source)
+        widest = math.pi / (2.0 * source.envelope_slope)
+    else:
+        widest = external_to_internal_angle(vspec.max_halfwidth_ext,
+                                            geometry, source)
+    slopes = (source.phase_slope, 2.0 * source.envelope_slope)
+    return (center, widest * np.arange(1, vspec.points + 1) / vspec.points,
+            slopes[:1 + vspec.compare_uncompensated])
 
 
 def run_scenario(spec: ScenarioSpec) -> list[Table]:
@@ -468,16 +491,6 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
     if spec.scan is None and spec.visibility is None:
         raise ConfigError(
             f"scenario '{spec.name}' defines neither [scan] nor [visibility]")
-    # a hand-built spec meets load_scenario's domain fences, same sums
-    if spec.scan is not None:
-        edges = np.abs((spec.scan.theta_ext_min, spec.scan.theta_ext_max))
-        _check_domain(external_to_internal_angle(edges.max(), spec.geometry,
-                                                 spec.source),
-                      _pinhole_halfwidth(spec.geometry, spec.source))
-    if spec.visibility is not None:
-        center_int, hmax_int = _sweep_window(spec.visibility, spec.geometry,
-                                             spec.source)
-        _check_domain(center_int, hmax_int)
     tables: list[Table] = []
     # One CSV text memo for all tables: they repeat the grid columns.
     float_text: dict = {}
@@ -513,21 +526,12 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                     _float_text=float_text))
 
     if spec.visibility is not None:
-        vspec = spec.visibility
-        halfwidths = hmax_int * np.arange(1, vspec.points + 1) / vspec.points
+        center, halfwidths, slopes = _sweep(spec)
         halfwidths_ext = internal_to_external_angle(
             halfwidths, spec.geometry, spec.source)
-        centers = np.full(vspec.points, center_int)
-        envelope_slope = spec.source.envelope_slope
-        suffixes, phase_slopes = ("",), (spec.source.phase_slope,)
-        if vspec.compare_uncompensated:
-            # The bare production crystal: its phase slope |B| L is twice
-            # its envelope slope |B| L / 2, bit for bit.
-            suffixes += ("_uncompensated",)
-            phase_slopes += (2.0 * envelope_slope,)
-        columns = _sweep_columns(centers, halfwidths, envelope_slope,
-                                 phase_slopes)
-        for suffix, *law_columns in zip(suffixes, *columns):
+        columns = _sweep_columns(np.full(halfwidths.size, center), halfwidths,
+                                 spec.source.envelope_slope, slopes)
+        for suffix, *law_columns in zip(("", "_uncompensated"), *columns):
             tables.append(Table(
                 name=f"{spec.name}_visibility{suffix}",
                 columns=VISIBILITY_COLUMNS,

@@ -279,24 +279,66 @@ def test_a_crystal_too_short_for_its_sinc_exits_2_at_its_line(
     assert not out.exists()
 
 
-def test_a_phase_slope_far_beyond_the_envelope_slope_exits_3(tmp_path,
+def test_a_phase_slope_far_beyond_the_envelope_slope_exits_2(tmp_path,
                                                              capsys):
     # k / 2a overflows: with no sinc zero in the domain the window grid
-    # follows the phase period, and its panel count is refused
+    # follows the phase period, and the load refuses the widest window's
+    # panel count at the sweep's halfwidth line (30), for every command
     text = FUZZ_BASE.replace("length_mm = 1.0", "length_mm = 1e-300")
     text = text.replace("length_mm = 0.5", "length_mm = 1e300")
     scenario = tmp_path / "steep.cfg"
     scenario.write_text(text)
     out = tmp_path / "out"
-    assert cli.main(["run", str(scenario), "--out", str(out)]) == 3
+    for argv in (["run", str(scenario), "--out", str(out)],
+                 ["bell-angles", str(scenario), "--state", "psi-"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {scenario}:30: the "
+                                       f"widest window lies outside the "
+                                       f"supported range")
+        assert "e+299 panels, more than the limit" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+    assert not out.exists()
+    # the kernel still refuses the same window for a library call
+    scenario.write_text(text.split("[visibility]")[0])
+    spec = spdcpol.load_scenario(scenario)
+    window = spdcpol.AngularWindow(*(
+        spdcpol.external_to_internal_angle(angle, spec.geometry, spec.source)
+        for angle in (1e-3, 2e-3)))
+    with pytest.raises(QuadratureError, match=r"e\+299 panels, more than"):
+        spdcpol.visibility(window, spec.source)
+
+
+# A bare 300 mm BBO source whose one sweep window spans nearly the whole
+# model domain; line 11 is max_halfwidth_mrad.
+BIG_SOURCE = """\
+[source]
+material = bbo
+pump_wavelength_nm = 351.1
+length_mm = 300
+
+[geometry]
+lens_focal_length_mm = 500
+
+[visibility]
+points = 1
+max_halfwidth_mrad = 166
+"""
+
+
+def test_a_sweep_beyond_the_panel_limit_exits_2_at_its_line(tmp_path,
+                                                            capsys):
+    # a bare 300 mm source over nearly the whole domain needs 9650 panels,
+    # more than the kernel's limit: the load refuses it at the halfwidth
+    scenario = tmp_path / "big.cfg"
+    scenario.write_text(BIG_SOURCE)
+    assert cli.main(["run", str(scenario), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical error: window quadrature")
-    assert "e+299 panels, more than the limit" in err
-    assert len(err.splitlines()) == 1
-    assert cli.main(["bell-angles", str(scenario), "--state", "psi-"]) == 0
-    captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 1 + 4  # bell_max_order = 4
-    assert captured.err == ""
+    assert err.startswith(f"config error: {scenario}:11: the widest window")
+    assert "needs 9650 panels, more than the limit of 8192" in err
+    assert "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["big.cfg"]
 
 
 @pytest.mark.parametrize("length, state, kept", [

@@ -782,6 +782,19 @@ def test_counts_validation():
         sp.simulate_counts(np.array([1.0, -1.0]), 0.0, 1.0, seed=0)
 
 
+def test_counts_refuse_nan_rates_and_durations():
+    # NaN is not >= 0: each input is refused with the function's message,
+    # not numpy's "lam < 0 or lam is NaN"
+    for args, message in [((math.nan, 0.0, 1.0), "rates must be >= 0"),
+                          ((np.array([1.0, math.nan]), 0.0, 1.0),
+                           "rates must be >= 0"),
+                          ((1.0, math.nan, 1.0), "rates must be >= 0"),
+                          ((1.0, 0.0, math.nan), "duration must be >= 0")]:
+        with pytest.raises(ValueError) as info:
+            sp.simulate_counts(*args, seed=0)
+        assert str(info.value) == message
+
+
 def test_counts_for_an_array_of_rates():
     rates = np.array([0.0, 10.0, 1000.0, 5.0])
     counts = sp.simulate_counts(rates, 2.0, 3.0, seed=np.random.SeedSequence(9))

@@ -420,32 +420,55 @@ def test_sweep_kernel_reports_its_errors_and_panels(monkeypatch):
 
 
 def test_sweep_outside_the_domain_is_refused_at_run():
-    # a hand-built spec skips the load-time fences
+    # a hand-built spec meets the load's fence when it is built
     spec = sp.load_scenario("fig3")
-    wide = dataclasses.replace(spec, visibility=dataclasses.replace(
-        spec.visibility, max_halfwidth_ext=0.2))
     with pytest.raises(ValueError, match="supported range"):
-        sp.run_scenario(wide)
+        dataclasses.replace(spec, visibility=dataclasses.replace(
+            spec.visibility, max_halfwidth_ext=0.2))
 
 
 def test_scan_outside_the_domain_is_refused_at_run():
-    # a hand-built scan meets the same fence as a loaded one: scan edge
-    # plus pinhole half-width
+    # a hand-built scan meets the same fence as a loaded one, when built:
+    # scan edge plus pinhole half-width
     spec = sp.load_scenario("fig2a")
-    wide = dataclasses.replace(spec, scan=dataclasses.replace(
-        spec.scan, theta_ext_min=-2.0, theta_ext_max=2.0))
     with pytest.raises(ValueError, match="supported range"):
-        sp.run_scenario(wide)
+        dataclasses.replace(spec, scan=dataclasses.replace(
+            spec.scan, theta_ext_min=-2.0, theta_ext_max=2.0))
     h = scenario._pinhole_halfwidth(spec.geometry, spec.source)
     edge = sp.internal_to_external_angle(scenario.MAX_SUPPORTED_ANGLE - 2 * h,
                                          spec.geometry, spec.source)
     near = dataclasses.replace(spec, scan=dataclasses.replace(
         spec.scan, theta_ext_min=-edge, theta_ext_max=0.0))
     assert len(sp.run_scenario(near)) == 2
-    past = dataclasses.replace(near, geometry=dataclasses.replace(
-        spec.geometry, pinhole_diameter=4.0 * spec.geometry.pinhole_diameter))
     with pytest.raises(ValueError, match="supported range"):
-        sp.run_scenario(past)
+        dataclasses.replace(near, geometry=dataclasses.replace(
+            spec.geometry,
+            pinhole_diameter=4.0 * spec.geometry.pinhole_diameter))
+
+
+def test_a_hand_built_sweep_beyond_the_panel_limit_is_refused_when_built(
+        tmp_path):
+    # a bare 300 mm source: a 1 mrad sweep fits, the whole domain needs
+    # 9650 panels, more than the kernel takes in one window
+    text = ("[source]\nmaterial = bbo\npump_wavelength_nm = 351.1\n"
+            "length_mm = 300\n\n[geometry]\nlens_focal_length_mm = 500\n\n"
+            "[visibility]\npoints = 1\nmax_halfwidth_mrad = 1\n")
+    spec = _load_text(tmp_path, text)
+    with pytest.raises(ValueError, match="supported range") as info:
+        dataclasses.replace(spec, visibility=dataclasses.replace(
+            spec.visibility, max_halfwidth_ext=0.166))
+    assert "needs 9650 panels" in str(info.value)
+    assert not isinstance(info.value, sp.SpdcpolError)
+
+
+def test_a_hand_built_window_with_no_float_width_is_refused_when_built():
+    # a sweep of no windows has no window with a width either
+    spec = sp.load_scenario("fig3")
+    for change in ({"center_ext": 0.1, "max_halfwidth_ext": 1e-20},
+                   {"points": 0}):
+        with pytest.raises(ValueError, match="no width in floating point"):
+            dataclasses.replace(spec, visibility=dataclasses.replace(
+                spec.visibility, **change))
 
 
 def test_visibility_explicit_halfwidth(tmp_path):
