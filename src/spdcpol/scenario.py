@@ -1,14 +1,14 @@
 """Scenario files: map a tabletop layout onto emitted result tables.
 
 A scenario is a line-oriented ``key = value`` file (see `spdcpol.config`)
-with the sections below; each but ``[compensator]`` appears at most once,
-and an unknown section or key is an error at its line. The name prefixes
-every table file name, so it must be a plain file name (not empty, ``.`` or
-``..``, and without a path separator or NUL). Lab-facing
-quantities use nm/mm/um/mrad and external (lab) angles; everything is
-converted to SI and internal angles at this boundary, through
-`spdcpol.geometry` and the scenario's source. Emitted scan tables carry
-both angle columns.
+with the sections below; each but ``[compensator]`` appears at most once.
+`load_scenario` only turns text into values (an unknown section or key, or
+text that does not convert, is an error at its line); `ScenarioSpec` judges
+every value, and the loader reports a refusal at its key's line. The name
+prefixes every table file name, so it must be a plain file name. Lab-facing
+quantities use nm/mm/um/mrad and external (lab) angles, converted to SI and
+internal angles at this boundary through `spdcpol.geometry` and the
+scenario's source. Emitted scan tables carry both angle columns.
 
     [scenario]   name, seed, bell_max_order (optional)
     [source]     material, pump_wavelength_nm, length_mm
@@ -49,16 +49,15 @@ windows from one kernel call. The uncompensated baseline shares that call
 and its panel grid: it is the same production crystal with the bare phase
 slope |B| L, so it needs no second cut solve.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
-the bare production crystal, pi / (|B| L) internal. `load_scenario` reports
-a `ScenarioSpec`'s refusal of a value at the line of its key.
-On a flat phase law the Psi- Bell table is empty, with a note.
+the bare production crystal, pi / (|B| L) internal. On a flat phase law the
+Psi- Bell table is empty, with a note.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -67,7 +66,7 @@ import numpy as np
 from .biphoton import (BellState, CompensatorPlacement, Orientation,
                        SourceConfig, angular_envelope, bell_angles,
                        relative_phase)
-from .config import Section, parse_config
+from .config import Section, _finite_float, parse_config
 from .crystal import phase_matching_cut_angle
 from .errors import (ConfigError, OutOfBandError, PhaseMatchingError,
                      QuadratureError)
@@ -115,12 +114,36 @@ _SECTION_KEYS = {
 }
 
 
+class _SpecError(ValueError):
+    """A spec's refusal with its [section] and key (None: the section)."""
+
+    def __init__(self, section: str, key: str | None, message: str):
+        super().__init__(message)
+        self.section, self.key = section, key
+
+
 @dataclass(frozen=True)
 class ScanSpec:
     theta_ext_min: float  # rad
     theta_ext_max: float  # rad
     points: int
     settings_deg: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        if not self.settings_deg:
+            raise _SpecError("scan", "settings_deg",
+                             "settings_deg needs at least one pair")
+        # Table label -> the pair first given for it, in order: an exact
+        # repeat is kept once, a different pair would overwrite its tables.
+        labelled: dict[str, tuple[float, float]] = {}
+        for pair in self.settings_deg:
+            first = labelled.setdefault(_settings_label(pair), pair)
+            if first != pair:
+                raise _SpecError("scan", "settings_deg", (
+                    f"settings_deg pairs '{first[0]!r} {first[1]!r}' and "
+                    f"'{pair[0]!r} {pair[1]!r}' differ but share the table "
+                    f"label '{_settings_label(pair)}'"))
+        object.__setattr__(self, "settings_deg", tuple(labelled.values()))
 
 
 @dataclass(frozen=True)
@@ -140,11 +163,9 @@ class CountsSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A resolved scenario; building one raises ValueError unless, on the
-    values the run uses, the scan edge, alone and plus the pinhole half-width,
-    and |center| plus the widest sweep halfwidth lie in |theta_int| <= 0.1
-    rad, the narrowest window has a float width and the widest fits the
-    kernel's panel limit under every phase law of the sweep."""
+    """A resolved scenario, valid by construction: building one (or a
+    ScanSpec, for its settings) raises ValueError on any value the run
+    cannot use. The rules are those of the scenario file, in `_fence`."""
 
     name: str
     seed: int
@@ -192,9 +213,7 @@ def _pick_material(section: Section,
 
 def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
     raw = section.get_str("settings_deg")
-    # Table label -> the pair first given for it, in order: an exact repeat
-    # is kept once, a different pair would overwrite its tables.
-    labelled: dict[str, tuple[float, float]] = {}
+    pairs = []
     for chunk in raw.split(";"):
         parts = chunk.split()
         if len(parts) != 2:
@@ -202,21 +221,12 @@ def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
                 f"settings_deg expects 'T1 T2; T1 T2; ...' in degrees, "
                 f"got '{raw}'", key="settings_deg")
         try:
-            pair = (float(parts[0]), float(parts[1]))
-            if not all(math.isfinite(angle) for angle in pair):
-                raise ValueError
+            pairs.append((_finite_float(parts[0]), _finite_float(parts[1])))
         except ValueError:
             raise section.error(
                 f"settings_deg values must be finite numbers, got "
                 f"'{chunk.strip()}'", key="settings_deg")
-        label = _settings_label(pair)
-        first = labelled.setdefault(label, pair)
-        if first != pair:
-            raise section.error(
-                f"settings_deg pairs '{first[0]!r} {first[1]!r}' and "
-                f"'{pair[0]!r} {pair[1]!r}' differ but share the table "
-                f"label '{label}'", key="settings_deg")
-    return tuple(labelled.values())
+    return tuple(pairs)
 
 
 def load_scenario(source: str | Path, seed: int | None = None,
@@ -240,26 +250,12 @@ def load_scenario(source: str | Path, seed: int | None = None,
             raise ConfigError(f"missing required section [{required}]",
                               path=path)
 
-    sec = by_name.get("scenario",
-                      Section(name="scenario", line=None, path=path))
+    sec = by_name.setdefault(
+        "scenario", Section(name="scenario", line=None, path=path))
     name = sec.get_str("name", str(source) if path.startswith("<preset")
                        else Path(path).stem)
-    # The name prefixes every table file name inside --out.
-    if name in ("", ".", "..") or set(name) & {"/", os.sep, os.altsep, "\0"}:
-        raise sec.error(f"name {name!r} must be a plain file name: not "
-                        f"empty, '.' or '..', and without a path separator "
-                        f"or NUL", key="name")
     seed_value = sec.get_int("seed", 0)
-    if seed_value < 0:
-        raise sec.error("seed must be >= 0", key="seed")
     bell_max_order = sec.get_int("bell_max_order", 8)
-    if not 1 <= bell_max_order <= MAX_POINTS:
-        raise sec.error(f"bell_max_order must lie in [1, {MAX_POINTS}]",
-                        key="bell_max_order")
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        seed_value = seed
 
     src = by_name["source"]
     material = _pick_material(src, catalogue)
@@ -323,87 +319,50 @@ def load_scenario(source: str | Path, seed: int | None = None,
     except ValueError as exc:
         raise geo.error(f"invalid geometry: {exc}")
 
-    scan_spec = None
-    if "scan" in by_name:
-        sec = by_name["scan"]
-        lo = sec.get_float("theta_ext_min_mrad") * 1e-3
-        hi = sec.get_float("theta_ext_max_mrad") * 1e-3
-        points = sec.get_int("points")
-        if not 2 <= points <= MAX_POINTS:
-            raise sec.error(f"scan needs 2 to {MAX_POINTS} points",
-                            key="points")
-        if not lo < hi:
-            raise sec.error("theta_ext_min_mrad must be below "
-                            "theta_ext_max_mrad")
-        scan_spec = ScanSpec(theta_ext_min=lo, theta_ext_max=hi,
-                             points=points,
-                             settings_deg=_parse_settings(sec))
-
-    visibility_spec = None
-    if "visibility" in by_name:
-        sec = by_name["visibility"]
-        points = sec.get_int("points")
-        if not 1 <= points <= MAX_POINTS:
-            raise sec.error(f"visibility sweep needs 1 to {MAX_POINTS} "
-                            f"points", key="points")
-        if sec.has("max_halfwidth") and sec.has("max_halfwidth_mrad"):
-            raise sec.error("give either max_halfwidth or max_halfwidth_mrad,"
-                            " not both")
-        max_hw: float | None
-        if sec.has("max_halfwidth_mrad"):
-            max_hw = sec.get_float("max_halfwidth_mrad") * 1e-3
-            if max_hw <= 0.0:
-                raise sec.error("max_halfwidth_mrad must be > 0",
-                                key="max_halfwidth_mrad")
-        else:
-            keyword = sec.get_str("max_halfwidth", FIRST_SINGLET)
-            if keyword != FIRST_SINGLET:
+    try:
+        scan_spec = None
+        if "scan" in by_name:
+            sec = by_name["scan"]
+            scan_spec = ScanSpec(
+                theta_ext_min=sec.get_float("theta_ext_min_mrad") * 1e-3,
+                theta_ext_max=sec.get_float("theta_ext_max_mrad") * 1e-3,
+                points=sec.get_int("points"),
+                settings_deg=_parse_settings(sec))
+        visibility_spec = None
+        if "visibility" in by_name:
+            sec = by_name["visibility"]
+            if sec.has("max_halfwidth") and sec.has("max_halfwidth_mrad"):
+                raise sec.error("give either max_halfwidth or "
+                                "max_halfwidth_mrad, not both")
+            max_hw: float | None = None
+            if sec.has("max_halfwidth_mrad"):
+                max_hw = sec.get_float("max_halfwidth_mrad") * 1e-3
+            elif sec.get_str("max_halfwidth", FIRST_SINGLET) != FIRST_SINGLET:
                 raise sec.error(
                     f"max_halfwidth only understands '{FIRST_SINGLET}' "
                     f"(or use max_halfwidth_mrad)", key="max_halfwidth")
-            max_hw = None
-        visibility_spec = VisibilitySpec(
-            points=points, max_halfwidth_ext=max_hw,
-            center_ext=sec.get_float("center_mrad", 0.0) * 1e-3,
-            compare_uncompensated=sec.get_bool("compare_uncompensated", False))
-
-    counts_spec = None
-    if "counts" in by_name:
-        sec = by_name["counts"]
-        if scan_spec is None:
-            raise sec.error("[counts] draws counts from the scan rates and "
-                            "needs a [scan] section")
-        counts_spec = CountsSpec(
-            duration=sec.get_float("duration_s"),
-            peak_rate=sec.get_float("peak_rate_hz"),
-            accidental_rate=sec.get_float("accidental_rate_hz", 0.0))
-        for key in ("duration_s", "peak_rate_hz", "accidental_rate_hz"):
-            if sec.get_float(key, 0.0) < 0.0:
-                raise sec.error(f"{key} must be >= 0", key=key)
-        # rate_arb <= 1 bounds each mean; counts <= 2**53 are exact as floats.
-        mean = ((counts_spec.peak_rate + counts_spec.accidental_rate)
-                * counts_spec.duration)
-        if mean > 2.0 ** 53:
-            raise sec.error(
-                f"(peak_rate_hz + accidental_rate_hz) * duration_s = "
-                f"{mean:.4g} exceeds 2**53, the largest exact count",
-                key="duration_s")
-
-    try:
-        return ScenarioSpec(name=name, seed=seed_value, source=source_config,
+            visibility_spec = VisibilitySpec(
+                points=sec.get_int("points"), max_halfwidth_ext=max_hw,
+                center_ext=sec.get_float("center_mrad", 0.0) * 1e-3,
+                compare_uncompensated=sec.get_bool("compare_uncompensated",
+                                                   False))
+        counts_spec = None
+        if "counts" in by_name:
+            sec = by_name["counts"]
+            counts_spec = CountsSpec(
+                duration=sec.get_float("duration_s"),
+                peak_rate=sec.get_float("peak_rate_hz"),
+                accidental_rate=sec.get_float("accidental_rate_hz", 0.0))
+        spec = ScenarioSpec(name=name, seed=seed_value, source=source_config,
                             geometry=geometry, scan=scan_spec,
                             visibility=visibility_spec, counts=counts_spec,
                             bell_max_order=bell_max_order)
     except _SpecError as exc:
         raise by_name[exc.section].error(str(exc), key=exc.key) from None
-
-
-class _SpecError(ValueError):
-    """A ScenarioSpec refusal with the [section] and key it belongs to."""
-
-    def __init__(self, section: str, key: str, message: str):
-        super().__init__(message)
-        self.section, self.key = section, key
+    try:
+        return spec if seed is None else replace(spec, seed=seed)
+    except _SpecError as exc:  # the seed override is no line of the file
+        raise ConfigError(f"{exc}, got {seed}") from None
 
 
 def _reach(reach: float, section: str, key: str, what: str) -> None:
@@ -414,9 +373,26 @@ def _reach(reach: float, section: str, key: str, what: str) -> None:
 
 
 def _fence(spec: ScenarioSpec) -> None:
+    # The name prefixes every table file name inside --out.
+    if (spec.name in ("", ".", "..")
+            or set(spec.name) & {"/", os.sep, os.altsep, "\0"}):
+        raise _SpecError("scenario", "name", (
+            f"name {spec.name!r} must be a plain file name: not empty, '.' "
+            f"or '..', and without a path separator or NUL"))
+    if not spec.seed >= 0:
+        raise _SpecError("scenario", "seed", "seed must be >= 0")
+    if not 1 <= spec.bell_max_order <= MAX_POINTS:
+        raise _SpecError("scenario", "bell_max_order",
+                         f"bell_max_order must lie in [1, {MAX_POINTS}]")
     geometry, source = spec.geometry, spec.source
     if spec.scan is not None:
         lo, hi = spec.scan.theta_ext_min, spec.scan.theta_ext_max
+        if not 2 <= spec.scan.points <= MAX_POINTS:
+            raise _SpecError("scan", "points",
+                             f"scan needs 2 to {MAX_POINTS} points")
+        if not lo < hi:
+            raise _SpecError("scan", None, "theta_ext_min_mrad must be below "
+                             "theta_ext_max_mrad")
         edge = external_to_internal_angle(np.abs((lo, hi)).max(), geometry,
                                           source)
         _reach(edge, "scan", ("theta_ext_min_mrad" if abs(lo) > abs(hi)
@@ -424,10 +400,17 @@ def _fence(spec: ScenarioSpec) -> None:
         _reach(edge + _pinhole_halfwidth(geometry, source), "geometry",
                "pinhole_diameter_um", "the pinhole at the scan edge")
     if spec.visibility is not None:
-        key = ("max_halfwidth" if spec.visibility.max_halfwidth_ext is None
-               else "max_halfwidth_mrad")
+        vspec = spec.visibility
+        if not 1 <= vspec.points <= MAX_POINTS:
+            raise _SpecError("visibility", "points", f"visibility sweep "
+                             f"needs 1 to {MAX_POINTS} points")
+        key = "max_halfwidth_mrad"
+        if vspec.max_halfwidth_ext is None:
+            key = "max_halfwidth"
+        elif not vspec.max_halfwidth_ext > 0.0:
+            raise _SpecError("visibility", key, f"{key} must be > 0")
         center, halfwidths, slopes = _sweep(spec)
-        off_axis, narrowest = abs(center), halfwidths[:1].sum()  # 0 if none
+        off_axis, narrowest = abs(center), halfwidths[0]
         if not off_axis - narrowest < off_axis + narrowest:
             raise _SpecError("visibility", key, (
                 f"the narrowest window, {off_axis:.4g} +- {narrowest:.4g} "
@@ -444,6 +427,22 @@ def _fence(spec: ScenarioSpec) -> None:
         except QuadratureError as exc:
             raise _SpecError("visibility", key, f"the widest window lies "
                              f"outside the supported range: {exc}") from None
+    if spec.counts is not None:
+        cspec = spec.counts
+        if spec.scan is None:
+            raise _SpecError("counts", None, "[counts] draws counts from the "
+                             "scan rates and needs a [scan] section")
+        for key, value in (("duration_s", cspec.duration),
+                           ("peak_rate_hz", cspec.peak_rate),
+                           ("accidental_rate_hz", cspec.accidental_rate)):
+            if not value >= 0.0:
+                raise _SpecError("counts", key, f"{key} must be >= 0")
+        # rate_arb <= 1 bounds each mean; counts <= 2**53 are exact as floats.
+        mean = (cspec.peak_rate + cspec.accidental_rate) * cspec.duration
+        if not mean <= 2.0 ** 53:
+            raise _SpecError("counts", "duration_s", (
+                f"(peak_rate_hz + accidental_rate_hz) * duration_s = "
+                f"{mean:.4g} exceeds 2**53, the largest exact count"))
 
 
 def _settings_label(pair: tuple[float, float]) -> str:

@@ -462,13 +462,60 @@ def test_a_hand_built_sweep_beyond_the_panel_limit_is_refused_when_built(
 
 
 def test_a_hand_built_window_with_no_float_width_is_refused_when_built():
-    # a sweep of no windows has no window with a width either
+    # a sweep of no windows meets the points rule before any window
     spec = sp.load_scenario("fig3")
-    for change in ({"center_ext": 0.1, "max_halfwidth_ext": 1e-20},
-                   {"points": 0}):
-        with pytest.raises(ValueError, match="no width in floating point"):
+    for change, message in (
+            ({"center_ext": 0.1, "max_halfwidth_ext": 1e-20},
+             "no width in floating point"),
+            ({"points": 0}, "visibility sweep needs 1 to 100000 points")):
+        with pytest.raises(ValueError, match=message):
             dataclasses.replace(spec, visibility=dataclasses.replace(
                 spec.visibility, **change))
+
+
+def _part(spec, part, **change):
+    # spec with fields of one of its parts (scan, visibility, counts) changed
+    return dataclasses.replace(spec, **{part: dataclasses.replace(
+        getattr(spec, part), **change)})
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda s: dataclasses.replace(s, name="../escaped"),
+     "must be a plain file name"),
+    (lambda s: dataclasses.replace(s, seed=-1), "seed must be >= 0"),
+    (lambda s: dataclasses.replace(s, bell_max_order=0),
+     r"bell_max_order must lie in \[1, 100000\]"),
+    (lambda s: _part(s, "scan", points=1), "scan needs 2 to 100000 points"),
+    (lambda s: _part(s, "scan", theta_ext_min=s.scan.theta_ext_max),
+     "theta_ext_min_mrad must be below theta_ext_max_mrad"),
+    (lambda s: _part(s, "scan",
+                     settings_deg=((45.0, 45.0), (45.0000001, 45.0))),
+     "share the table label '45_45'"),
+    (lambda s: _part(s, "scan", settings_deg=()),
+     "settings_deg needs at least one pair"),
+    (lambda s: _part(s, "visibility", points=100_001),
+     "visibility sweep needs 1 to 100000 points"),
+    (lambda s: _part(s, "visibility", max_halfwidth_ext=-1e-3),
+     "max_halfwidth_mrad must be > 0"),
+    (lambda s: dataclasses.replace(s, scan=None), r"needs a \[scan\] section"),
+    (lambda s: _part(s, "counts", peak_rate=-1.0),
+     "peak_rate_hz must be >= 0"),
+    (lambda s: _part(s, "counts", duration=1e60), r"exceeds 2\*\*53"),
+], ids=["name", "seed", "bell_max_order", "scan_points", "scan_edges",
+        "settings_label", "settings_empty", "visibility_points",
+        "max_halfwidth", "counts_without_scan", "counts_rate", "counts_mean"])
+def test_a_hand_built_spec_obeys_every_loader_rule(tmp_path, change, message):
+    # each rule a scenario file meets holds for a hand-built spec, when it
+    # is built, so nothing runs and nothing is written, inside --out or not
+    path = tmp_path / "scenario.cfg"
+    path.write_text(COUNTS + "\n[visibility]\npoints = 2\n"
+                             "max_halfwidth_mrad = 1\n")
+    spec = sp.load_scenario(path)
+    with pytest.raises(ValueError, match=message) as info:
+        for table in sp.run_scenario(change(spec)):
+            sp.write_table(table, tmp_path / "out")
+    assert not isinstance(info.value, sp.SpdcpolError)
+    assert list(tmp_path.rglob("*")) == [path]
 
 
 def test_visibility_explicit_halfwidth(tmp_path):
@@ -753,7 +800,7 @@ def test_scan_edges_outside_domain_are_config_errors(tmp_path):
         assert "pinhole" in str(info.value)
 
 
-def test_sizes_are_capped(tmp_path):
+def test_sizes_are_capped(tmp_path, capsys):
     from spdcpol.scenario import MAX_POINTS
     text = BASE.replace("points = 11", f"points = {MAX_POINTS + 1}")
     with pytest.raises(sp.ConfigError) as info:
@@ -773,6 +820,18 @@ def test_sizes_are_capped(tmp_path):
     assert info.value.line == 3
     with pytest.raises(sp.ConfigError):
         _load_text(tmp_path, BASE, seed=-1)
+    # a --seed override is no line of the file, even when the file has a
+    # seed of its own
+    text = BASE.replace("name = demo", "name = demo\nseed = 3")
+    with pytest.raises(sp.ConfigError) as info:
+        _load_text(tmp_path, text, seed=-1)
+    assert info.value.line is None
+    assert str(info.value) == "seed must be >= 0, got -1"
+    path = tmp_path / "scenario.cfg"
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == ("config error: seed must be >= 0, "
+                                       "got -1\n")
 
 
 def test_sub_resolution_window_is_config_error(tmp_path):
