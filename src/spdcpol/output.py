@@ -25,11 +25,21 @@ columns/rows. CSV files carry one header line naming columns and units.
 ``\\n`` alone and keeps every line but the empty one after the final newline,
 so a blank line is a row (an empty cell), not skipped. Files are written as
 UTF-8 whatever the locale.
+
+``to_json`` writes exactly the bytes of ``json.dumps(payload, indent=2)``
+plus a newline, also one column at a time: a finite float64 column through
+``float.__repr__`` (the shortest text that reads back to the same float),
+any other cell as json writes it (``NaN``, ``Infinity`` and ``-Infinity``
+for the non-finite floats, ``int.__repr__`` for ints, and ``json.dumps`` of
+the cell alone, re-indented to its depth, for the rest), joined into the
+``indent=2`` layout. A cell json refuses raises json's own exception.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -180,15 +190,53 @@ def from_csv(text: str, name: str = "") -> Table:
     return Table(name=name, columns=columns, rows=rows)
 
 
+def _json_value(value, depth: int) -> str:
+    # json.dumps(indent=2)'s text for ``value`` nested ``depth`` levels deep:
+    # strings and numbers as json writes them (JavaScript's names for the
+    # non-finite floats), anything else dumped alone and indented to its
+    # depth (a JSON text holds no raw newline but its layout's).
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        if value != value:
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_column(column) -> list[str]:
+    # Every cell sits three levels deep: payload, rows, row.
+    if (isinstance(column, np.ndarray) and column.dtype == np.float64
+            and np.isfinite(column).all()):
+        return list(map(float.__repr__, column.tolist()))
+    return [_json_value(cell, 3) for cell in _cells(column)]
+
+
 def to_json(table: Table) -> str:
-    payload = {
-        "name": table.name,
-        "columns": list(table.columns),
-        "rows": table.rows,
-    }
-    if table.note:
-        payload["note"] = table.note
-    return json.dumps(payload, indent=2) + "\n"
+    """JSON text of ``table``: ``json.dumps(payload, indent=2) + "\\n"``.
+
+    The payload is ``{"name", "columns", "rows"}``, plus ``"note"`` when the
+    table has one. The text is those bytes, written one column at a time
+    rather than through ``table.rows`` (see the module docstring). A cell
+    json refuses raises what ``json.dumps`` raises for it: a TypeError, or a
+    ValueError for a list that holds itself.
+    """
+    name = _json_value(table.name, 1)
+    columns = ",\n    ".join([_json_value(column, 2)
+                               for column in table.columns])
+    if len(table._columns[0]):
+        rows = "\n    ],\n    [\n      ".join(
+            map(",\n      ".join, zip(*map(_json_column, table._columns))))
+        rows = f"[\n    [\n      {rows}\n    ]\n  ]"
+    else:
+        rows = "[]"
+    note = f',\n  "note": {_json_value(table.note, 1)}' if table.note else ""
+    return (f'{{\n  "name": {name},\n  "columns": [\n    {columns}\n  ],'
+            f'\n  "rows": {rows}{note}\n}}\n')
 
 
 def _serialize(table: Table, fmt: str) -> str:

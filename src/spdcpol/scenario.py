@@ -66,7 +66,7 @@ import numpy as np
 from .biphoton import (BellState, CompensatorPlacement, Orientation,
                        SourceConfig, angular_envelope, bell_angles,
                        relative_phase)
-from .config import Section, _finite_float, parse_config
+from .config import Section, parse_config
 from .crystal import phase_matching_cut_angle
 from .errors import (ConfigError, OutOfBandError, PhaseMatchingError,
                      QuadratureError)
@@ -133,6 +133,11 @@ class ScanSpec:
         if not self.settings_deg:
             raise _SpecError("scan", "settings_deg",
                              "settings_deg needs at least one pair")
+        for pair in self.settings_deg:
+            if not all(map(math.isfinite, pair)):
+                raise _SpecError("scan", "settings_deg", (
+                    f"settings_deg values must be finite numbers, got "
+                    f"'{pair[0]!r} {pair[1]!r}'"))
         # Table label -> the pair first given for it, in order: an exact
         # repeat is kept once, a different pair would overwrite its tables.
         labelled: dict[str, tuple[float, float]] = {}
@@ -221,7 +226,7 @@ def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
                 f"settings_deg expects 'T1 T2; T1 T2; ...' in degrees, "
                 f"got '{raw}'", key="settings_deg")
         try:
-            pairs.append((_finite_float(parts[0]), _finite_float(parts[1])))
+            pairs.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise section.error(
                 f"settings_deg values must be finite numbers, got "
@@ -372,6 +377,16 @@ def _reach(reach: float, section: str, key: str, what: str) -> None:
                          f"{MAX_SUPPORTED_ANGLE} rad")
 
 
+def _points(points, section: str, what: str, least: int) -> None:
+    # A float or bool count would reach np.linspace or the sweep's arange.
+    if isinstance(points, bool) or not isinstance(points, int):
+        raise _SpecError(section, "points", f"{what} points must be an "
+                         f"integer, got {points!r}")
+    if not least <= points <= MAX_POINTS:
+        raise _SpecError(section, "points",
+                         f"{what} needs {least} to {MAX_POINTS} points")
+
+
 def _fence(spec: ScenarioSpec) -> None:
     # The name prefixes every table file name inside --out.
     if (spec.name in ("", ".", "..")
@@ -387,9 +402,7 @@ def _fence(spec: ScenarioSpec) -> None:
     geometry, source = spec.geometry, spec.source
     if spec.scan is not None:
         lo, hi = spec.scan.theta_ext_min, spec.scan.theta_ext_max
-        if not 2 <= spec.scan.points <= MAX_POINTS:
-            raise _SpecError("scan", "points",
-                             f"scan needs 2 to {MAX_POINTS} points")
+        _points(spec.scan.points, "scan", "scan", 2)
         if not lo < hi:
             raise _SpecError("scan", None, "theta_ext_min_mrad must be below "
                              "theta_ext_max_mrad")
@@ -401,9 +414,7 @@ def _fence(spec: ScenarioSpec) -> None:
                "pinhole_diameter_um", "the pinhole at the scan edge")
     if spec.visibility is not None:
         vspec = spec.visibility
-        if not 1 <= vspec.points <= MAX_POINTS:
-            raise _SpecError("visibility", "points", f"visibility sweep "
-                             f"needs 1 to {MAX_POINTS} points")
+        _points(vspec.points, "visibility", "visibility sweep", 1)
         key = "max_halfwidth_mrad"
         if vspec.max_halfwidth_ext is None:
             key = "max_halfwidth"

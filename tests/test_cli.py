@@ -47,7 +47,9 @@ def test_run_same_seed_byte_identical(tmp_path):
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_main_calls_share_no_state(monkeypatch, tmp_path):
+def test_parser_is_built_once_and_main_calls_share_no_state(monkeypatch,
+                                                            tmp_path):
+    assert cli._build_parser() is cli._build_parser()
     seen = []
 
     def spy(command):
@@ -77,6 +79,20 @@ def test_bell_angles_takes_no_seed(capsys):
         cli.main(["bell-angles", "fig2a", "--state", "psi+", "--seed", "1"])
     assert info.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_a_usage_error_after_a_run_still_exits_2_with_usage(tmp_path,
+                                                            capsys):
+    # the one parser serves every call: a good call leaves nothing behind
+    assert cli.main(["run", "fig2a", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for argv in (["run", "fig2a", "--format", "xml"], ["run"], []):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: spdcpol")
+        assert captured.out == ""
 
 
 def test_run_unknown_spec_exits_2(tmp_path, capsys):

@@ -196,6 +196,72 @@ def test_json_mirror():
     assert payload["note"] == "hello"
 
 
+def _json_dumps(table):
+    # the reference: the payload through json's own indent=2 encoder
+    payload = {"name": table.name, "columns": list(table.columns),
+               "rows": table.rows}
+    if table.note:
+        payload["note"] = table.note
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Text json must escape: quotes, backslashes, control characters, line
+# breaks and non-ASCII (outside the BMP too); nested cells of every kind.
+JSON_TEXT = st.text(st.sampled_from('ab"\\/\n\r\t\x00\x7fé€\u2028\U0001f600'),
+                    max_size=5)
+NESTED = st.recursive(
+    st.one_of(st.none(), st.booleans(), FLOATS, st.integers(), JSON_TEXT),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(JSON_TEXT, inner, max_size=2), max_leaves=6)
+JSON_KINDS = {**KINDS, "other": (st.one_of(OTHERS, JSON_TEXT, NESTED), tuple)}
+
+
+@st.composite
+def json_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(JSON_KINDS)), min_size=1,
+                          max_size=4))
+    height = draw(st.integers(min_value=0, max_value=6))
+    columns = tuple(JSON_KINDS[kind][1](draw(st.lists(
+        JSON_KINDS[kind][0], min_size=height, max_size=height)))
+        for kind in kinds)
+    names = draw(st.lists(JSON_TEXT, min_size=len(kinds),
+                          max_size=len(kinds)))
+    return Table(draw(JSON_TEXT), tuple(names), note=draw(JSON_TEXT),
+                 _columns=columns)
+
+
+@given(json_tables())
+@example(Table(name="t", columns=("a", "b")))
+@example(Table(name="t", columns=("a",), rows=[(math.nan,), (math.inf,),
+                                                (-math.inf,), (-0.0,)],
+               note="n\u00e9\n\"q\""))
+@example(Table(name="t", columns=("x", "n"), _columns=(
+    np.array([0.1, math.nan, -math.inf, -0.0]),
+    np.array([2**63 - 1, -2**63, 0, 7], dtype=np.int64))))
+@example(Table(name="t", columns=("a", "b", "c"),
+               rows=[(np.float64(0.1), True, 2**70),
+                     ([1, [2.5, {"k": [None, "\\"]}], []], False, -2**70)]))
+def test_json_text_is_json_dumps_byte_for_byte(table):
+    assert to_json(table) == _json_dumps(table)
+
+
+_LOOP: list = []
+_LOOP.append(_LOOP)
+
+
+@pytest.mark.parametrize("cell", [np.int64(1), object(), [np.float32(1.0)],
+                                  _LOOP],
+                         ids=["int64", "object", "nested_float32", "loop"])
+def test_json_refuses_every_cell_json_dumps_refuses(cell):
+    # with json's own exception: TypeError, or ValueError for a loop
+    table = Table(name="t", columns=("a", "b"), rows=[(0.5, 1), (cell, 2)])
+    with pytest.raises(Exception) as refused:
+        _json_dumps(table)
+    with pytest.raises(refused.type):
+        to_json(table)
+
+
 def test_row_width_validation():
     with pytest.raises(ValueError):
         Table(name="t", columns=("a", "b"), rows=[(1.0,)])

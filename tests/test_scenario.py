@@ -493,8 +493,14 @@ def _part(spec, part, **change):
      "share the table label '45_45'"),
     (lambda s: _part(s, "scan", settings_deg=()),
      "settings_deg needs at least one pair"),
+    (lambda s: _part(s, "scan", settings_deg=((math.nan, 45.0),)),
+     "settings_deg values must be finite numbers, got 'nan 45.0'"),
+    (lambda s: _part(s, "scan", points=2.5),
+     "scan points must be an integer, got 2.5"),
     (lambda s: _part(s, "visibility", points=100_001),
      "visibility sweep needs 1 to 100000 points"),
+    (lambda s: _part(s, "visibility", points=True),
+     "visibility sweep points must be an integer, got True"),
     (lambda s: _part(s, "visibility", max_halfwidth_ext=-1e-3),
      "max_halfwidth_mrad must be > 0"),
     (lambda s: dataclasses.replace(s, scan=None), r"needs a \[scan\] section"),
@@ -502,7 +508,8 @@ def _part(spec, part, **change):
      "peak_rate_hz must be >= 0"),
     (lambda s: _part(s, "counts", duration=1e60), r"exceeds 2\*\*53"),
 ], ids=["name", "seed", "bell_max_order", "scan_points", "scan_edges",
-        "settings_label", "settings_empty", "visibility_points",
+        "settings_label", "settings_empty", "settings_nan",
+        "scan_points_float", "visibility_points", "visibility_points_bool",
         "max_halfwidth", "counts_without_scan", "counts_rate", "counts_mean"])
 def test_a_hand_built_spec_obeys_every_loader_rule(tmp_path, change, message):
     # each rule a scenario file meets holds for a hand-built spec, when it
@@ -516,6 +523,26 @@ def test_a_hand_built_spec_obeys_every_loader_rule(tmp_path, change, message):
             sp.write_table(table, tmp_path / "out")
     assert not isinstance(info.value, sp.SpdcpolError)
     assert list(tmp_path.rglob("*")) == [path]
+
+
+@pytest.mark.parametrize("preset, part, change, key", [
+    ("fig2a", "scan", {"points": 2.5}, "points"),
+    ("fig2a", "scan", {"points": True}, "points"),
+    ("fig2a", "scan", {"points": np.int64(11)}, "points"),
+    ("fig2a", "scan", {"settings_deg": ((45.0, 45.0), (45.0, -math.inf))},
+     "settings_deg"),
+    ("fig3", "visibility", {"points": 2.5}, "points"),
+    ("fig3", "visibility", {"points": False}, "points"),
+], ids=["scan_float", "scan_bool", "scan_int64", "settings_inf",
+        "sweep_float", "sweep_bool"])
+def test_points_must_be_ints_and_angles_finite_at_their_key(preset, part,
+                                                            change, key):
+    # fig2a once ran into np.linspace's TypeError at points=2.5, and fig3
+    # swept 3 windows reaching 1.2 x max_halfwidth; a nan pair once ran
+    spec = sp.load_scenario(preset)
+    with pytest.raises(ValueError) as info:
+        _part(spec, part, **change)
+    assert (info.value.section, info.value.key) == (part, key)
 
 
 def test_visibility_explicit_halfwidth(tmp_path):
