@@ -9,16 +9,11 @@ fig3). ``bell-angles`` without ``--out`` prints the table to stdout in the
 chosen format and any note to stderr. Exit codes: 0 success, 2 configuration
 error (an unreadable scenario or an unwritable ``--out`` included),
 3 any other spdcpol error, all of them numerical.
-
-The argument parser is built once per process, on the first ``main`` call;
-``main`` keeps no state between calls, so each call reads only its own
-``argv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 from .biphoton import BellState
@@ -32,7 +27,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
 
-@functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdcpol",

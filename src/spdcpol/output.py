@@ -29,9 +29,10 @@ UTF-8 whatever the locale.
 ``to_json`` writes exactly the bytes of ``json.dumps(payload, indent=2)``
 plus a newline, also one column at a time: a finite float64 column through
 ``float.__repr__`` (the shortest text that reads back to the same float),
-any other cell as json writes it (``NaN``, ``Infinity`` and ``-Infinity``
-for the non-finite floats, ``int.__repr__`` for ints, and ``json.dumps`` of
-the cell alone, re-indented to its depth, for the rest), joined into the
+memoized by its bytes in the per-run memo that holds the CSV texts, and any
+other cell as json writes it (``NaN``, ``Infinity`` and ``-Infinity`` for
+the non-finite floats, ``int.__repr__`` for ints, and ``json.dumps`` of the
+cell alone, re-indented to its depth, for the rest), joined into the
 ``indent=2`` layout. A cell json refuses raises json's own exception.
 """
 
@@ -56,7 +57,7 @@ class Table:
 
     def __init__(self, name: str, columns: tuple[str, ...],
                  rows=(), note: str = "", *,
-                 _float_text: dict[bytes, list[str]] | None = None,
+                 _float_text: dict | None = None,
                  _columns: tuple | None = None):
         self.name = name
         self._names = columns
@@ -72,9 +73,10 @@ class Table:
             raise ValueError(f"table '{name}' needs at least one column "
                              f"and every row {len(columns)} cells wide")
         self._columns = _columns
-        # CSV text of float64 columns keyed by their bytes, not by value:
-        # 0.0 == -0.0 and 1 == 1.0 but their texts differ. run_scenario hands
-        # all its tables one dict; any other table starts with its own.
+        # Texts of float64 columns keyed by their bytes, not by value:
+        # 0.0 == -0.0 and 1 == 1.0 but their texts differ. CSV text sits
+        # under the bytes, JSON text under ("json", bytes). run_scenario
+        # hands all its tables one dict; any other table starts with its own.
         self._float_text = {} if _float_text is None else _float_text
 
     @property
@@ -208,11 +210,15 @@ def _json_value(value, depth: int) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _json_column(column) -> list[str]:
+def _json_column(column, memo: dict) -> list[str]:
     # Every cell sits three levels deep: payload, rows, row.
-    if (isinstance(column, np.ndarray) and column.dtype == np.float64
-            and np.isfinite(column).all()):
-        return list(map(float.__repr__, column.tolist()))
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        key = ("json", column.tobytes())
+        text = memo.get(key)
+        if text is None and np.isfinite(column).all():
+            text = memo[key] = list(map(float.__repr__, column.tolist()))
+        if text is not None:
+            return text
     return [_json_value(cell, 3) for cell in _cells(column)]
 
 
@@ -229,8 +235,10 @@ def to_json(table: Table) -> str:
     columns = ",\n    ".join([_json_value(column, 2)
                                for column in table.columns])
     if len(table._columns[0]):
+        texts = [_json_column(column, table._float_text)
+                 for column in table._columns]
         rows = "\n    ],\n    [\n      ".join(
-            map(",\n      ".join, zip(*map(_json_column, table._columns))))
+            map(",\n      ".join, zip(*texts)))
         rows = f"[\n    [\n      {rows}\n    ]\n  ]"
     else:
         rows = "[]"

@@ -47,9 +47,7 @@ def test_run_same_seed_byte_identical(tmp_path):
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_parser_is_built_once_and_main_calls_share_no_state(monkeypatch,
-                                                            tmp_path):
-    assert cli._build_parser() is cli._build_parser()
+def test_main_calls_share_no_state(monkeypatch, tmp_path):
     seen = []
 
     def spy(command):
@@ -83,7 +81,7 @@ def test_bell_angles_takes_no_seed(capsys):
 
 def test_a_usage_error_after_a_run_still_exits_2_with_usage(tmp_path,
                                                             capsys):
-    # the one parser serves every call: a good call leaves nothing behind
+    # a good call leaves nothing behind for the next one
     assert cli.main(["run", "fig2a", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     for argv in (["run", "fig2a", "--format", "xml"], ["run"], []):

@@ -146,27 +146,36 @@ def _from_columns(kinds, cells, memo=None):
 
 
 def _sharing(*datasets):
-    """Column-built tables all holding one CSV text memo, as a run's do."""
+    """Column-built tables all holding one text memo, as a run's do."""
     memo = {}
     return [_from_columns(kinds, cells, memo) for kinds, cells in datasets]
 
 
 @given(st.lists(column_data(), min_size=2, max_size=3).map(
-    lambda datasets: _sharing(*datasets)))
-@example(_sharing((["float"], [[0.0, 0.0]]), (["float"], [[-0.0, -0.0]])))
+    lambda datasets: _sharing(*datasets)), st.booleans())
+@example(_sharing((["float"], [[0.0, 0.0]]), (["float"], [[-0.0, -0.0]])),
+         True)
 @example(_sharing((["float", "other"], [[1e20], [10**20]]),
-                  (["other", "float"], [[10**20], [1e20]])))
+                  (["other", "float"], [[10**20], [1e20]])), True)
 @example(_sharing((["float", "int", "other"],
                    [[1.0, 1.0], [1, 1], [True, True]]),
                   (["other"], [[True, True]]),
-                  (["int"], [[1, 1]])))
+                  (["int"], [[1, 1]])), True)
 @example(_sharing((["float"], [[_nan(0x7FF8000000000000)]]),
                   (["float"], [[_nan(0x7FF8000000000001)]]),
-                  (["float"], [[_nan(0xFFF8000000000000)]])))
-def test_tables_sharing_a_memo_are_format_cell_per_cell(shared):
-    texts = [to_csv(table) for table in shared]
+                  (["float"], [[_nan(0xFFF8000000000000)]])), True)
+@example(_sharing((["float"], [[0.1, 0.1]]), (["float"], [[0.1, 0.1]])),
+         True)
+@example(_sharing((["float"], [[0.1, math.nan]]), (["float"], [[0.1, 2.5]]),
+                  (["float"], [[0.1, math.nan]])), False)
+def test_tables_sharing_a_memo_are_format_cell_per_cell(shared, csv_first):
+    # the memo holds each column's CSV and JSON texts; neither reads the
+    # other's, whichever is written first
+    writers = (to_csv, to_json) if csv_first else (to_json, to_csv)
+    texts = [{write: write(table) for write in writers} for table in shared]
     for table, text in zip(shared, texts):
-        assert text == _format_cell_per_cell(table)
+        assert text[to_csv] == _format_cell_per_cell(table)
+        assert text[to_json] == _json_dumps(table)
 
 
 @pytest.mark.parametrize("shared", [
