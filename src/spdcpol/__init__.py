@@ -16,7 +16,7 @@ external angles, related by theta_ext = n_o(lambda_deg) * theta_int in the
 small-angle regime. Units are SI everywhere inside the library.
 """
 
-from .biphoton import (BASIS, BellAngle, BellAngleSet, BellState,
+from .biphoton import (BellAngle, BellAngleSet, BellState,
                        CompensatorPlacement, Orientation, SourceConfig,
                        TwoPhotonState, angular_envelope, bell_angles,
                        bell_state, relative_phase, sinc, state_at_angle)

@@ -35,8 +35,6 @@ from .crystal import (UniaxialCrystal, index_ordinary,
                       phase_matching_cut_angle, transverse_walkoff_B)
 from .errors import PhaseMatchingError, StateInvariantError
 
-BASIS = ("HH", "HV", "VH", "VV")
-
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 CUT_ANGLE_TOLERANCE = 1e-6  # rad, production cut vs phase-matched angle
@@ -75,7 +73,8 @@ class TwoPhotonState:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (4,):
             raise StateInvariantError(
-                f"expected 4 amplitudes over {BASIS}, got shape {amps.shape}")
+                f"expected 4 amplitudes over (HH, HV, VH, VV), got shape "
+                f"{amps.shape}")
         norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= 1e-12:  # a NaN norm fails too
             raise StateInvariantError(

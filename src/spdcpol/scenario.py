@@ -367,7 +367,7 @@ def load_scenario(source: str | Path, seed: int | None = None,
     try:
         return spec if seed is None else replace(spec, seed=seed)
     except _SpecError as exc:  # the seed override is no line of the file
-        raise ConfigError(f"{exc}, got {seed}") from None
+        raise ConfigError(str(exc)) from None
 
 
 def _reach(reach: float, section: str, key: str, what: str) -> None:
@@ -377,11 +377,16 @@ def _reach(reach: float, section: str, key: str, what: str) -> None:
                          f"{MAX_SUPPORTED_ANGLE} rad")
 
 
+def _integer(value, section: str, key: str, what: str) -> None:
+    # A float or bool would reach np.linspace, the sweep's arange, the Bell
+    # angle orders or numpy's SeedSequence.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _SpecError(section, key,
+                         f"{what} must be an integer, got {value!r}")
+
+
 def _points(points, section: str, what: str, least: int) -> None:
-    # A float or bool count would reach np.linspace or the sweep's arange.
-    if isinstance(points, bool) or not isinstance(points, int):
-        raise _SpecError(section, "points", f"{what} points must be an "
-                         f"integer, got {points!r}")
+    _integer(points, section, "points", f"{what} points")
     if not least <= points <= MAX_POINTS:
         raise _SpecError(section, "points",
                          f"{what} needs {least} to {MAX_POINTS} points")
@@ -394,8 +399,12 @@ def _fence(spec: ScenarioSpec) -> None:
         raise _SpecError("scenario", "name", (
             f"name {spec.name!r} must be a plain file name: not empty, '.' "
             f"or '..', and without a path separator or NUL"))
+    _integer(spec.seed, "scenario", "seed", "seed")
     if not spec.seed >= 0:
-        raise _SpecError("scenario", "seed", "seed must be >= 0")
+        raise _SpecError("scenario", "seed",
+                         f"seed must be >= 0, got {spec.seed}")
+    _integer(spec.bell_max_order, "scenario", "bell_max_order",
+             "bell_max_order")
     if not 1 <= spec.bell_max_order <= MAX_POINTS:
         raise _SpecError("scenario", "bell_max_order",
                          f"bell_max_order must lie in [1, {MAX_POINTS}]")

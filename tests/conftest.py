@@ -1,3 +1,7 @@
+import importlib
+import sys
+from pathlib import Path
+
 import pytest
 
 import spdcpol as sp
@@ -40,3 +44,17 @@ def anticompensated_config(production, bbo):
 @pytest.fixture(scope="session")
 def geometry():
     return sp.GeometryConfig(lens_focal_length=0.5, pinhole_diameter=200e-6)
+
+
+@pytest.fixture(scope="session")
+def oracle():
+    """bench/oracle.py at 30 digits: the tests' mpmath reference. bench/
+    joins sys.path only when a test asks, so the installed-package README
+    test never imports it. Gauss-Legendre degree 5 (48 nodes per panel)
+    gets the tests' window moments to the last float bit; degree 4 does not.
+    """
+    checkout = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(checkout / "bench"))
+    reference = importlib.import_module("oracle")
+    return reference.Oracle(checkout / "src" / "spdcpol" / "data"
+                            / "materials.txt", dps=30, gl_degree=5)

@@ -14,6 +14,9 @@ import pytest
 import spdcpol as sp
 import spdcpol.cli as cli
 
+# float references coded apart from the package
+from float_oracles import independent_ne, independent_no, projection_rate
+
 P45 = math.pi / 4.0
 PUMP = 351e-9
 DEGENERATE = 702e-9
@@ -28,21 +31,6 @@ def _report(label):
     finally:
         status = "PASS" if outcome["ok"] else "FAIL"
         print(f"[acceptance] {label}: {status}")
-
-
-def _independent_no(lam_um):
-    return np.sqrt(2.7405 + 0.0184 / (lam_um ** 2 - 0.0179)
-                   - 0.0155 * lam_um ** 2)
-
-
-def _independent_neb(lam_um):
-    return np.sqrt(2.3730 + 0.0128 / (lam_um ** 2 - 0.0156)
-                   - 0.0044 * lam_um ** 2)
-
-
-def _independent_ne(theta, lam_um):
-    return 1.0 / np.sqrt(np.cos(theta) ** 2 / _independent_no(lam_um) ** 2
-                         + np.sin(theta) ** 2 / _independent_neb(lam_um) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +49,8 @@ def test_criterion_1_projection_oracle_equivalence(bare_config,
             settings = sp.PolarizerSettings(rng.uniform(-math.pi, math.pi),
                                             rng.uniform(-math.pi, math.pi))
             rate = sp.coincidence_rate(theta, settings, config)
-            analyzer = np.kron(
-                [math.cos(settings.theta1), math.sin(settings.theta1)],
-                [math.cos(settings.theta2), math.sin(settings.theta2)])
-            amplitude = sp.angular_envelope(theta, config) * \
-                sp.state_at_angle(theta, config).amplitudes
-            oracle = 2.0 * abs(np.vdot(analyzer, amplitude)) ** 2
+            # the brute-force projection of tests/float_oracles.py
+            oracle = projection_rate(theta, settings, config)
             worst = max(worst, abs(rate - oracle))
         elapsed = time.perf_counter() - start
         assert worst <= 1e-12
@@ -162,7 +146,7 @@ def test_criterion_6_visibility_decay(bare_config):
         vis = np.array([row[3] for row in rows])
         assert np.all(np.diff(vis) < 0.0)
         # independent oracle from the emitted external halfwidths
-        n_o = float(_independent_no(DEGENERATE * 1e6))
+        n_o = float(independent_no(DEGENERATE * 1e6))
         slope = bare_config.phase_slope
         env_slope = bare_config.envelope_slope
         for row in rows:
@@ -225,8 +209,8 @@ def test_criterion_8_dispersion_correctness(bbo, production):
         h = 1e-6
         for lam in lams:
             lam_um = float(lam) * 1e6
-            fd = (_independent_ne(thetas + h, lam_um)
-                  - _independent_ne(thetas - h, lam_um)) / (2.0 * h)
+            fd = (independent_ne(thetas + h, lam_um)
+                  - independent_ne(thetas - h, lam_um)) / (2.0 * h)
             analytic = np.array([sp.dne_dtheta(bbo, float(lam),
                                                float(t)) for t in thetas])
             assert np.all(np.abs(analytic - fd)
@@ -242,8 +226,8 @@ def test_criterion_8_dispersion_correctness(bbo, production):
 
         def k_diff(w):
             lam_um = 2.0 * math.pi * c_light / w * 1e6
-            return w * (_independent_ne(cut, lam_um)
-                        - _independent_no(lam_um)) / c_light
+            return w * (independent_ne(cut, lam_um)
+                        - independent_no(lam_um)) / c_light
 
         stencil = (-k_diff(omega + 2 * step) + 8 * k_diff(omega + step)
                    - 8 * k_diff(omega - step)

@@ -1,42 +1,28 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
 import spdcpol as sp
 from spdcpol.crystal import phase_matching_mismatch
 
+# float references from float_oracles; mpmath ones from bench/oracle.py
+from float_oracles import independent_ne, independent_no
+
 PUMP = 351e-9
 DEGENERATE = 702e-9
 
 
-def _independent_no(lam_um):
-    """Vectorized Eimerl ordinary index, coded independently of the package."""
-    return np.sqrt(2.7405 + 0.0184 / (lam_um ** 2 - 0.0179)
-                   - 0.0155 * lam_um ** 2)
-
-
-def _independent_neb(lam_um):
-    return np.sqrt(2.3730 + 0.0128 / (lam_um ** 2 - 0.0156)
-                   - 0.0044 * lam_um ** 2)
-
-
-def _independent_ne(theta, lam_um):
-    return 1.0 / np.sqrt(np.cos(theta) ** 2 / _independent_no(lam_um) ** 2
-                         + np.sin(theta) ** 2 / _independent_neb(lam_um) ** 2)
-
-
 # ---------------------------------------------------------------- indices
 
-def test_index_ordinary_extended_precision_oracle(bbo):
-    # Same Sellmeier expression evaluated at 40 decimal digits.
-    mp.mp.dps = 40
-    lam_um = mp.mpf(DEGENERATE) * mp.mpf(1e6)
-    oracle = mp.sqrt(mp.mpf("2.7405") + mp.mpf("0.0184") / (lam_um ** 2 - mp.mpf("0.0179"))
-                     - mp.mpf("0.0155") * lam_um ** 2)
+def test_index_ordinary_extended_precision_oracle(bbo, oracle):
+    # n_o at the 702 nm degenerate wavelength of a 351 nm pump, from
+    # bench/oracle.py's 30-digit Sellmeier evaluation of the catalogue
+    reference = float(oracle.physics({
+        "pump_nm": "351", "length_mm": "1", "compensator": None,
+        "compensator_length_mm": None})["n_o"])
     value = sp.index_ordinary(bbo, DEGENERATE)
-    assert abs(value - float(oracle)) / float(oracle) < 1e-12
+    assert abs(value - reference) / reference < 1e-12
     # frozen reference (extended-precision evaluation at exactly 0.702 um)
     assert value == pytest.approx(1.664814166989071626361, rel=1e-12)
 
@@ -60,7 +46,7 @@ def test_sellmeier_coefficient_algebraic_inverse(bbo):
 def test_index_local_monotonic_bracket(bbo):
     # Dense sampling shows dn/dlambda keeps one sign on [600, 800] nm ...
     lams = np.linspace(600e-9, 800e-9, 4001)
-    values = _independent_no(lams * 1e6)
+    values = independent_no(lams * 1e6)
     assert np.all(np.diff(values) < 0.0)
     # ... so nearby evaluations bracket the midpoint.
     low = sp.index_ordinary(bbo, 710e-9)
@@ -125,9 +111,9 @@ def test_phase_matching_grid_bisection_oracle(bbo):
     lam_d_um = DEGENERATE * 1e6
 
     def mismatch(theta):
-        return (2.0 * _independent_ne(theta, lam_p_um)
-                - _independent_no(lam_d_um)
-                - _independent_ne(theta, lam_d_um))
+        return (2.0 * independent_ne(theta, lam_p_um)
+                - independent_no(lam_d_um)
+                - independent_ne(theta, lam_d_um))
 
     grid = np.linspace(0.0, math.pi / 2, 1_000_001)
     values = mismatch(grid)
@@ -213,7 +199,7 @@ def test_walkoff_B_negative_at_cut(bbo, production):
 def test_walkoff_B_finite_difference_oracle(bbo, production):
     cut = production.cut_angle
     h = 1e-6
-    k = lambda theta: (2.0 * math.pi / DEGENERATE) * _independent_ne(
+    k = lambda theta: (2.0 * math.pi / DEGENERATE) * independent_ne(
         theta, DEGENERATE * 1e6)
     oracle = (k(cut + h) - k(cut - h)) / (2.0 * h)
     value = sp.transverse_walkoff_B(bbo, DEGENERATE, cut)
@@ -229,8 +215,8 @@ def test_dne_dtheta_matches_finite_differences_on_grid(bbo):
         lam_um = float(lam) * 1e6
         for theta in thetas:
             analytic = sp.dne_dtheta(bbo, float(lam), float(theta))
-            fd = (_independent_ne(theta + h, lam_um)
-                  - _independent_ne(theta - h, lam_um)) / (2.0 * h)
+            fd = (independent_ne(theta + h, lam_um)
+                  - independent_ne(theta - h, lam_um)) / (2.0 * h)
             assert abs(analytic - fd) <= 1e-6 * abs(fd) + 1e-9
 
 
@@ -256,7 +242,7 @@ def test_group_mismatch_five_point_stencil_oracle(bbo, production):
 
     def k_diff(w):
         lam_um = 2.0 * math.pi * c / w * 1e6
-        return w * (_independent_ne(cut, lam_um) - _independent_no(lam_um)) / c
+        return w * (independent_ne(cut, lam_um) - independent_no(lam_um)) / c
 
     oracle = (-k_diff(omega + 2 * h) + 8 * k_diff(omega + h)
               - 8 * k_diff(omega - h) + k_diff(omega - 2 * h)) / (12.0 * h)

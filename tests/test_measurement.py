@@ -10,17 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 import spdcpol as sp
 from spdcpol import measurement
 
+# float references from float_oracles; mpmath ones from bench/oracle.py
+from float_oracles import projection_rate
+
 P45 = math.pi / 4.0
-
-
-def _projection_rate(theta, settings, config):
-    """Brute-force oracle: 2 |<T1| x <T2| (envelope * |psi>)|^2."""
-    analyzer = np.kron(
-        [math.cos(settings.theta1), math.sin(settings.theta1)],
-        [math.cos(settings.theta2), math.sin(settings.theta2)])
-    amplitude = sp.angular_envelope(theta, config) * \
-        sp.state_at_angle(theta, config).amplitudes
-    return 2.0 * abs(np.vdot(analyzer, amplitude)) ** 2
 
 
 # ------------------------------------------------------- coincidence rate
@@ -40,7 +33,7 @@ def test_rate_equals_projection_oracle(bare_config, anticompensated_config):
             settings = sp.PolarizerSettings(rng.uniform(-math.pi, math.pi),
                                             rng.uniform(-math.pi, math.pi))
             got = sp.coincidence_rate(theta, settings, config)
-            want = _projection_rate(theta, settings, config)
+            want = projection_rate(theta, settings, config)
             assert abs(got - want) <= 1e-12
 
 
@@ -326,45 +319,6 @@ def test_visibility_undefined_when_counts_vanish(bare_config, monkeypatch):
 
 # ------------------------------------------- window accuracy: mpmath oracle
 
-def _oracle_window(config, lo, hi):
-    """(C_pp, C_pm, V, concurrence) of [lo, hi] from 30-digit mpmath.
-
-    C_pp = int w cos^2(phi/2), C_pm = int w sin^2(phi/2) and
-    Im M1 = int w sin(phi), w = sinc^2(a theta), each by tanh-sinh on
-    sub-intervals cut at the sinc zeros and at every period of e^{i phi}.
-    """
-    with mpmath.workdps(30):
-        a = mpmath.mpf(config.envelope_slope)
-        k = mpmath.mpf(config.phase_slope)
-        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
-        cuts = [lo]
-        n = int(mpmath.floor(lo * a / mpmath.pi)) + 1
-        while n * mpmath.pi / a < hi:
-            if n != 0:
-                cuts.append(n * mpmath.pi / a)
-            n += 1
-        cuts.append(hi)
-        points = [lo]
-        for left, right in zip(cuts, cuts[1:]):
-            pieces = max(1, int(mpmath.ceil((right - left) * abs(k)
-                                            / (2 * mpmath.pi))))
-            points += [left + (right - left) * j / pieces
-                       for j in range(1, pieces + 1)]
-
-        def weight(theta):
-            return (mpmath.sin(a * theta) / (a * theta)) ** 2 if theta \
-                else mpmath.mpf(1)
-
-        c_pp = mpmath.quad(lambda t: weight(t) * mpmath.cos(k * t / 2) ** 2,
-                           points)
-        c_pm = mpmath.quad(lambda t: weight(t) * mpmath.sin(k * t / 2) ** 2,
-                           points)
-        imag = mpmath.quad(lambda t: weight(t) * mpmath.sin(k * t), points)
-        m0 = c_pp + c_pm
-        return (float(c_pp), float(c_pm), float(abs(c_pp - c_pm) / m0),
-                float(abs(mpmath.mpc(c_pp - c_pm, imag)) / m0))
-
-
 # V and concurrence are differences of the two counts over M0 near V = 0,
 # so below this size they are judged on absolute error.
 _UNIT_FLOOR = 1e-3
@@ -393,7 +347,7 @@ _UNIT_FLOOR = 1e-3
 def test_window_observables_match_mpmath(source, kind, center_share,
                                          width_exp, bare_config,
                                          compensated_config,
-                                         anticompensated_config):
+                                         anticompensated_config, oracle):
     config = {"bare": bare_config, "compensated": compensated_config,
               "anticompensated": anticompensated_config}[source]
     if kind == "fig2c":  # the fig2c window, 6.75 +- 0.57 mrad internal
@@ -418,8 +372,14 @@ def test_window_observables_match_mpmath(source, kind, center_share,
     got += tuple(float(column[0]) for column in measurement._sweep_columns(
         np.array([center]), np.array([halfwidth]), config.envelope_slope,
         config.phase_slope))
-    want = _oracle_window(config, center - halfwidth, center + halfwidth)
-    want += want
+    # the reference is bench/oracle.py's mpmath moments M0 and M1 of the
+    # window, on the config's float slopes and edges, at 30 digits
+    mpf = oracle.mp.mpf
+    m0, m1 = oracle.moments(mpf(config.envelope_slope),
+                            mpf(config.phase_slope), mpf(center - halfwidth),
+                            mpf(center + halfwidth))
+    want = (float((m0 + m1.real) / 2), float((m0 - m1.real) / 2),
+            float(abs(m1.real) / m0), float(abs(m1) / m0)) * 2
     for index, (value, ref) in enumerate(zip(got, want)):
         size = abs(ref) if index % 4 < 2 else max(abs(ref), _UNIT_FLOOR)
         assert abs(value - ref) <= 1e-12 * size, (index, value, ref)

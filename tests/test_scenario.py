@@ -485,6 +485,14 @@ def _part(spec, part, **change):
     (lambda s: dataclasses.replace(s, seed=-1), "seed must be >= 0"),
     (lambda s: dataclasses.replace(s, bell_max_order=0),
      r"bell_max_order must lie in \[1, 100000\]"),
+    (lambda s: dataclasses.replace(s, seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda s: dataclasses.replace(s, seed=True),
+     "seed must be an integer, got True"),
+    (lambda s: dataclasses.replace(s, bell_max_order=2.5),
+     "bell_max_order must be an integer, got 2.5"),
+    (lambda s: dataclasses.replace(s, bell_max_order=True),
+     "bell_max_order must be an integer, got True"),
     (lambda s: _part(s, "scan", points=1), "scan needs 2 to 100000 points"),
     (lambda s: _part(s, "scan", theta_ext_min=s.scan.theta_ext_max),
      "theta_ext_min_mrad must be below theta_ext_max_mrad"),
@@ -507,8 +515,9 @@ def _part(spec, part, **change):
     (lambda s: _part(s, "counts", peak_rate=-1.0),
      "peak_rate_hz must be >= 0"),
     (lambda s: _part(s, "counts", duration=1e60), r"exceeds 2\*\*53"),
-], ids=["name", "seed", "bell_max_order", "scan_points", "scan_edges",
-        "settings_label", "settings_empty", "settings_nan",
+], ids=["name", "seed", "bell_max_order", "seed_float", "seed_bool",
+        "bell_max_order_float", "bell_max_order_bool", "scan_points",
+        "scan_edges", "settings_label", "settings_empty", "settings_nan",
         "scan_points_float", "visibility_points", "visibility_points_bool",
         "max_halfwidth", "counts_without_scan", "counts_rate", "counts_mean"])
 def test_a_hand_built_spec_obeys_every_loader_rule(tmp_path, change, message):
