@@ -87,25 +87,27 @@ def parse_config(text: str, path: str = "<config>") -> list[Section]:
     sections: list[Section] = []
     current: Section | None = None
     # only \n, \r\n and \r end a line (str.splitlines: also \f, \x85, ...)
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             name = line[1:-1].strip()
             if not name:
                 raise ConfigError("empty section name", path=path, line=lineno)
-            current = Section(name=name, line=lineno, path=path)
+            current = Section(name, lineno, path)
             sections.append(current)
             continue
-        if "=" not in line:
+        # the line is stripped, so the key can only end in blanks and the
+        # value only start with them
+        key, equals, value = line.partition("=")
+        if not equals:
             raise ConfigError(
                 f"expected 'key = value' or '[section]', got '{line}'",
                 path=path, line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key = key.rstrip()
         if not key:
             raise ConfigError("empty key", path=path, line=lineno)
         if current is None:
@@ -116,5 +118,5 @@ def parse_config(text: str, path: str = "<config>") -> list[Section]:
             raise ConfigError(
                 f"duplicate key '{key}' in [{current.name}]",
                 path=path, line=lineno)
-        current.entries[key] = Entry(value=value, line=lineno)
+        current.entries[key] = Entry(value.lstrip(), lineno)
     return sections

@@ -126,11 +126,15 @@ def _principal_indices(material: MaterialRecord,
     return material.ordinary.index(wl_um), material.extraordinary.index(wl_um)
 
 
-def _ellipse(n_o: float, n_eb: float, angle_from_axis: float) -> float:
-    """n_e(theta) on the index ellipse of the principal indices."""
+def _check_angle(angle_from_axis: float) -> None:
     if not 0.0 <= angle_from_axis <= math.pi:
         raise ValueError(
             f"angle from axis must lie in [0, pi], got {angle_from_axis}")
+
+
+def _ellipse(n_o: float, n_eb: float, angle_from_axis: float) -> float:
+    """n_e(theta) on the index ellipse of the principal indices."""
+    _check_angle(angle_from_axis)
     cos_t = math.cos(angle_from_axis)
     sin_t = math.sin(angle_from_axis)
     return 1.0 / math.sqrt((cos_t / n_o) ** 2 + (sin_t / n_eb) ** 2)
@@ -183,14 +187,19 @@ def _bracketed_root(func, lo: float, hi: float, f_lo: float, f_hi: float,
 
 
 def _mismatch(material: MaterialRecord, pump_wavelength: float):
-    # phase_matching_mismatch as a function of theta, indices read once.
+    # phase_matching_mismatch as a function of theta in [0, pi], indices
+    # read once: both ellipses of `_ellipse` from one cosine and one sine,
+    # where 2 / sqrt(...) has the bits of 2 * (1 / sqrt(...)).
     pump_o, pump_eb = _principal_indices(material, pump_wavelength)
     degenerate_o, degenerate_eb = _principal_indices(material,
                                                      2.0 * pump_wavelength)
 
     def mismatch(theta: float) -> float:
-        return (2.0 * _ellipse(pump_o, pump_eb, theta) - degenerate_o
-                - _ellipse(degenerate_o, degenerate_eb, theta))
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        return (2.0 / math.sqrt((cos_t / pump_o) ** 2
+                                + (sin_t / pump_eb) ** 2) - degenerate_o
+                - 1.0 / math.sqrt((cos_t / degenerate_o) ** 2
+                                  + (sin_t / degenerate_eb) ** 2))
 
     return mismatch
 
@@ -202,7 +211,9 @@ def phase_matching_mismatch(material: MaterialRecord, pump_wavelength: float,
     2 n_e(theta, lambda_p) - n_o(lambda_d) - n_e(theta, lambda_d), with
     lambda_d = 2 lambda_p; the phase-matched cut angle is its root.
     """
-    return _mismatch(material, pump_wavelength)(cut_angle)
+    mismatch = _mismatch(material, pump_wavelength)
+    _check_angle(cut_angle)
+    return mismatch(cut_angle)
 
 
 def phase_matching_cut_angle(material: MaterialRecord,

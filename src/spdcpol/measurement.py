@@ -251,16 +251,26 @@ def _integrands(lefts: np.ndarray, offsets: np.ndarray,
     whole, part = turns * _PI_HEAD, turns * _PI_TAIL
     base = ((exact - whole) - part) + (heads * left_tails + tails * lefts)
     rest = base[..., None] + rates[..., None] * offsets
-    sines = np.sin(rest)
     arg = (whole[0, :, None] + rest[0]) + part[0, :, None]
+    integrands = np.empty((3, *rest[1:].shape))
+    even, odd, imag = integrands
+    cos_half = np.cos(rest[1:], out=even)
+    sines = np.sin(rest, out=rest)
     envelope = np.divide(sines[0], arg, out=np.ones_like(arg),
                          where=arg != 0.0)
-    weight = envelope * envelope
-    cos_half = np.cos(rest[1:])
+    weight = np.multiply(envelope, envelope, out=envelope)
     sin_half = sines[1:]
-    weighted_sin = weight * sin_half
-    return np.array((weight * cos_half * cos_half, weighted_sin * sin_half,
-                     2.0 * weighted_sin * cos_half))
+    # The products (w c) c, (w s) s and (2 (w s)) c of c = cos(phi/2) and
+    # s = sin(phi/2), each in that order of operations, written into the
+    # output: imag first holds w s, the sines' buffer then w c, and even,
+    # which holds c until then, is written last.
+    np.multiply(weight, sin_half, out=imag)
+    np.multiply(imag, sin_half, out=odd)
+    imag *= 2.0
+    imag *= cos_half
+    weighted_cos = np.multiply(weight, cos_half, out=sin_half)
+    np.multiply(weighted_cos, cos_half, out=even)
+    return integrands
 
 
 def _panel_pass(lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
@@ -278,8 +288,8 @@ def _panel_pass(lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
     ends = np.cumsum(panels)
     starts = ends - panels
     grid = (np.arange(ends[-1]) + np.repeat(first - starts, panels)) * step
-    lefts = np.minimum(np.maximum(grid, np.repeat(lo, panels)),
-                       np.repeat(hi, panels))
+    lefts = np.clip(grid, np.repeat(lo, panels), np.repeat(hi, panels),
+                    out=grid)
     lefts[starts] = lo
     rights = np.concatenate((lefts[1:], hi[-1:]))
     rights[ends - 1] = hi
@@ -289,38 +299,68 @@ def _panel_pass(lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
     # _integrands). Columns: the 32-point value, the error estimate.
     values = (_integrands(lefts, scale * nodes, rates) @ weights) * scale
     np.abs(values[..., 1], out=values[..., 1])
-    sums = np.add.reduceat(values, starts, axis=2)
+    # a window of one panel sums to that panel's values
+    sums = (values if ends[-1] == panels.size
+            else np.add.reduceat(values, starts, axis=2))
     m0 = sums[0, ..., 0] + sums[1, ..., 0]
     return sums[..., 0], np.divide(sums[..., 1].max(axis=0), m0,
                                    out=np.full_like(m0, math.inf),
                                    where=m0 > 0.0)
 
 
-def _panel_grid(centers: np.ndarray, halfwidths: np.ndarray,
-                envelope_slope: float, laws) -> tuple[np.ndarray, ...]:
-    """Each window's edges c - h and c + h, the kernel's grid step, and
-    each window's first grid index and panel count under the phase slopes
-    ``laws``; or, before any memory is asked for, a QuadratureError naming
-    the first window of more than ``_MAX_PANELS`` panels. No panel spans
-    more than one period of any law: the step is pi / (a m),
+def _panel_step(envelope_slope: float, laws) -> float:
+    """The kernel's grid step under the phase slopes ``laws``, such that no
+    panel spans more than one period of any law: pi / (a m),
     m = max(1, ceil(K / 2a)) for the largest |k| = K, which holds every
     sinc zero, when the first zero pi / a lies in the model domain, and
-    otherwise 2 pi / K (the domain width for K = 0).
-    """
+    otherwise 2 pi / K (the domain width for K = 0)."""
     a, k = envelope_slope, max(map(abs, laws))
     if a * MAX_SUPPORTED_ANGLE >= math.pi:  # a sinc zero in the domain
-        step = math.pi / (a * max(1.0, math.ceil(k / (2.0 * a))))
-    else:  # one phase period, or with no phase the model domain
-        step = 2.0 * math.pi / k if k > 0.0 else 2.0 * MAX_SUPPORTED_ANGLE
+        return math.pi / (a * max(1.0, math.ceil(k / (2.0 * a))))
+    # one phase period, or with no phase the model domain
+    return 2.0 * math.pi / k if k > 0.0 else 2.0 * MAX_SUPPORTED_ANGLE
+
+
+def _too_many_panels(lo, hi, count) -> QuadratureError:
+    return QuadratureError(
+        f"window quadrature on [{lo}, {hi}] rad needs {count:.6g} panels, "
+        f"more than the limit of {_MAX_PANELS}")
+
+
+def _panel_grid(centers: np.ndarray, halfwidths: np.ndarray,
+                envelope_slope: float, laws) -> tuple[np.ndarray, ...]:
+    """Each window's edges c - h and c + h, the kernel's grid step
+    (`_panel_step`), and each window's first grid index and panel count
+    under the phase slopes ``laws``; or, before any memory is asked for, a
+    QuadratureError naming the first window of more than ``_MAX_PANELS``
+    panels.
+    """
+    step = _panel_step(envelope_slope, laws)
     lo, hi = centers - halfwidths, centers + halfwidths
     first = np.floor(lo / step)
     counts = np.maximum(np.ceil(hi / step) - first, 1.0)
     if not counts.max() <= _MAX_PANELS:
         big = int(np.argmax(~(counts <= _MAX_PANELS)))
-        raise QuadratureError(
-            f"window quadrature on [{lo[big]}, {hi[big]}] rad needs "
-            f"{counts[big]:.6g} panels, more than the limit of {_MAX_PANELS}")
+        raise _too_many_panels(lo[big], hi[big], counts[big])
     return lo, hi, step, first, counts.astype(int)
+
+
+def _panel_count(center: float, halfwidth: float, envelope_slope: float,
+                 laws) -> int:
+    """`_panel_grid`'s panel count of the one window [c - h, c + h], or
+    its refusal, in float arithmetic without numpy's per-call cost: the
+    ceiling and floor of a finite float are exact, so their difference
+    rounds as numpy's does, and a grid index that overflows counts as
+    infinitely many panels."""
+    step = _panel_step(envelope_slope, laws)
+    lo, hi = center - halfwidth, center + halfwidth
+    first, last = lo / step, hi / step
+    count = math.inf
+    if math.isfinite(first) and math.isfinite(last):
+        count = max(float(math.ceil(last) - math.floor(first)), 1.0)
+    if not count <= _MAX_PANELS:
+        raise _too_many_panels(lo, hi, count)
+    return int(count)
 
 
 def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
@@ -335,6 +375,10 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
     the windows go in order through 32-point Gauss-Legendre passes of
     ``_MAX_PANELS`` // (the widest window's panels) windows each, w
     evaluated once per node; the 16-point rule gives the error estimate.
+    When one pass holds every window (the window count times the widest
+    window's panels is at most ``_MAX_PANELS``, as in every preset), the
+    kernel returns that pass's arrays as they are, with no buffer to copy
+    them into.
     The kernel integrates windows only (a point is ``_one_window``'s) and
     does numerics only: ``AngularWindow`` holds each window in the model
     domain, ``ScenarioSpec`` also within the panel limit. A QuadratureError
@@ -350,12 +394,15 @@ def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
     rates = np.array([[a], *([0.5 * law] for law in laws)])
     lo, hi, step, first, panels = _panel_grid(centers, halfwidths, a, laws)
     run = _MAX_PANELS // int(panels.max())
-    sums = np.empty((3, len(laws), centers.size))
-    error = np.empty(sums.shape[1:])
-    for start in range(0, centers.size, run):
-        part = slice(start, start + run)
-        sums[..., part], error[:, part] = _panel_pass(
-            lo[part], hi[part], first[part], panels[part], step, rates)
+    if run >= centers.size:  # one pass holds every window
+        sums, error = _panel_pass(lo, hi, first, panels, step, rates)
+    else:
+        sums = np.empty((3, len(laws), centers.size))
+        error = np.empty(sums.shape[1:])
+        for start in range(0, centers.size, run):
+            part = slice(start, start + run)
+            sums[..., part], error[:, part] = _panel_pass(
+                lo[part], hi[part], first[part], panels[part], step, rates)
     if not error.max() <= QUAD_TOL:
         worst = error.max(axis=0)
         bad = int(np.argmax(~(worst <= QUAD_TOL)))

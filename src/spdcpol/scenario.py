@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -74,7 +74,7 @@ from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import MaterialRecord, get_material
 from .measurement import (MAX_SUPPORTED_ANGLE, PolarizerSettings,
-                          _analyzer_mix, _panel_grid, _sweep_columns,
+                          _analyzer_mix, _panel_count, _sweep_columns,
                           coincidence_rate, simulate_counts)
 from .output import Table
 
@@ -97,6 +97,11 @@ _REFERENCES = (PolarizerSettings(math.radians(45.0), math.radians(45.0)),
 # Bound on scan and sweep points and on bell_max_order: every size read from
 # a scenario allocates in proportion to it.
 MAX_POINTS = 100_000
+# Bound on the cells of all tables a scenario asks for: a scan and its
+# counts hold a row per settings pair and point, so points alone do not
+# bound them. A MAX_POINTS scan of three pairs with counts, a MAX_POINTS
+# sweep with its baseline and MAX_POINTS Bell angles hold 4.6e6.
+MAX_CELLS = 10_000_000
 
 # The sections a scenario may hold and the keys each may carry. Every
 # section but [compensator] appears at most once.
@@ -180,6 +185,10 @@ class ScenarioSpec:
     visibility: VisibilitySpec | None = None
     counts: CountsSpec | None = None
     bell_max_order: int = 8
+    # The sweep's internal center, halfwidths and phase slopes (`_sweep`),
+    # resolved once by the fence for the run; None without [visibility].
+    _sweep_plan: tuple | None = field(init=False, default=None, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         _fence(self)
@@ -190,19 +199,23 @@ def preset_text(name: str) -> str:
         encoding="utf-8")
 
 
-def _resolve_source_text(source: str | Path) -> tuple[str, str]:
+def _resolve_source_text(source: str | Path) -> tuple[str, str, str]:
+    # The text, the path that error messages name and the default name: a
+    # file if one opens at ``source``, else a preset of that name.
     path = Path(source)
-    if path.exists():
-        try:
-            return path.read_text(encoding="utf-8"), str(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read scenario: {exc.strerror}",
-                              path=str(path))
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"scenario is not UTF-8 text ({exc.reason} at "
-                              f"byte {exc.start})", path=str(path))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read(), str(path), path.stem
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scenario is not UTF-8 text ({exc.reason} at "
+                          f"byte {exc.start})", path=str(path))
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        pass  # no file there, nor can there be (a NUL): a preset name?
+    except OSError as exc:
+        raise ConfigError(f"cannot read scenario: {exc.strerror}",
+                          path=str(path))
     if str(source) in PRESETS:
-        return preset_text(str(source)), f"<preset {source}>"
+        return preset_text(str(source)), f"<preset {source}>", str(source)
     raise ConfigError(
         f"scenario '{source}' is neither an existing file nor a preset "
         f"(presets: {', '.join(PRESETS)})")
@@ -237,7 +250,7 @@ def _parse_settings(section: Section) -> tuple[tuple[float, float], ...]:
 def load_scenario(source: str | Path, seed: int | None = None,
                   catalogue: dict[str, MaterialRecord] | None = None) -> ScenarioSpec:
     """Load a scenario file or preset name into a resolved ScenarioSpec."""
-    text, path = _resolve_source_text(source)
+    text, path, default_name = _resolve_source_text(source)
 
     by_name: dict[str, Section] = {}
     compensator_sections: list[Section] = []
@@ -257,8 +270,7 @@ def load_scenario(source: str | Path, seed: int | None = None,
 
     sec = by_name.setdefault(
         "scenario", Section(name="scenario", line=None, path=path))
-    name = sec.get_str("name", str(source) if path.startswith("<preset")
-                       else Path(path).stem)
+    name = sec.get_str("name", default_name)
     seed_value = sec.get_int("seed", 0)
     bell_max_order = sec.get_int("bell_max_order", 8)
 
@@ -415,7 +427,7 @@ def _fence(spec: ScenarioSpec) -> None:
         if not lo < hi:
             raise _SpecError("scan", None, "theta_ext_min_mrad must be below "
                              "theta_ext_max_mrad")
-        edge = external_to_internal_angle(np.abs((lo, hi)).max(), geometry,
+        edge = external_to_internal_angle(max(abs(lo), abs(hi)), geometry,
                                           source)
         _reach(edge, "scan", ("theta_ext_min_mrad" if abs(lo) > abs(hi)
                               else "theta_ext_max_mrad"), "scan")
@@ -429,8 +441,9 @@ def _fence(spec: ScenarioSpec) -> None:
             key = "max_halfwidth"
         elif not vspec.max_halfwidth_ext > 0.0:
             raise _SpecError("visibility", key, f"{key} must be > 0")
-        center, halfwidths, slopes = _sweep(spec)
-        off_axis, narrowest = abs(center), halfwidths[0]
+        center, halfwidths, slopes = plan = _sweep(spec)
+        off_axis, narrowest = abs(center), float(halfwidths[0])
+        widest = float(halfwidths[-1])
         if not off_axis - narrowest < off_axis + narrowest:
             raise _SpecError("visibility", key, (
                 f"the narrowest window, {off_axis:.4g} +- {narrowest:.4g} "
@@ -438,15 +451,15 @@ def _fence(spec: ScenarioSpec) -> None:
                 f"supported range"))
         # Blame the halfwidth when it alone leaves the domain, else the
         # center that moved the window out.
-        _reach(off_axis + halfwidths[-1], "visibility",
-               key if halfwidths[-1] > MAX_SUPPORTED_ANGLE else "center_mrad",
+        _reach(off_axis + widest, "visibility",
+               key if widest > MAX_SUPPORTED_ANGLE else "center_mrad",
                "window")
         try:
-            _panel_grid(np.array([center]), halfwidths[-1:],
-                        source.envelope_slope, slopes)
+            _panel_count(center, widest, source.envelope_slope, slopes)
         except QuadratureError as exc:
             raise _SpecError("visibility", key, f"the widest window lies "
                              f"outside the supported range: {exc}") from None
+        object.__setattr__(spec, "_sweep_plan", plan)
     if spec.counts is not None:
         cspec = spec.counts
         if spec.scan is None:
@@ -463,6 +476,27 @@ def _fence(spec: ScenarioSpec) -> None:
             raise _SpecError("counts", "duration_s", (
                 f"(peak_rate_hz + accidental_rate_hz) * duration_s = "
                 f"{mean:.4g} exceeds 2**53, the largest exact count"))
+    _cells(spec)
+
+
+def _cells(spec: ScenarioSpec) -> None:
+    # Every count is at most MAX_POINTS, so only a scan's number of
+    # settings pairs can take the tables past MAX_CELLS: the refusal
+    # names them.
+    cells = 3 * spec.bell_max_order
+    if spec.visibility is not None:
+        cells += (len(VISIBILITY_COLUMNS) * spec.visibility.points
+                  * (1 + spec.visibility.compare_uncompensated))
+    if spec.scan is not None:
+        width = len(SCAN_COLUMNS)
+        if spec.counts is not None:
+            width += len(COUNTS_COLUMNS)
+        pairs, points = len(spec.scan.settings_deg), spec.scan.points
+        cells += pairs * points * width
+        if not cells <= MAX_CELLS:
+            raise _SpecError("scan", "settings_deg", (
+                f"{pairs} settings pairs of {points} points give tables of "
+                f"{cells} cells in all, more than the limit of {MAX_CELLS}"))
 
 
 def _settings_label(pair: tuple[float, float]) -> str:
@@ -493,6 +527,7 @@ def _pinhole_halfwidth(geometry: GeometryConfig,
 def _sweep(spec: ScenarioSpec) -> tuple[float, np.ndarray, tuple]:
     # The internal center and halfwidths of a sweep's windows and the phase
     # slopes it runs: the source's, and the uncompensated baseline's 2 a.
+    # The halfwidths are read-only: the spec keeps them for its run.
     vspec, geometry, source = spec.visibility, spec.geometry, spec.source
     center = external_to_internal_angle(vspec.center_ext, geometry, source)
     if vspec.max_halfwidth_ext is None:
@@ -501,8 +536,9 @@ def _sweep(spec: ScenarioSpec) -> tuple[float, np.ndarray, tuple]:
         widest = external_to_internal_angle(vspec.max_halfwidth_ext,
                                             geometry, source)
     slopes = (source.phase_slope, 2.0 * source.envelope_slope)
-    return (center, widest * np.arange(1, vspec.points + 1) / vspec.points,
-            slopes[:1 + vspec.compare_uncompensated])
+    halfwidths = widest * np.arange(1, vspec.points + 1) / vspec.points
+    halfwidths.flags.writeable = False
+    return center, halfwidths, slopes[:1 + vspec.compare_uncompensated]
 
 
 def run_scenario(spec: ScenarioSpec) -> list[Table]:
@@ -545,7 +581,7 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                     _float_text=float_text))
 
     if spec.visibility is not None:
-        center, halfwidths, slopes = _sweep(spec)
+        center, halfwidths, slopes = spec._sweep_plan
         halfwidths_ext = internal_to_external_angle(
             halfwidths, spec.geometry, spec.source)
         columns = _sweep_columns(np.full(halfwidths.size, center), halfwidths,

@@ -99,6 +99,33 @@ def test_run_unknown_spec_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["missing", "below_a_file", "over_long"])
+def test_a_spec_that_opens_no_file_exits_2(tmp_path, capsys, kind):
+    # no file and no preset of that name, or a path the system refuses
+    # outright: a name of 5000 bytes is beyond NAME_MAX (ENAMETOOLONG)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    spec, message = {
+        "missing": (str(tmp_path / "nope.cfg"), "is neither an existing "
+                                                "file nor a preset"),
+        "below_a_file": (str(blocker / "x.cfg"), "is neither an existing "
+                                                 "file nor a preset"),
+        "over_long": (str(tmp_path / ("a" * 5000)), "cannot read scenario: "),
+    }[kind]
+    assert cli.main(["run", spec, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker"]
+
+
+def test_an_over_long_spec_path_has_no_traceback():
+    run = _run_console_script("spdcpol.cli:main", ["run", "a" * 5000])
+    assert run.returncode == 2, run.stderr
+    assert "cannot read scenario: " in run.stderr
+    assert "Traceback" not in run.stderr
+
+
 def test_run_bad_material_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("""\

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spdcpol as sp
 from spdcpol.crystal import phase_matching_mismatch
@@ -11,6 +12,7 @@ from float_oracles import independent_ne, independent_no
 
 PUMP = 351e-9
 DEGENERATE = 702e-9
+BBO_BAND = sp.get_material("bbo").band
 
 
 # ---------------------------------------------------------------- indices
@@ -165,14 +167,31 @@ def test_cut_solve_reads_each_principal_index_once(bbo, monkeypatch):
     assert len(calls) == 2
 
 
-def test_mismatch_is_built_from_the_public_indices(bbo, production):
-    angles = [0.0, math.pi / 2.0, *np.linspace(0.0, math.pi / 2.0, 37)[1:-1],
-              production.cut_angle]
-    for theta in angles:
-        assert phase_matching_mismatch(bbo, PUMP, theta) == (
-            2 * sp.index_extraordinary(bbo, PUMP, theta)
-            - sp.index_ordinary(bbo, DEGENERATE)
-            - sp.index_extraordinary(bbo, DEGENERATE, theta))
+def _at_evenly_spaced_angles(test):
+    # both ends of [0, pi/2] and 35 angles between them, at PUMP
+    for theta in np.linspace(0.0, math.pi / 2.0, 37):
+        test = example(theta=float(theta), pump=PUMP)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 2.0),
+       pump=st.floats(BBO_BAND[0], BBO_BAND[1] / 2.0))
+@_at_evenly_spaced_angles
+def test_mismatch_is_built_from_the_public_indices(bbo, production, theta,
+                                                   pump):
+    # bit for bit, though the mismatch takes one cosine and one sine for
+    # both ellipses; pumps range over the band whose degenerate wavelength
+    # the catalogue covers too
+    for wavelength, angle in ((pump, theta), (PUMP, production.cut_angle)):
+        assert phase_matching_mismatch(bbo, wavelength, angle) == (
+            2 * sp.index_extraordinary(bbo, wavelength, angle)
+            - sp.index_ordinary(bbo, 2.0 * wavelength)
+            - sp.index_extraordinary(bbo, 2.0 * wavelength, angle))
+    for outside in (-0.1, -5e-324, math.nextafter(math.pi, 4.0), 4.0,
+                    math.nan):
+        with pytest.raises(ValueError, match=r"must lie in \[0, pi\]"):
+            phase_matching_mismatch(bbo, pump, outside)
 
 
 def test_no_phase_matching_for_isotropic_data(bbo):

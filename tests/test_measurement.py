@@ -585,6 +585,57 @@ def test_windows_without_envelope_match_the_closed_forms(phase_slope):
         assert np.all(np.abs(got - want) <= 1e-12 * 2.0 * h)
 
 
+def _bare_300mm_window():
+    # the CI's hostile sweep: a bare 300 mm source at 351.1 nm behind a
+    # 500 mm lens, one window of 166 mrad external halfwidth on axis
+    bbo = sp.get_material("bbo")
+    cut = sp.phase_matching_cut_angle(bbo, 351.1e-9)
+    source = sp.SourceConfig(bbo.crystal(cut, 0.3), 351.1e-9)
+    return (source.envelope_slope, [source.phase_slope], 0.0,
+            sp.external_to_internal_angle(
+                0.166, sp.GeometryConfig(lens_focal_length=0.5), source))
+
+
+def _count_or_refusal(count):
+    try:
+        return count()
+    except sp.QuadratureError as exc:
+        return str(exc)
+
+
+# a step of 2**-17 rad: [0, 2**-4] is 8192 panels, the limit
+_AT_LIMIT = (math.pi * 2.0 ** 17, [0.0], 2.0 ** -5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(envelope_slope=st.floats(0.0, 1e6),
+       laws=st.lists(st.floats(-4e6, 4e6), min_size=1, max_size=3),
+       center=st.floats(-0.1, 0.1), halfwidth=st.floats(0.0, 0.1))
+@example(*_bare_300mm_window())
+@example(*_AT_LIMIT[:2], _AT_LIMIT[2], _AT_LIMIT[2])
+@example(*_AT_LIMIT[:2], _AT_LIMIT[2], _AT_LIMIT[2] + 2.0 ** -17)
+def test_the_fence_counts_the_panels_of_the_kernel_grid(
+        envelope_slope, laws, center, halfwidth):
+    # the fence's scalar count of one window is the kernel's, and so is its
+    # refusal beyond _MAX_PANELS, message and all
+    grid = _count_or_refusal(lambda: int(measurement._panel_grid(
+        np.array([center]), np.array([halfwidth]), envelope_slope,
+        laws)[-1][0]))
+    assert _count_or_refusal(lambda: measurement._panel_count(
+        center, halfwidth, envelope_slope, laws)) == grid
+
+
+def test_the_fence_count_examples_reach_the_panel_limit():
+    # 8192 panels pass and 8194 do not, nor do the CI sweep's 9650
+    a, laws, half = _AT_LIMIT
+    assert measurement._panel_count(half, half, a, laws) == 8192
+    with pytest.raises(sp.QuadratureError, match="needs 8194 panels"):
+        measurement._panel_count(half, half + 2.0 ** -17, a, laws)
+    a, laws, center, halfwidth = _bare_300mm_window()
+    with pytest.raises(sp.QuadratureError, match="needs 9650 panels"):
+        measurement._panel_count(center, halfwidth, a, laws)
+
+
 def test_batch_names_the_window_that_fails(anticompensated_config,
                                            monkeypatch):
     centers, halfwidths = np.array(_MIXED_WINDOWS).T

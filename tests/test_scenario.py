@@ -870,6 +870,42 @@ def test_sizes_are_capped(tmp_path, capsys):
                                        "got -1\n")
 
 
+def test_a_run_of_too_many_cells_is_refused_at_settings_deg(tmp_path,
+                                                           capsys):
+    # 5000 distinct pairs of 100 000 points would build 5000 scan tables
+    # of 5e8 rows in all; a MAX_POINTS scan of a few pairs still loads
+    from spdcpol.scenario import MAX_CELLS, MAX_POINTS
+    pairs = "; ".join(f"45 {angle}" for angle in range(5000))
+    text = BASE.replace("points = 11", f"points = {MAX_POINTS}").replace(
+        "settings_deg = 45 45", f"settings_deg = {pairs}")
+    scenario_file = tmp_path / "scenario.cfg"
+    scenario_file.write_text(text)
+    assert cli.main(["run", str(scenario_file), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {scenario_file}:16: 5000 settings "
+                          f"pairs of {MAX_POINTS} points")
+    assert f"more than the limit of {MAX_CELLS}" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["scenario.cfg"]
+    few = _load_text(tmp_path, BASE.replace(
+        "points = 11", f"points = {MAX_POINTS}").replace(
+        "settings_deg = 45 45", "settings_deg = 45 45; 45 -45; 0 90")
+        + COUNTS[len(BASE):] + "\n[visibility]\npoints = 100000\n"
+        "compare_uncompensated = true\n")
+    assert len(few.scan.settings_deg) == 3
+    # the same shape built by hand, and one pair fewer than the bound holds
+    wide = tuple((45.0, float(angle)) for angle in range(5000))
+    with pytest.raises(ValueError, match="5000 settings pairs") as info:
+        _part(few, "scan", settings_deg=wide)
+    assert (info.value.section, info.value.key) == ("scan", "settings_deg")
+    other = 3 * few.bell_max_order + 2 * 5 * MAX_POINTS
+    fits = (MAX_CELLS - other) // (11 * MAX_POINTS)
+    assert _part(few, "scan", settings_deg=wide[:fits]).scan.points == \
+        MAX_POINTS
+    with pytest.raises(ValueError, match=f"{fits + 1} settings pairs"):
+        _part(few, "scan", settings_deg=wide[:fits + 1])
+
+
 def test_sub_resolution_window_is_config_error(tmp_path):
     text = BASE + ("\n[visibility]\npoints = 3\ncenter_mrad = 1\n"
                    "max_halfwidth_mrad = 1e-20\n")
