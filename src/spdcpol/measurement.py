@@ -15,10 +15,13 @@ and the aperture-averaged density matrix, the {HV, VH} block with 1/2 on its
 diagonal and coherence M1 / (2 M0). Its Wootters concurrence, 2 |rho_HV,VH| =
 |M1| / M0, quantifies how the coherent phase spread degrades polarization
 entanglement, and its Bell fidelities are F(Psi+-) = C++ / M0 and C+- / M0.
-One batched composite Gauss-Legendre pass per sweep gives both moments of
-every window under every phase law the sweep compares, each with an error
-estimate held to ``QUAD_TOL`` relative to its M0; every sweep window needs
-a width in floating point. The one-window functions also take halfwidth 0,
+A sweep's windows are nested about one center. One kernel call cuts the
+angle axis there, at every window edge and on one grid of sinc zeros and
+phase periods, integrates each slice once by composite Gauss-Legendre under
+every phase law the sweep compares, and sums the slices outward from the
+center: both moments of every window, each with an error estimate held to
+``QUAD_TOL`` relative to its M0. Every sweep window needs a width in
+floating point. The one-window functions also take halfwidth 0,
 a point: the integrands at its center. ``concurrence`` evaluates
 Wootters' formula for any two-qubit density matrix.
 """
@@ -132,10 +135,12 @@ class DensityMatrix4:
 # half-order rule whose difference from it is the error estimate.
 _GL_ORDER = 32
 _GL_CHECK_ORDER = 16
-# Panels per pass: 2**13 panels of 48 nodes peak near 51 MB for one phase
-# law and 32 MB more for each further law. A pass holds a whole-domain
+# Bound on the panels of a sweep's widest window and on the slices of one
+# pass: a pass of 2**13 slices of 48 nodes peaks near 26 MB for one phase
+# law and 13 MB more for each further law. The bound holds a whole-domain
 # window of a bare or compensated BBO source up to about 25 cm long, and of
-# one anticompensated by half its length up to about 12.7 cm.
+# one anticompensated by half its length up to about 12.7 cm. A sweep's
+# slices and outward sums add about 0.1 kB per slice and law.
 _MAX_PANELS = 1 << 13
 
 
@@ -182,22 +187,21 @@ def _kernel_rule() -> tuple[np.ndarray, np.ndarray]:
 
 class _Moments(NamedTuple):
     """M0 = int w and M1 = int w e^{i phi} over windows, w = sinc^2(a theta),
-    and what the kernel did to get them.
+    and the kernel's error estimate.
 
     M0 and Re M1 are carried as their halves ``even`` = (M0 + Re M1) / 2 =
     int w cos^2(phi/2) and ``odd`` = (M0 - Re M1) / 2 = int w sin^2(phi/2):
     both integrands are nonnegative, so each half keeps its relative accuracy
     where the difference M0 - Re M1 would cancel (narrow windows on a small
     phase, or windows around a Psi- angle). Each field has the shape of the
-    kernel's phase slopes plus a window axis (``panels``, shared by every
-    law, the window axis alone); the one-window functions hold floats.
+    kernel's phase slopes plus a window axis; the one-window functions hold
+    floats.
     """
 
     even: np.ndarray
     odd: np.ndarray
     imag: np.ndarray  # Im M1 = int w sin(phi)
     error: np.ndarray  # error estimate over M0; 0 at a point
-    panels: np.ndarray  # Gauss-Legendre panels; 0 at a point
 
     @property
     def m0(self) -> np.ndarray:
@@ -225,7 +229,7 @@ def _integrands(lefts: np.ndarray, offsets: np.ndarray,
                 rates: np.ndarray) -> np.ndarray:
     """w cos^2(phi/2), w sin^2(phi/2) and w sin(phi) of every phase law at
     every node theta = ``lefts[i]`` + ``offsets[i, j]``, shape (3, laws,
-    panels, nodes); ``rates`` is the column (a, k_1 / 2, k_2 / 2, ...) of
+    slices, nodes); ``rates`` is the column (a, k_1 / 2, k_2 / 2, ...) of
     the angles a theta and phi / 2 per unit theta, and the weight w is
     evaluated once for every law.
 
@@ -273,39 +277,19 @@ def _integrands(lefts: np.ndarray, offsets: np.ndarray,
     return integrands
 
 
-def _panel_pass(lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
-                panels: np.ndarray, step: float,
-                rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """32-point sums (even, odd, imag) of the windows [lo_i, hi_i] under
-    every law of ``rates``, shape (3, laws, windows), and each window's
-    error per law: the largest over the three integrands of its summed
-    |32-point - 16-point| panel values over M0, inf where M0 = 0.
-
-    Window i takes ``panels[i]`` panels; the j-th opens at the grid point
-    (first_i + j) ``step`` clipped to the window, the first at lo_i, and
-    each closes where the next opens, the last at hi_i.
-    """
-    ends = np.cumsum(panels)
-    starts = ends - panels
-    grid = (np.arange(ends[-1]) + np.repeat(first - starts, panels)) * step
-    lefts = np.clip(grid, np.repeat(lo, panels), np.repeat(hi, panels),
-                    out=grid)
-    lefts[starts] = lo
-    rights = np.concatenate((lefts[1:], hi[-1:]))
-    rights[ends - 1] = hi
-    scale = 0.5 * (rights - lefts)[:, None]
+def _slice_values(cuts: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The 32-point values (column 0) and |32-point - 16-point| error
+    estimates (column 1) of w cos^2(phi/2), w sin^2(phi/2) and w sin(phi) on
+    each slice between neighbouring ``cuts`` under every law of ``rates``,
+    shape (3, laws, slices, 2)."""
+    lefts = cuts[:-1]
+    scale = 0.5 * (cuts[1:] - lefts)[:, None]
     nodes, weights = _kernel_rule()
     # Nodes left + half (1 + x), never rounded to one float (see
-    # _integrands). Columns: the 32-point value, the error estimate.
+    # _integrands).
     values = (_integrands(lefts, scale * nodes, rates) @ weights) * scale
     np.abs(values[..., 1], out=values[..., 1])
-    # a window of one panel sums to that panel's values
-    sums = (values if ends[-1] == panels.size
-            else np.add.reduceat(values, starts, axis=2))
-    m0 = sums[0, ..., 0] + sums[1, ..., 0]
-    return sums[..., 0], np.divide(sums[..., 1].max(axis=0), m0,
-                                   out=np.full_like(m0, math.inf),
-                                   where=m0 > 0.0)
+    return values
 
 
 def _panel_step(envelope_slope: float, laws) -> float:
@@ -321,111 +305,106 @@ def _panel_step(envelope_slope: float, laws) -> float:
     return 2.0 * math.pi / k if k > 0.0 else 2.0 * MAX_SUPPORTED_ANGLE
 
 
-def _too_many_panels(lo, hi, count) -> QuadratureError:
-    return QuadratureError(
-        f"window quadrature on [{lo}, {hi}] rad needs {count:.6g} panels, "
-        f"more than the limit of {_MAX_PANELS}")
-
-
-def _panel_grid(centers: np.ndarray, halfwidths: np.ndarray,
-                envelope_slope: float, laws) -> tuple[np.ndarray, ...]:
-    """Each window's edges c - h and c + h, the kernel's grid step
-    (`_panel_step`), and each window's first grid index and panel count
-    under the phase slopes ``laws``; or, before any memory is asked for, a
-    QuadratureError naming the first window of more than ``_MAX_PANELS``
-    panels.
-    """
-    step = _panel_step(envelope_slope, laws)
-    lo, hi = centers - halfwidths, centers + halfwidths
-    first = np.floor(lo / step)
-    counts = np.maximum(np.ceil(hi / step) - first, 1.0)
-    if not counts.max() <= _MAX_PANELS:
-        big = int(np.argmax(~(counts <= _MAX_PANELS)))
-        raise _too_many_panels(lo[big], hi[big], counts[big])
-    return lo, hi, step, first, counts.astype(int)
-
-
-def _panel_count(center: float, halfwidth: float, envelope_slope: float,
-                 laws) -> int:
-    """`_panel_grid`'s panel count of the one window [c - h, c + h], or
-    its refusal, in float arithmetic without numpy's per-call cost: the
-    ceiling and floor of a finite float are exact, so their difference
-    rounds as numpy's does, and a grid index that overflows counts as
-    infinitely many panels."""
-    step = _panel_step(envelope_slope, laws)
+def _panel_count(center: float, halfwidth: float, step: float) -> int:
+    """The panels the grid points n ``step`` cut the window [c - h, c + h]
+    into, at least 1; or, beyond ``_MAX_PANELS``, a QuadratureError. Scalar
+    float arithmetic: the ceiling and floor of a finite float are exact,
+    and a grid index that overflows counts as infinitely many panels."""
     lo, hi = center - halfwidth, center + halfwidth
     first, last = lo / step, hi / step
     count = math.inf
     if math.isfinite(first) and math.isfinite(last):
         count = max(float(math.ceil(last) - math.floor(first)), 1.0)
     if not count <= _MAX_PANELS:
-        raise _too_many_panels(lo, hi, count)
+        raise QuadratureError(
+            f"window quadrature on [{lo}, {hi}] rad needs {count:.6g} "
+            f"panels, more than the limit of {_MAX_PANELS}")
     return int(count)
 
 
-def _window_moments(centers: np.ndarray, halfwidths: np.ndarray,
+def _window_moments(center: float, halfwidths: np.ndarray,
                     envelope_slope: float, phase_slopes) -> _Moments:
-    """Both moments of every window [c_i - h_i, c_i + h_i] under every
-    phase law, with each window's error and panels.
+    """Both moments of the nested windows [c - h_i, c + h_i] about one
+    center c under every phase law, with each window's error.
 
     The weight is w = sinc^2(a theta), a = ``envelope_slope``; a law's
     phase is k theta, and ``phase_slopes`` is one k or a sequence, whose
-    shape every moment and error takes before its window axis. Each window
-    is cut into panels at the points of the ``_panel_grid`` inside it, and
-    the windows go in order through 32-point Gauss-Legendre passes of
-    ``_MAX_PANELS`` // (the widest window's panels) windows each, w
-    evaluated once per node; the 16-point rule gives the error estimate.
-    When one pass holds every window (the window count times the widest
-    window's panels is at most ``_MAX_PANELS``, as in every preset), the
-    kernel returns that pass's arrays as they are, with no buffer to copy
-    them into.
+    shape every moment and error takes before its window axis. The
+    halfwidths ascend, the last the widest. The axis is cut at the center,
+    at every window edge and at the `_panel_step` grid points inside the
+    widest window, and each slice between two cuts is integrated once, for
+    every law, by the 32-point Gauss-Legendre rule with w evaluated once per
+    node; the 16-point rule gives the error estimate. Slices that one pass
+    of ``_MAX_PANELS`` does not hold fill one array in passes of that many.
+    Sums run outward from the center on either side, and window i is its
+    left sum plus its right sum: ``even`` and ``odd`` have nonnegative
+    integrands, so no window is a difference of sums.
     The kernel integrates windows only (a point is ``_one_window``'s) and
     does numerics only: ``AngularWindow`` holds each window in the model
     domain, ``ScenarioSpec`` also within the panel limit. A QuadratureError
-    names the first window of too many panels, or with an error estimate
-    above ``QUAD_TOL`` * M0 or an M0 that is not positive (a window of
-    halfwidth 0, or narrower than float resolution) under some law.
+    refuses a widest window of more than ``_MAX_PANELS`` panels
+    (`_panel_count`, the fence's count) before any memory is asked for, or
+    names the first window with an error estimate above ``QUAD_TOL`` * M0
+    or an M0 that is not positive (a window of halfwidth 0, or narrower
+    than float resolution) under some law.
     """
-    centers = np.asarray(centers, dtype=float)
     halfwidths = np.asarray(halfwidths, dtype=float)
     slopes = np.asarray(phase_slopes, dtype=float)
     a, laws = envelope_slope, slopes.ravel().tolist()
     # the sinc argument a theta and each half phase k theta / 2, per theta
     rates = np.array([[a], *([0.5 * law] for law in laws)])
-    lo, hi, step, first, panels = _panel_grid(centers, halfwidths, a, laws)
-    run = _MAX_PANELS // int(panels.max())
-    if run >= centers.size:  # one pass holds every window
-        sums, error = _panel_pass(lo, hi, first, panels, step, rates)
+    step = _panel_step(a, laws)
+    count = _panel_count(center, float(halfwidths[-1]), step)
+    lo, hi = center - halfwidths, center + halfwidths
+    first = math.floor(lo[-1] / step)
+    # the center, every edge, and the grid points inside the widest window;
+    # a center on the grid is cut once
+    marks = np.concatenate(([center], lo, hi,
+                            np.arange(first + 1.0, first + count) * step))
+    cuts = np.sort(marks[1:] if math.fmod(center, step) == 0.0 else marks)
+    windows = halfwidths.size
+    where = np.searchsorted(cuts, marks[:2 * windows + 1])
+    slices = cuts.size - 1
+    if slices <= _MAX_PANELS:
+        values = _slice_values(cuts, rates)
     else:
-        sums = np.empty((3, len(laws), centers.size))
-        error = np.empty(sums.shape[1:])
-        for start in range(0, centers.size, run):
-            part = slice(start, start + run)
-            sums[..., part], error[:, part] = _panel_pass(
-                lo[part], hi[part], first[part], panels[part], step, rates)
+        values = np.empty((3, len(laws), slices, 2))
+        for start in range(0, slices, _MAX_PANELS):
+            values[:, :, start:start + _MAX_PANELS] = _slice_values(
+                cuts[start:start + _MAX_PANELS + 1], rates)
+    # Outward sums from the center, cut p: right[r] sums the r slices right
+    # of it, left[l] the l slices left of it.
+    p = where[0]
+    right = np.zeros((3, len(laws), slices - p + 1, 2))
+    left = np.zeros((3, len(laws), p + 1, 2))
+    np.cumsum(values[:, :, p:], axis=2, out=right[:, :, 1:])
+    np.cumsum(values[:, :, :p][:, :, ::-1], axis=2, out=left[:, :, 1:])
+    sums = (right[:, :, where[windows + 1:] - p]
+            + left[:, :, p - where[1:windows + 1]])
+    m0 = sums[0, ..., 0] + sums[1, ..., 0]
+    error = np.divide(sums[..., 1].max(axis=0), m0,
+                      out=np.full_like(m0, math.inf), where=m0 > 0.0)
     if not error.max() <= QUAD_TOL:
         worst = error.max(axis=0)
         bad = int(np.argmax(~(worst <= QUAD_TOL)))
         raise QuadratureError(
             f"window quadrature on [{lo[bad]}, {hi[bad]}] rad failed: M0 = "
-            f"{sums[0, 0, bad] + sums[1, 0, bad]:.3e}, error estimate "
-            f"{worst[bad]:.3e} of M0 against the requested relative "
-            f"tolerance {QUAD_TOL:.3e}", achieved=float(worst[bad]),
-            requested=QUAD_TOL)
-    shape = (*slopes.shape, centers.size)
-    return _Moments(*sums.reshape(3, *shape), error.reshape(shape), panels)
+            f"{m0[0, bad]:.3e}, error estimate {worst[bad]:.3e} of M0 "
+            f"against the requested relative tolerance {QUAD_TOL:.3e}",
+            achieved=float(worst[bad]), requested=QUAD_TOL)
+    shape = (*slopes.shape, windows)
+    return _Moments(*sums[..., 0].reshape(3, *shape), error.reshape(shape))
 
 
 def _one_window(window: AngularWindow, config: SourceConfig) -> _Moments:
     """The moments of one window, as floats: one kernel call, or at
     halfwidth 0 the integrands at the center, the h -> 0 limit of each
-    moment over the width 2 h (error 0, no panels)."""
+    moment over the width 2 h (error 0)."""
     if window.halfwidth == 0.0:
         rates = np.array([[config.envelope_slope], [0.5 * config.phase_slope]])
         point = _integrands(np.array([window.center]), np.zeros((1, 1)), rates)
-        return _Moments(*(float(value) for value in point.ravel()), 0.0, 0)
-    moments = _window_moments(np.array([window.center]),
-                              np.array([window.halfwidth]),
+        return _Moments(*(float(value) for value in point.ravel()), 0.0)
+    moments = _window_moments(window.center, np.array([window.halfwidth]),
                               config.envelope_slope, config.phase_slope)
     return _Moments(*(float(column[0]) for column in moments))
 
@@ -483,13 +462,13 @@ def visibility(window: AngularWindow, config: SourceConfig) -> float:
     return abs((moments.even - moments.odd) / moments.m0)
 
 
-def _sweep_columns(centers: np.ndarray, halfwidths: np.ndarray,
+def _sweep_columns(center: float, halfwidths: np.ndarray,
                    envelope_slope: float,
                    phase_slopes) -> tuple[np.ndarray, ...]:
     """(C_pp, C_pm, V, concurrence) of every window under every phase law,
     shaped as in ``_window_moments``: the visibility sweep columns, from one
     kernel call."""
-    moments = _window_moments(centers, halfwidths, envelope_slope,
+    moments = _window_moments(center, halfwidths, envelope_slope,
                               phase_slopes)
     m0 = moments.m0
     re_m1 = moments.even - moments.odd

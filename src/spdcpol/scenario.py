@@ -44,10 +44,11 @@ table name appears once. The ``envelope`` and ``phase_rad`` columns are
 `spdcpol.biphoton.angular_envelope` and ``relative_phase`` called on the
 whole grid; tables hold the run's arrays as their columns.
 The visibility sweep reads every column from the two window moments M0 and
-M1 (concurrence is |M1| / M0), and a sweep takes the moments of all its
-windows from one kernel call. The uncompensated baseline shares that call
-and its panel grid: it is the same production crystal with the bare phase
-slope |B| L, so it needs no second cut solve.
+M1 (concurrence is |M1| / M0). Its windows are nested about one center, and
+one kernel call integrates each slice of the angle axis between their edges
+once and sums the slices outward from the center. The uncompensated
+baseline shares that call and its slices: it is the same production crystal
+with the bare phase slope |B| L, so it needs no second cut solve.
 The ``first_singlet`` halfwidth keyword resolves to the first Psi- angle of
 the bare production crystal, pi / (|B| L) internal. On a flat phase law the
 Psi- Bell table is empty, with a note.
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -74,8 +75,8 @@ from .geometry import (GeometryConfig, external_to_internal_angle,
                        internal_to_external_angle)
 from .materials import MaterialRecord, get_material
 from .measurement import (MAX_SUPPORTED_ANGLE, PolarizerSettings,
-                          _analyzer_mix, _panel_count, _sweep_columns,
-                          coincidence_rate, simulate_counts)
+                          _analyzer_mix, _panel_count, _panel_step,
+                          _sweep_columns, coincidence_rate, simulate_counts)
 from .output import Table
 
 PRESETS = ("fig2a", "fig2b", "fig2c", "fig3")
@@ -370,16 +371,16 @@ def load_scenario(source: str | Path, seed: int | None = None,
                 duration=sec.get_float("duration_s"),
                 peak_rate=sec.get_float("peak_rate_hz"),
                 accidental_rate=sec.get_float("accidental_rate_hz", 0.0))
-        spec = ScenarioSpec(name=name, seed=seed_value, source=source_config,
-                            geometry=geometry, scan=scan_spec,
-                            visibility=visibility_spec, counts=counts_spec,
-                            bell_max_order=bell_max_order)
+        return ScenarioSpec(
+            name=name, seed=seed_value if seed is None else seed,
+            source=source_config, geometry=geometry, scan=scan_spec,
+            visibility=visibility_spec, counts=counts_spec,
+            bell_max_order=bell_max_order)
     except _SpecError as exc:
+        if seed is not None and exc.key == "seed":
+            # the seed override is no line of the file
+            raise ConfigError(str(exc)) from None
         raise by_name[exc.section].error(str(exc), key=exc.key) from None
-    try:
-        return spec if seed is None else replace(spec, seed=seed)
-    except _SpecError as exc:  # the seed override is no line of the file
-        raise ConfigError(str(exc)) from None
 
 
 def _reach(reach: float, section: str, key: str, what: str) -> None:
@@ -455,7 +456,8 @@ def _fence(spec: ScenarioSpec) -> None:
                key if widest > MAX_SUPPORTED_ANGLE else "center_mrad",
                "window")
         try:
-            _panel_count(center, widest, source.envelope_slope, slopes)
+            _panel_count(center, widest,
+                         _panel_step(source.envelope_slope, slopes))
         except QuadratureError as exc:
             raise _SpecError("visibility", key, f"the widest window lies "
                              f"outside the supported range: {exc}") from None
@@ -584,7 +586,7 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
         center, halfwidths, slopes = spec._sweep_plan
         halfwidths_ext = internal_to_external_angle(
             halfwidths, spec.geometry, spec.source)
-        columns = _sweep_columns(np.full(halfwidths.size, center), halfwidths,
+        columns = _sweep_columns(center, halfwidths,
                                  spec.source.envelope_slope, slopes)
         for suffix, *law_columns in zip(("", "_uncompensated"), *columns):
             tables.append(Table(

@@ -370,7 +370,7 @@ def test_window_observables_match_mpmath(source, kind, center_share,
            sp.concurrence(sp.aperture_density_matrix(window, config)))
     # the sweep's columns, concurrence in its closed form |M1| / M0
     got += tuple(float(column[0]) for column in measurement._sweep_columns(
-        np.array([center]), np.array([halfwidth]), config.envelope_slope,
+        center, np.array([halfwidth]), config.envelope_slope,
         config.phase_slope))
     # the reference is bench/oracle.py's mpmath moments M0 and M1 of the
     # window, on the config's float slopes and edges, at 30 digits
@@ -415,12 +415,33 @@ def test_window_kernel_reports_unmet_tolerance(anticompensated_config,
         sp.visibility(sp.AngularWindow(0.0, 0.1), long_source)
 
 
-def test_whole_domain_windows_of_long_sources_fit_one_pass(production):
+@pytest.fixture
+def passes(monkeypatch):
+    """The slices of every _integrands call, one entry per kernel pass."""
+    slices = []
+    integrands = measurement._integrands
+
+    def spy(lefts, *args):
+        slices.append(len(lefts))
+        return integrands(lefts, *args)
+    monkeypatch.setattr(measurement, "_integrands", spy)
+    return slices
+
+
+def _si_m0(envelope_slope, halfwidth):
+    # M0 depends on the envelope slope a alone: int_{-H}^{H} sinc^2(a theta)
+    # = (2 / a) (Si(2 a H) - sin^2(a H) / (a H)), at 30 digits
+    with mpmath.workdps(30):
+        a, edge = mpmath.mpf(envelope_slope), mpmath.mpf(halfwidth)
+        return float(2 / a * (mpmath.si(2 * a * edge)
+                              - mpmath.sin(a * edge) ** 2 / (a * edge)))
+
+
+def test_whole_domain_windows_of_long_sources_fit_one_pass(production,
+                                                           passes):
     # The kernel refuses a window only when its own panel count exceeds
     # _MAX_PANELS: the whole domain of a bare 20 cm source and of a 10 cm
-    # source anticompensated by 5 cm takes 6452 panels each. M0 depends on
-    # the envelope slope a alone: int_{-H}^{H} sinc^2(a theta) = (2 / a)
-    # (Si(2 a H) - sin^2(a H) / (a H)).
+    # source anticompensated by 5 cm takes 6452 panels each, one pass.
     bbo = sp.get_material("bbo")
 
     def crystal(length):
@@ -432,35 +453,85 @@ def test_whole_domain_windows_of_long_sources_fit_one_pass(production):
                    sp.SourceConfig(production=crystal(0.1),
                                    pump_wavelength=351e-9,
                                    compensators=(anticompensator,))):
+        passes.clear()
         moments = measurement._window_moments(
-            np.array([0.0]), np.array([0.1]), source.envelope_slope,
-            source.phase_slope)
-        assert 6000 < moments.panels[0] <= measurement._MAX_PANELS
-        with mpmath.workdps(30):
-            a, edge = mpmath.mpf(source.envelope_slope), mpmath.mpf(0.1)
-            want = float(2 / a * (mpmath.si(2 * a * edge)
-                                  - mpmath.sin(a * edge) ** 2 / (a * edge)))
+            0.0, np.array([0.1]), source.envelope_slope, source.phase_slope)
+        assert len(passes) == 1
+        assert 6000 < passes[0] <= measurement._MAX_PANELS
+        want = _si_m0(source.envelope_slope, 0.1)
         assert abs(moments.m0[0] - want) <= 1e-12 * want
+
+
+def _bare_250mm_sweep(tmp_path, points):
+    # a bare 250 mm source at 351.1 nm behind a 500 mm lens, sweeping
+    # nested windows on axis out to 160 mrad external
+    path = tmp_path / "long.cfg"
+    path.write_text(
+        "[scenario]\nname = long\n\n[source]\nmaterial = bbo\n"
+        "pump_wavelength_nm = 351.1\nlength_mm = 250\n\n[geometry]\n"
+        "lens_focal_length_mm = 500\n\n[visibility]\n"
+        f"points = {points}\nmax_halfwidth_mrad = 160\n")
+    return sp.load_scenario(path)
+
+
+def test_a_long_sweep_matches_mpmath_slicing_the_axis_once(tmp_path, passes,
+                                                           oracle):
+    # 200 nested windows of a 250 mm crystal: the widest alone holds about
+    # 7750 panels, so window by window the sweep would integrate about
+    # 775 000. Slices: the widest window's panels plus two per window, plus
+    # the center.
+    spec = _bare_250mm_sweep(tmp_path, 200)
+    center, halfwidths, slopes = spec._sweep_plan
+    a = spec.source.envelope_slope
+    [table] = sp.run_scenario(spec)
+    widest = measurement._panel_count(
+        center, halfwidths[-1], measurement._panel_step(a, slopes))
+    assert widest > 7000
+    assert widest <= sum(passes) <= widest + 2 * halfwidths.size + 2
+    columns = np.array(table.rows)[:, 1:].T
+    # M0 of every window against its closed form, a bare crystal's k = 2a
+    for c_pp, c_pm, halfwidth in zip(*columns[:2], halfwidths):
+        want = _si_m0(a, halfwidth)
+        assert abs(c_pp + c_pm - want) <= 1e-12 * want
+    # every column of a spread of windows against the mpmath moments, as
+    # in test_window_observables_match_mpmath
+    mpf = oracle.mp.mpf
+    for index in (0, 9, 24):
+        halfwidth = halfwidths[index]
+        m0, m1 = oracle.moments(mpf(a), mpf(slopes[0]),
+                                mpf(center - halfwidth),
+                                mpf(center + halfwidth))
+        want = (float((m0 + m1.real) / 2), float((m0 - m1.real) / 2),
+                float(abs(m1.real) / m0), float(abs(m1) / m0))
+        for column, (value, ref) in enumerate(zip(columns[:, index], want)):
+            size = abs(ref) if column < 2 else max(abs(ref), _UNIT_FLOOR)
+            assert abs(value - ref) <= 1e-12 * size, (index, column)
 
 
 # --------------------------------------------------- batched window kernel
 
-# (center, halfwidth) internal: a window straddling theta = 0, one far off
-# axis, a wide one and fig2c's 6.75 +- 0.57 mrad.
-_MIXED_WINDOWS = ((1e-3, 3e-3), (0.09, 0.005), (0.02, 0.079),
-                  (6.75e-3, 0.57e-3))
+# (center, widest halfwidth) internal: a sweep straddling theta = 0, one
+# far off axis, a wide one and one out to fig2c's 6.75 +- 0.57 mrad; each
+# sweeps four nested windows out to its widest.
+_MIXED_SWEEPS = ((1e-3, 3e-3), (0.09, 0.005), (0.02, 0.079),
+                 (6.75e-3, 0.57e-3))
 
 
-def _one_by_one(centers, halfwidths, envelope_slope, phase_slope):
+def _nested(widest, points=4):
+    return widest * np.arange(1, points + 1) / points
+
+
+def _one_by_one(center, halfwidths, envelope_slope, phase_slope):
     """The sweep columns from one kernel call per window."""
     rows = [[float(column[0]) for column in measurement._sweep_columns(
-        np.array([center]), np.array([halfwidth]), envelope_slope,
-        phase_slope)] for center, halfwidth in zip(centers, halfwidths)]
+        center, np.array([halfwidth]), envelope_slope, phase_slope)]
+        for halfwidth in halfwidths]
     return np.array(rows).T
 
 
 def _assert_same_columns(batch, alone):
-    # the GEMM's rounding depends on how many panels share the call
+    # a sweep's windows share their inner slices, one window alone does
+    # not, and the GEMM's rounding depends on how many slices share a call
     m0 = alone[0] + alone[1]
     for index, (got, want) in enumerate(zip(batch, alone)):
         size = m0 if index < 2 else 1.0
@@ -470,84 +541,64 @@ def _assert_same_columns(batch, alone):
 def test_one_kernel_call_matches_one_window_calls(bare_config,
                                                   compensated_config,
                                                   anticompensated_config):
-    centers, halfwidths = np.array(_MIXED_WINDOWS).T
     for config in (bare_config, compensated_config, anticompensated_config):
         slopes = (config.envelope_slope, config.phase_slope)
-        _assert_same_columns(
-            measurement._sweep_columns(centers, halfwidths, *slopes),
-            _one_by_one(centers, halfwidths, *slopes))
+        for center, widest in _MIXED_SWEEPS:
+            halfwidths = _nested(widest)
+            _assert_same_columns(
+                measurement._sweep_columns(center, halfwidths, *slopes),
+                _one_by_one(center, halfwidths, *slopes))
 
 
 def test_batch_beyond_the_panel_limit_runs_in_passes(anticompensated_config,
-                                                     monkeypatch):
-    # a 20 cm crystal: each 0.1 rad window needs about 3200 panels, so one
-    # pass cannot hold all four and the kernel runs them two to a pass
+                                                     passes):
+    # a 20 cm crystal: the widest window, 0.01 +- 0.09 rad, takes about
+    # 5800 panels, and 1500 windows add 3000 edges, so the slices fill more
+    # than one pass
     bbo = sp.get_material("bbo")
     long_source = sp.SourceConfig(
         production=bbo.crystal(
             cut_angle=anticompensated_config.production.cut_angle,
             length=0.2),
         pump_wavelength=351e-9)
-    centers = np.array([-0.05, -0.02, 0.01, 0.045])
-    halfwidths = np.full(4, 0.05)
+    center, halfwidths = 0.01, _nested(0.09, 1500)
     slopes = (long_source.envelope_slope, long_source.phase_slope)
-    passes = []
-    integrands = measurement._integrands
-
-    def spy(theta, *args):
-        passes.append(len(theta))
-        return integrands(theta, *args)
-    monkeypatch.setattr(measurement, "_integrands", spy)
-    batch = measurement._sweep_columns(centers, halfwidths, *slopes)
+    batch = measurement._sweep_columns(center, halfwidths, *slopes)
     assert len(passes) > 1
     assert sum(passes) > measurement._MAX_PANELS
     assert max(passes) <= measurement._MAX_PANELS
-    _assert_same_columns(batch, _one_by_one(centers, halfwidths, *slopes))
+    spread = [0, 1, 700, 1498, 1499]
+    _assert_same_columns([column[spread] for column in batch],
+                         _one_by_one(center, halfwidths[spread], *slopes))
 
 
 def test_panels_follow_one_grid_of_sinc_zeros_and_phase_periods(
-        bare_config, compensated_config, anticompensated_config,
-        monkeypatch):
+        bare_config, compensated_config, anticompensated_config, passes):
     # The grid step is pi / (a m), m = max(1, ceil(|k| / 2a)), so a window
-    # of +-5 sinc lobes takes 10 m panels: m = 1 for the bare source
-    # (k = 2a) and the compensated one (k = 0), m = 2 for the
-    # anticompensated one (k = 4a).
-    passes = []
-    integrands = measurement._integrands
-
-    def spy(theta, *args):
-        passes.append(len(theta))
-        return integrands(theta, *args)
-    monkeypatch.setattr(measurement, "_integrands", spy)
+    # of +-5 sinc lobes about a grid point takes 10 m panels: m = 1 for the
+    # bare source (k = 2a) and the compensated one (k = 0), m = 2 for the
+    # anticompensated one (k = 4a). A center off the grid is one cut more.
     for config, m in ((bare_config, 1), (compensated_config, 1),
                       (anticompensated_config, 2)):
-        lobe = math.pi / config.envelope_slope
-        passes.clear()
-        measurement._window_moments(np.array([0.0]), np.array([5.0 * lobe]),
-                                    config.envelope_slope, config.phase_slope)
-        assert passes == [10 * m]
+        a, k = config.envelope_slope, config.phase_slope
+        lobe = math.pi / a
+        for center, slices in ((0.0, 10 * m), (lobe / 3.0, 10 * m + 2)):
+            passes.clear()
+            measurement._window_moments(center, np.array([5.0 * lobe]), a, k)
+            assert passes == [slices]
 
 
-def test_phase_laws_share_the_grid_of_the_steepest(bare_config,
-                                                   monkeypatch):
+def test_phase_laws_share_the_grid_of_the_steepest(bare_config, passes):
     # Laws passed together share one grid, m = ceil(K / 2a) for the
     # largest |k| = K: a +-5-lobe window takes 20 panels under (2a, 4a)
     # and 10 under (0, 2a), each law on every panel.
     a = bare_config.envelope_slope
     lobe = math.pi / a
-    passes = []
-    integrands = measurement._integrands
-
-    def spy(theta, *args):
-        passes.append(len(theta))
-        return integrands(theta, *args)
-    monkeypatch.setattr(measurement, "_integrands", spy)
     for slopes, panels in (((2.0 * a, 4.0 * a), 20), ((0.0, 2.0 * a), 10)):
         passes.clear()
         moments = measurement._window_moments(
-            np.array([0.0]), np.array([5.0 * lobe]), a, slopes)
+            0.0, np.array([5.0 * lobe]), a, slopes)
         assert passes == [panels]
-        assert moments.panels.tolist() == [panels]
         assert moments.even.shape == moments.error.shape == (2, 1)
 
 
@@ -555,34 +606,37 @@ def test_one_call_for_every_law_matches_one_law_calls(
         bare_config, compensated_config, anticompensated_config):
     # each source with its uncompensated baseline k = 2a; the
     # anticompensated baseline moves from the m = 1 grid to m = 2
-    centers, halfwidths = np.array(_MIXED_WINDOWS).T
     for config in (bare_config, compensated_config, anticompensated_config):
         a = config.envelope_slope
         slopes = (config.phase_slope, 2.0 * a)
-        together = measurement._sweep_columns(centers, halfwidths, a, slopes)
-        for law, slope in enumerate(slopes):
-            _assert_same_columns(
-                [column[law] for column in together],
-                measurement._sweep_columns(centers, halfwidths, a, slope))
+        for center, widest in _MIXED_SWEEPS:
+            halfwidths = _nested(widest)
+            together = measurement._sweep_columns(center, halfwidths, a,
+                                                  slopes)
+            for law, slope in enumerate(slopes):
+                _assert_same_columns(
+                    [column[law] for column in together],
+                    measurement._sweep_columns(center, halfwidths, a, slope))
 
 
 @pytest.mark.parametrize("phase_slope", [0.0, 2026.9])
 def test_windows_without_envelope_match_the_closed_forms(phase_slope):
     # w = 1: even, odd = h +- (sin k hi - sin k lo) / 2k and
     # imag = (cos k lo - cos k hi) / k, with h = (hi - lo) / 2
-    centers = np.array([0.0, 0.03, -0.05, 6.75e-3])
-    halfwidths = np.array([0.1, 0.02, 0.05, 0.57e-3])
-    lo, hi = centers - halfwidths, centers + halfwidths
-    h = 0.5 * (hi - lo)
     k = phase_slope
-    if k:
-        swing = (np.sin(k * hi) - np.sin(k * lo)) / (2.0 * k)
-        imag = (np.cos(k * lo) - np.cos(k * hi)) / k
-    else:
-        swing, imag = h, np.zeros_like(h)
-    moments = measurement._window_moments(centers, halfwidths, 0.0, k)
-    for got, want in zip(moments, (h + swing, h - swing, imag)):
-        assert np.all(np.abs(got - want) <= 1e-12 * 2.0 * h)
+    for center, widest in ((0.0, 0.1), (0.03, 0.02), (-0.05, 0.05),
+                           (6.75e-3, 0.57e-3)):
+        halfwidths = _nested(widest)
+        lo, hi = center - halfwidths, center + halfwidths
+        h = 0.5 * (hi - lo)
+        if k:
+            swing = (np.sin(k * hi) - np.sin(k * lo)) / (2.0 * k)
+            imag = (np.cos(k * lo) - np.cos(k * hi)) / k
+        else:
+            swing, imag = h, np.zeros_like(h)
+        moments = measurement._window_moments(center, halfwidths, 0.0, k)
+        for got, want in zip(moments, (h + swing, h - swing, imag)):
+            assert np.all(np.abs(got - want) <= 1e-12 * 2.0 * h)
 
 
 def _bare_300mm_window():
@@ -603,6 +657,12 @@ def _count_or_refusal(count):
         return str(exc)
 
 
+def _fence_count(envelope_slope, laws, center, halfwidth):
+    # the fence's count of a sweep's widest window, as ScenarioSpec asks it
+    return measurement._panel_count(
+        center, halfwidth, measurement._panel_step(envelope_slope, laws))
+
+
 # a step of 2**-17 rad: [0, 2**-4] is 8192 panels, the limit
 _AT_LIMIT = (math.pi * 2.0 ** 17, [0.0], 2.0 ** -5)
 
@@ -616,41 +676,48 @@ _AT_LIMIT = (math.pi * 2.0 ** 17, [0.0], 2.0 ** -5)
 @example(*_AT_LIMIT[:2], _AT_LIMIT[2], _AT_LIMIT[2] + 2.0 ** -17)
 def test_the_fence_counts_the_panels_of_the_kernel_grid(
         envelope_slope, laws, center, halfwidth):
-    # the fence's scalar count of one window is the kernel's, and so is its
-    # refusal beyond _MAX_PANELS, message and all
-    grid = _count_or_refusal(lambda: int(measurement._panel_grid(
-        np.array([center]), np.array([halfwidth]), envelope_slope,
-        laws)[-1][0]))
-    assert _count_or_refusal(lambda: measurement._panel_count(
-        center, halfwidth, envelope_slope, laws)) == grid
+    # The kernel refuses a sweep exactly when the fence refuses its widest
+    # window, message and all, before it integrates a slice; a sweep it
+    # takes has at most the widest window's panels plus two slices per
+    # window. The integrands are stubbed to ones: only the cuts count here.
+    fence = _count_or_refusal(lambda: _fence_count(envelope_slope, laws,
+                                                   center, halfwidth))
+    slices = []
+
+    def ones(lefts, offsets, rates):
+        slices.append(len(lefts))
+        return np.ones((3, len(rates) - 1, *offsets.shape))
+    halfwidths = _nested(halfwidth, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measurement, "_integrands", ones)
+        kernel = _count_or_refusal(lambda: measurement._window_moments(
+            center, halfwidths, envelope_slope, laws))
+    if isinstance(fence, str):
+        assert (kernel, slices) == (fence, [])
+    else:
+        assert not isinstance(kernel, str) or "panels" not in kernel
+        assert sum(slices) <= fence + 2 * halfwidths.size
 
 
 def test_the_fence_count_examples_reach_the_panel_limit():
     # 8192 panels pass and 8194 do not, nor do the CI sweep's 9650
     a, laws, half = _AT_LIMIT
-    assert measurement._panel_count(half, half, a, laws) == 8192
+    assert _fence_count(a, laws, half, half) == 8192
     with pytest.raises(sp.QuadratureError, match="needs 8194 panels"):
-        measurement._panel_count(half, half + 2.0 ** -17, a, laws)
-    a, laws, center, halfwidth = _bare_300mm_window()
+        _fence_count(a, laws, half, half + 2.0 ** -17)
     with pytest.raises(sp.QuadratureError, match="needs 9650 panels"):
-        measurement._panel_count(center, halfwidth, a, laws)
+        _fence_count(*_bare_300mm_window())
 
 
 def test_batch_names_the_window_that_fails(anticompensated_config,
                                            monkeypatch):
-    centers, halfwidths = np.array(_MIXED_WINDOWS).T
-    lo, hi = centers - halfwidths, centers + halfwidths
     slopes = (anticompensated_config.envelope_slope,
               anticompensated_config.phase_slope)
-    # The estimates sit near rounding level. The kernel repeats this pass
-    # on its grid of step pi / (a m) bit for bit, so a tolerance just below
-    # the largest estimate fails that window alone.
-    a, k = slopes
-    step = math.pi / (a * max(1, math.ceil(abs(k) / (2.0 * a))))
-    first = np.floor(lo / step)
-    panels = np.maximum(np.ceil(hi / step) - first, 1).astype(int)
-    relative = measurement._panel_pass(lo, hi, first, panels, step,
-                                       np.array([[a], [0.5 * k]]))[1][0]
+    center, halfwidths = 0.02, _nested(0.079)
+    lo, hi = center - halfwidths, center + halfwidths
+    # The estimates sit near rounding level, and the kernel repeats them bit
+    # for bit, so a tolerance just below the largest fails that window alone.
+    relative = measurement._window_moments(center, halfwidths, *slopes).error
     worst = int(np.argmax(relative))
     runner_up = np.delete(relative, worst).max()
     assert relative[worst] > runner_up
@@ -658,20 +725,20 @@ def test_batch_names_the_window_that_fails(anticompensated_config,
     with monkeypatch.context() as patch, \
             pytest.raises(sp.QuadratureError) as info:
         patch.setattr(measurement, "QUAD_TOL", tolerance)
-        measurement._window_moments(centers, halfwidths, *slopes)
+        measurement._window_moments(center, halfwidths, *slopes)
     assert f"[{lo[worst]}, {hi[worst]}]" in str(info.value)
     assert info.value.achieved == relative[worst]
     assert info.value.requested == tolerance
-    # a window narrower than float resolution among good ones
+    # a window narrower than float resolution inside good ones
     with pytest.raises(sp.QuadratureError) as info:
-        measurement._window_moments(np.array([0.0, 1e-3, 5e-3]),
-                                    np.array([2e-3, 1e-20, 1e-3]), *slopes)
+        measurement._window_moments(1e-3, np.array([1e-20, 1e-3, 2e-3]),
+                                    *slopes)
     assert "[0.001, 0.001]" in str(info.value)
     assert info.value.achieved == math.inf
     # the kernel integrates windows only: halfwidth 0 has no weight
     with pytest.raises(sp.QuadratureError) as info:
-        measurement._window_moments(np.array([0.0, 2e-3, 5e-3]),
-                                    np.array([2e-3, 0.0, 1e-3]), *slopes)
+        measurement._window_moments(2e-3, np.array([0.0, 1e-3, 2e-3]),
+                                    *slopes)
     assert "[0.002, 0.002]" in str(info.value)
     assert info.value.achieved == math.inf
 

@@ -49,6 +49,19 @@ def test_seed_override():
     assert sp.load_scenario("fig2a", seed=7).seed == 7
 
 
+def test_seed_override_runs_the_fence_once(monkeypatch):
+    # the spec is built with the override seed, not built and then replaced
+    calls = []
+    fence = scenario._fence
+
+    def counted(spec):
+        calls.append(spec.seed)
+        return fence(spec)
+    monkeypatch.setattr(scenario, "_fence", counted)
+    assert sp.load_scenario("fig3", seed=5).seed == 5
+    assert calls == [5]
+
+
 # ----------------------------------------------------------- loader errors
 
 BASE = """\
@@ -363,10 +376,10 @@ def test_sweep_rejects_a_non_positive_state(monkeypatch):
     # |M1| > M0 would give the averaged state a negative eigenvalue
     from spdcpol import measurement
 
-    def kernel(centers, halfwidths, envelope_slope, phase_slopes):
-        ones = np.ones((len(phase_slopes), len(centers)))
+    def kernel(center, halfwidths, envelope_slope, phase_slopes):
+        ones = np.ones((len(phase_slopes), len(halfwidths)))
         return measurement._Moments(ones, 0.0 * ones, 1e-4 * ones,
-                                    0.0 * ones, np.ones(len(centers)))
+                                    0.0 * ones)
     monkeypatch.setattr(measurement, "_window_moments", kernel)
     with pytest.raises(sp.StateInvariantError):
         sp.run_scenario(sp.load_scenario("fig3"))
@@ -394,11 +407,12 @@ def test_sweep_is_one_kernel_call_per_sweep(monkeypatch):
 
 
 def test_sweep_kernel_reports_its_errors_and_panels(monkeypatch):
-    # fig3's one kernel call reports every window's error against M0 and
-    # the panels it integrated
+    # fig3's one kernel call reports every window's error against M0, and
+    # integrates its widest window's panels and at most two more slices
+    # per window and the center's
     from spdcpol import measurement
     spec = sp.load_scenario("fig3")
-    reports, panels = [], []
+    reports, slices = [], []
     kernel, integrands = measurement._window_moments, measurement._integrands
 
     def reporting(*args):
@@ -406,17 +420,21 @@ def test_sweep_kernel_reports_its_errors_and_panels(monkeypatch):
         return reports[-1]
 
     def spy(lefts, *args):
-        panels.append(len(lefts))
+        slices.append(len(lefts))
         return integrands(lefts, *args)
     monkeypatch.setattr(measurement, "_window_moments", reporting)
     monkeypatch.setattr(measurement, "_integrands", spy)
     sp.run_scenario(spec)
     [report] = reports
-    assert report.error.shape == (2, spec.visibility.points)
+    points = spec.visibility.points
+    assert report.error.shape == (2, points)
     assert 0.0 < report.error.max() <= measurement.QUAD_TOL
-    assert report.panels.shape == (spec.visibility.points,)
-    assert np.all(report.panels >= 1)
-    assert panels == [report.panels.sum()]
+    center, halfwidths, slopes = spec._sweep_plan
+    widest = measurement._panel_count(center, halfwidths[-1],
+                                      measurement._panel_step(
+                                          spec.source.envelope_slope, slopes))
+    assert len(slices) == 1
+    assert widest <= slices[0] <= widest + 2 * points + 2
 
 
 def test_sweep_outside_the_domain_is_refused_at_run():
