@@ -7,13 +7,15 @@
 ``<spec>`` is a scenario file path or a preset name (fig2a, fig2b, fig2c,
 fig3). ``bell-angles`` without ``--out`` prints the table to stdout in the
 chosen format and any note to stderr. Exit codes: 0 success, 2 configuration
-error (an unreadable scenario or an unwritable ``--out`` included),
-3 any other spdcpol error, all of them numerical.
+error (an unreadable scenario, an unwritable ``--out`` and a stdout that
+cannot take the output included), 3 any other spdcpol error, all of them
+numerical.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .biphoton import BellState
@@ -67,14 +69,13 @@ def _write(table, args) -> None:
     print(f"wrote {path}")
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     spec = load_scenario(args.spec, seed=args.seed)
     for table in run_scenario(spec):
         _write(table, args)
-    return EXIT_OK
 
 
-def _cmd_bell_angles(args) -> int:
+def _cmd_bell_angles(args) -> None:
     spec = load_scenario(args.spec)
     table = list_bell_angles(spec, BellState(args.state))
     if table.note:
@@ -82,36 +83,39 @@ def _cmd_bell_angles(args) -> int:
         print(f"note: {table.note}",
               file=sys.stderr if args.out is None else sys.stdout)
     if args.out is None:
-        sys.stdout.write(_serialize(table, args.format))
+        print(_serialize(table, args.format), end="")
     else:
         _write(table, args)
-    return EXIT_OK
 
 
-def _cmd_materials(args) -> int:
+def _cmd_materials(args) -> None:
     for name, record in sorted(builtin_materials().items()):
         lo, hi = record.band
         print(f"{name}: band {lo * 1e6:g}-{hi * 1e6:g} um")
         for kind, s in (("ordinary", record.ordinary),
                         ("extraordinary", record.extraordinary)):
             print(f"  {kind + ':':<15}a={s.a:g} b={s.b:g} c={s.c:g} d={s.d:g}")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "bell-angles":
-            return _cmd_bell_angles(args)
-        return _cmd_materials(args)
+        {"run": _cmd_run, "bell-angles": _cmd_bell_angles,
+         "materials": _cmd_materials}[args.command](args)
+        print(end="", flush=True)  # a closed stdout fails here, not at exit
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SpdcpolError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
+    except (BrokenPipeError, UnicodeEncodeError) as exc:
+        # Only stdout raises these; devnull takes a broken pipe's unflushed rest
+        if isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"config error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -277,19 +277,19 @@ def _integrands(lefts: np.ndarray, offsets: np.ndarray,
     return integrands
 
 
-def _slice_values(cuts: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """The 32-point values (column 0) and |32-point - 16-point| error
-    estimates (column 1) of w cos^2(phi/2), w sin^2(phi/2) and w sin(phi) on
-    each slice between neighbouring ``cuts`` under every law of ``rates``,
-    shape (3, laws, slices, 2)."""
+def _slice_values(cuts: np.ndarray, rates: np.ndarray, out: np.ndarray):
+    """Write into ``out``, shape (3, laws, slices, 2), the 32-point values
+    (column 0) and |32-point - 16-point| error estimates (column 1) of
+    w cos^2(phi/2), w sin^2(phi/2) and w sin(phi) on each slice between
+    neighbouring ``cuts`` under every law of ``rates``."""
     lefts = cuts[:-1]
     scale = 0.5 * (cuts[1:] - lefts)[:, None]
     nodes, weights = _kernel_rule()
     # Nodes left + half (1 + x), never rounded to one float (see
     # _integrands).
-    values = (_integrands(lefts, scale * nodes, rates) @ weights) * scale
-    np.abs(values[..., 1], out=values[..., 1])
-    return values
+    sums = _integrands(lefts, scale * nodes, rates) @ weights
+    np.multiply(sums, scale, out=out)
+    np.abs(out[..., 1], out=out[..., 1])
 
 
 def _panel_step(envelope_slope: float, laws) -> float:
@@ -334,8 +334,8 @@ def _window_moments(center: float, halfwidths: np.ndarray,
     at every window edge and at the `_panel_step` grid points inside the
     widest window, and each slice between two cuts is integrated once, for
     every law, by the 32-point Gauss-Legendre rule with w evaluated once per
-    node; the 16-point rule gives the error estimate. Slices that one pass
-    of ``_MAX_PANELS`` does not hold fill one array in passes of that many.
+    node; the 16-point rule gives the error estimate. The slices fill one
+    array in passes of at most ``_MAX_PANELS``.
     Sums run outward from the center on either side, and window i is its
     left sum plus its right sum: ``even`` and ``odd`` have nonnegative
     integrands, so no window is a difference of sums.
@@ -365,13 +365,10 @@ def _window_moments(center: float, halfwidths: np.ndarray,
     windows = halfwidths.size
     where = np.searchsorted(cuts, marks[:2 * windows + 1])
     slices = cuts.size - 1
-    if slices <= _MAX_PANELS:
-        values = _slice_values(cuts, rates)
-    else:
-        values = np.empty((3, len(laws), slices, 2))
-        for start in range(0, slices, _MAX_PANELS):
-            values[:, :, start:start + _MAX_PANELS] = _slice_values(
-                cuts[start:start + _MAX_PANELS + 1], rates)
+    values = np.empty((3, len(laws), slices, 2))
+    for start in range(0, slices, _MAX_PANELS):
+        _slice_values(cuts[start:start + _MAX_PANELS + 1], rates,
+                      values[:, :, start:start + _MAX_PANELS])
     # Outward sums from the center, cut p: right[r] sums the r slices right
     # of it, left[l] the l slices left of it.
     p = where[0]

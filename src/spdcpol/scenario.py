@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -186,10 +186,6 @@ class ScenarioSpec:
     visibility: VisibilitySpec | None = None
     counts: CountsSpec | None = None
     bell_max_order: int = 8
-    # The sweep's internal center, halfwidths and phase slopes (`_sweep`),
-    # resolved once by the fence for the run; None without [visibility].
-    _sweep_plan: tuple | None = field(init=False, default=None, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         _fence(self)
@@ -311,8 +307,9 @@ def load_scenario(source: str | Path, seed: int | None = None,
             comp_cut = cut
         try:
             comp_crystal = comp_material.crystal(comp_cut, comp_length)
-        except ValueError as exc:
-            raise sec.error(f"invalid compensator crystal: {exc}")
+        except ValueError as exc:  # the crystal checks its length first
+            key = "cut_angle_deg" if comp_length > 0.0 else "length_mm"
+            raise sec.error(f"invalid compensator crystal: {exc}", key=key)
         compensators.append(CompensatorPlacement(comp_crystal, orientation))
 
     try:
@@ -442,9 +439,11 @@ def _fence(spec: ScenarioSpec) -> None:
             key = "max_halfwidth"
         elif not vspec.max_halfwidth_ext > 0.0:
             raise _SpecError("visibility", key, f"{key} must be > 0")
-        center, halfwidths, slopes = plan = _sweep(spec)
-        off_axis, narrowest = abs(center), float(halfwidths[0])
-        widest = float(halfwidths[-1])
+        center, widest, slopes = _sweep(spec)
+        # The run's first and last halfwidths, widest * i / n at i = 1 and
+        # n: the last may differ from the widest itself in its last bit.
+        n = vspec.points
+        off_axis, narrowest, widest = abs(center), widest / n, widest * n / n
         if not off_axis - narrowest < off_axis + narrowest:
             raise _SpecError("visibility", key, (
                 f"the narrowest window, {off_axis:.4g} +- {narrowest:.4g} "
@@ -461,7 +460,6 @@ def _fence(spec: ScenarioSpec) -> None:
         except QuadratureError as exc:
             raise _SpecError("visibility", key, f"the widest window lies "
                              f"outside the supported range: {exc}") from None
-        object.__setattr__(spec, "_sweep_plan", plan)
     if spec.counts is not None:
         cspec = spec.counts
         if spec.scan is None:
@@ -526,10 +524,10 @@ def _pinhole_halfwidth(geometry: GeometryConfig,
         geometry, source)
 
 
-def _sweep(spec: ScenarioSpec) -> tuple[float, np.ndarray, tuple]:
-    # The internal center and halfwidths of a sweep's windows and the phase
-    # slopes it runs: the source's, and the uncompensated baseline's 2 a.
-    # The halfwidths are read-only: the spec keeps them for its run.
+def _sweep(spec: ScenarioSpec) -> tuple[float, float, tuple]:
+    # The internal center and widest halfwidth of a sweep's windows and the
+    # phase slopes it runs: the source's, and the uncompensated baseline's
+    # 2 a. Window i of n has halfwidth widest * i / n.
     vspec, geometry, source = spec.visibility, spec.geometry, spec.source
     center = external_to_internal_angle(vspec.center_ext, geometry, source)
     if vspec.max_halfwidth_ext is None:
@@ -538,9 +536,7 @@ def _sweep(spec: ScenarioSpec) -> tuple[float, np.ndarray, tuple]:
         widest = external_to_internal_angle(vspec.max_halfwidth_ext,
                                             geometry, source)
     slopes = (source.phase_slope, 2.0 * source.envelope_slope)
-    halfwidths = widest * np.arange(1, vspec.points + 1) / vspec.points
-    halfwidths.flags.writeable = False
-    return center, halfwidths, slopes[:1 + vspec.compare_uncompensated]
+    return center, widest, slopes[:1 + vspec.compare_uncompensated]
 
 
 def run_scenario(spec: ScenarioSpec) -> list[Table]:
@@ -583,7 +579,9 @@ def run_scenario(spec: ScenarioSpec) -> list[Table]:
                     _float_text=float_text))
 
     if spec.visibility is not None:
-        center, halfwidths, slopes = spec._sweep_plan
+        center, widest, slopes = _sweep(spec)
+        points = spec.visibility.points
+        halfwidths = widest * np.arange(1, points + 1) / points
         halfwidths_ext = internal_to_external_angle(
             halfwidths, spec.geometry, spec.source)
         columns = _sweep_columns(center, halfwidths,

@@ -521,10 +521,12 @@ def _declared_console_scripts():
         return tomllib.load(fh)["project"].get("scripts", {})
 
 
-def _run_console_script(target, args, options=(), env_overrides=None):
+def _run_console_script(target, args, options=(), env_overrides=None,
+                        stdout=subprocess.PIPE):
     """Run ``module:attr`` the way a setuptools console script does.
 
-    ``options`` go to the interpreter; ``env_overrides`` to its environment.
+    ``options`` go to the interpreter; ``env_overrides`` to its environment;
+    its standard output to ``stdout``, captured by default.
     """
     module, attr = target.split(":")
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
@@ -534,8 +536,8 @@ def _run_console_script(target, args, options=(), env_overrides=None):
         filter(None, [str(package_root), env.get("PYTHONPATH")]))
     env.update(env_overrides or {})
     return subprocess.run([sys.executable, *options, "-c", code, *args],
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+                          env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
 
 
 def test_entry_point_installed(tmp_path):
@@ -607,6 +609,37 @@ def test_name_outside_the_file_system_encoding_exits_2(tmp_path):
         assert len(run.stderr.splitlines()) == 1
         assert str(out) in run.stderr
         assert "caf" in run.stderr
+
+
+def test_a_stdout_that_cannot_take_the_output_exits_2(tmp_path):
+    # A pipe whose reader is gone (as in `| head -c 0`): one line and exit 2,
+    # as for an unwritable --out, with no traceback and no report at exit
+    # of the output still buffered.
+    for argv in (["bell-angles", "fig2c", "--state", "psi-"],
+                 ["materials", "list"],
+                 ["run", "fig2a", "--out", str(tmp_path / "out")]):
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            run = _run_console_script("spdcpol.cli:main", argv,
+                                      stdout=writer)
+        finally:
+            os.close(writer)
+        assert run.returncode == 2, (argv, run.stderr)
+        assert run.stderr == ("config error: cannot write to stdout: "
+                              "[Errno 32] Broken pipe\n"), argv
+    # An ASCII stdout cannot print the path of a table named "é".
+    scenario = tmp_path / "accent.cfg"
+    scenario.write_text(spdcpol.scenario.preset_text("fig2a").replace(
+        "name = fig2a", "name = \u00e9"), encoding="utf-8")
+    run = _run_console_script(
+        "spdcpol.cli:main",
+        ["run", str(scenario), "--out", str(tmp_path / "accent")],
+        env_overrides={"PYTHONIOENCODING": "ascii", "PYTHONUTF8": "1"})
+    assert run.returncode == 2, run.stderr
+    [line] = run.stderr.splitlines()
+    assert line.startswith("config error: cannot write to stdout: 'ascii' "
+                           "codec can't encode character '\\xe9'")
 
 
 def _readme_blocks(language):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spdcpol as sp
-from spdcpol import measurement
+from spdcpol import measurement, scenario
 
 # float references from float_oracles; mpmath ones from bench/oracle.py
 from float_oracles import projection_rate
@@ -481,7 +481,8 @@ def test_a_long_sweep_matches_mpmath_slicing_the_axis_once(tmp_path, passes,
     # 775 000. Slices: the widest window's panels plus two per window, plus
     # the center.
     spec = _bare_250mm_sweep(tmp_path, 200)
-    center, halfwidths, slopes = spec._sweep_plan
+    center, widest, slopes = scenario._sweep(spec)
+    halfwidths = widest * np.arange(1, 201) / 200
     a = spec.source.envelope_slope
     [table] = sp.run_scenario(spec)
     widest = measurement._panel_count(

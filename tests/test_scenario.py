@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spdcpol as sp
 from spdcpol import cli, scenario
@@ -429,8 +430,8 @@ def test_sweep_kernel_reports_its_errors_and_panels(monkeypatch):
     points = spec.visibility.points
     assert report.error.shape == (2, points)
     assert 0.0 < report.error.max() <= measurement.QUAD_TOL
-    center, halfwidths, slopes = spec._sweep_plan
-    widest = measurement._panel_count(center, halfwidths[-1],
+    center, widest, slopes = scenario._sweep(spec)
+    widest = measurement._panel_count(center, widest * points / points,
                                       measurement._panel_step(
                                           spec.source.envelope_slope, slopes))
     assert len(slices) == 1
@@ -443,6 +444,63 @@ def test_sweep_outside_the_domain_is_refused_at_run():
     with pytest.raises(ValueError, match="supported range"):
         dataclasses.replace(spec, visibility=dataclasses.replace(
             spec.visibility, max_halfwidth_ext=0.2))
+
+
+def _fig3_internal(widest, points, spec=None):
+    # fig3 with an ambient index of n_o: internal angles are the external
+    # ones, so max_halfwidth_ext is the internal widest halfwidth itself
+    spec = spec or sp.load_scenario("fig3")
+    return dataclasses.replace(
+        spec, geometry=dataclasses.replace(
+            spec.geometry, ambient_index=spec.source.ordinary_index),
+        visibility=dataclasses.replace(
+            spec.visibility, max_halfwidth_ext=widest, points=points))
+
+
+def test_the_fence_checks_the_windows_the_run_integrates():
+    # widest 0.1 of 3 windows runs its last as 0.1 * 3 / 3, one ulp beyond
+    # the domain edge that the widest itself meets
+    assert scenario._sweep(_fig3_internal(0.1, 1))[1] == 0.1
+    with pytest.raises(ValueError, match="window reaches") as info:
+        _fig3_internal(0.1, 3)
+    assert info.value.key == "max_halfwidth_mrad"
+
+
+@settings(max_examples=40, deadline=None)
+@given(widest=st.floats(1e-6, 0.1),
+       points=st.integers(1, scenario.MAX_POINTS))
+def test_the_fence_reads_the_runs_first_and_last_halfwidth(widest, points):
+    # Bit for bit: the halfwidth the fence counts panels on is the run's
+    # last, and the fence refuses exactly the sweeps whose last window
+    # leaves the domain. A fence reading the widest itself fails both.
+    fenced, run = [], []
+
+    def panel_count(center, halfwidth, step):
+        fenced.append(halfwidth)
+        return 1
+
+    def sweep_columns(center, halfwidths, envelope_slope, phase_slopes):
+        run.append(halfwidths)
+        return np.zeros((4, len(phase_slopes), halfwidths.size))
+    fig3 = sp.load_scenario("fig3")
+    internal = sp.external_to_internal_angle(
+        widest, dataclasses.replace(
+            fig3.geometry, ambient_index=fig3.source.ordinary_index),
+        fig3.source)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "_panel_count", panel_count)
+        patch.setattr(scenario, "_sweep_columns", sweep_columns)
+        try:
+            spec = _fig3_internal(widest, points, fig3)
+        except ValueError:
+            last = (internal * np.arange(1, points + 1) / points)[-1]
+            assert last > scenario.MAX_SUPPORTED_ANGLE
+            return
+        sp.run_scenario(spec)
+    [halfwidths] = run
+    assert scenario._sweep(spec)[1] == internal
+    assert fenced == [halfwidths[-1]]
+    assert internal / points == halfwidths[0]
 
 
 def test_scan_outside_the_domain_is_refused_at_run():
@@ -794,6 +852,17 @@ def test_invalid_compensator_length_is_config_error(tmp_path):
     with pytest.raises(sp.ConfigError) as info:
         _load_text(tmp_path, text)
     assert "compensator" in str(info.value)
+    # each crystal fault at its own key's line, not the section's
+    lines = text.splitlines()
+    assert info.value.line == lines.index("length_mm = 0") + 1
+    for bad, good, message in [
+            ("length_mm = -1", "cut_angle_deg = 30", "length must be > 0"),
+            ("cut_angle_deg = 120", "length_mm = 0.5", "cut angle must lie")]:
+        text = BASE + ("\n[compensator]\nmaterial = bbo\norientation = "
+                       f"compensating\n{bad}\n{good}\n")
+        with pytest.raises(sp.ConfigError, match=message) as info:
+            _load_text(tmp_path, text)
+        assert info.value.line == text.splitlines().index(bad) + 1
 
 
 def test_source_faults_are_reported_at_their_key(tmp_path):
