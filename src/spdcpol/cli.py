@@ -5,11 +5,14 @@
     spdcpol materials list
 
 ``<spec>`` is a scenario file path or a preset name (fig2a, fig2b, fig2c,
-fig3). ``bell-angles`` without ``--out`` prints the table to stdout in the
-chosen format and any note to stderr. Exit codes: 0 success, 2 configuration
-error (an unreadable scenario, an unwritable ``--out`` and a stdout that
-cannot take the output included), 3 any other spdcpol error, all of them
-numerical.
+fig3). Each command returns its text and ``main`` writes it to stdout once,
+after the command's work: the tables of ``bell-angles`` without ``--out`` and
+of ``materials list``, the ``wrote <path>`` lines of ``--out`` and, with
+``--out``, the note of ``bell-angles``. Without ``--out`` that note goes to
+stderr, as do the error lines; a stderr that cannot take a line drops it.
+Exit codes: 0 success, 2 configuration error (an unreadable scenario, an
+unwritable ``--out`` and a stdout that is closed, full or cannot encode the
+output included), 3 any other spdcpol error, all of them numerical.
 """
 
 from __future__ import annotations
@@ -57,7 +60,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(table, args) -> None:
+def _err(text: str) -> None:
+    """Write one line to stderr; a closed or full stderr drops it."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(f"{text}\n")
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream) -> None:
+    """Point a stream that failed at devnull, so exit flushes it quietly."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _write(table, args) -> str:
     try:
         path = write_table(table, args.out, fmt=args.format)
     except OSError as exc:
@@ -66,56 +87,59 @@ def _write(table, args) -> None:
     except UnicodeEncodeError as exc:
         raise ConfigError(f"cannot write table '{table.name}' to "
                           f"'{args.out}': the name is not {exc.encoding}")
-    print(f"wrote {path}")
+    return f"wrote {path}\n"
 
 
-def _cmd_run(args) -> None:
+def _cmd_run(args) -> str:
     spec = load_scenario(args.spec, seed=args.seed)
-    for table in run_scenario(spec):
-        _write(table, args)
+    return "".join(_write(table, args) for table in run_scenario(spec))
 
 
-def _cmd_bell_angles(args) -> None:
+def _cmd_bell_angles(args) -> str:
     spec = load_scenario(args.spec)
     table = list_bell_angles(spec, BellState(args.state))
-    if table.note:
-        # stdout stays a clean table when the table itself goes there
-        print(f"note: {table.note}",
-              file=sys.stderr if args.out is None else sys.stdout)
     if args.out is None:
-        print(_serialize(table, args.format), end="")
-    else:
-        _write(table, args)
+        if table.note:  # stdout stays a clean table
+            _err(f"note: {table.note}")
+        return _serialize(table, args.format)
+    note = f"note: {table.note}\n" if table.note else ""
+    return note + _write(table, args)
 
 
-def _cmd_materials(args) -> None:
+def _cmd_materials(args) -> str:
+    lines = []
     for name, record in sorted(builtin_materials().items()):
         lo, hi = record.band
-        print(f"{name}: band {lo * 1e6:g}-{hi * 1e6:g} um")
+        lines.append(f"{name}: band {lo * 1e6:g}-{hi * 1e6:g} um\n")
         for kind, s in (("ordinary", record.ordinary),
                         ("extraordinary", record.extraordinary)):
-            print(f"  {kind + ':':<15}a={s.a:g} b={s.b:g} c={s.c:g} d={s.d:g}")
+            lines.append(f"  {kind + ':':<15}"
+                         f"a={s.a:g} b={s.b:g} c={s.c:g} d={s.d:g}\n")
+    return "".join(lines)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        {"run": _cmd_run, "bell-angles": _cmd_bell_angles,
-         "materials": _cmd_materials}[args.command](args)
-        print(end="", flush=True)  # a closed stdout fails here, not at exit
+        if sys.stdout is None:  # closed before Python started
+            raise ConfigError("cannot write to stdout: it is closed")
+        text = {"run": _cmd_run, "bell-angles": _cmd_bell_angles,
+                "materials": _cmd_materials}[args.command](args)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except UnicodeEncodeError as exc:  # raised before any byte is written
+            raise ConfigError(f"cannot write to stdout: {exc}")
+        except OSError as exc:
+            _to_devnull(sys.stdout)
+            raise ConfigError(f"cannot write to stdout: {exc}")
         return EXIT_OK
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _err(f"config error: {exc}")
         return EXIT_CONFIG
     except SpdcpolError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        _err(f"numerical error: {exc}")
         return EXIT_NUMERICS
-    except (BrokenPipeError, UnicodeEncodeError) as exc:
-        # Only stdout raises these; devnull takes a broken pipe's unflushed rest
-        if isinstance(exc, BrokenPipeError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"config error: cannot write to stdout: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

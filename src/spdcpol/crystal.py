@@ -99,7 +99,8 @@ class UniaxialCrystal:
             raise ValueError(f"crystal length must be > 0, got {self.length}")
         if not 0.0 <= self.cut_angle <= math.pi / 2.0:
             raise ValueError(
-                f"cut angle must lie in [0, pi/2], got {self.cut_angle}")
+                f"cut angle must lie in [0, 90] deg ([0, pi/2] rad), got "
+                f"{math.degrees(self.cut_angle):.10g} deg")
 
 
 def _check_band(material: MaterialRecord, wavelength: float,

@@ -521,12 +521,10 @@ def _declared_console_scripts():
         return tomllib.load(fh)["project"].get("scripts", {})
 
 
-def _run_console_script(target, args, options=(), env_overrides=None,
-                        stdout=subprocess.PIPE):
-    """Run ``module:attr`` the way a setuptools console script does.
+def _console_script(target, args, options=(), env_overrides=None):
+    """argv and environment that run ``module:attr`` as a console script.
 
-    ``options`` go to the interpreter; ``env_overrides`` to its environment;
-    its standard output to ``stdout``, captured by default.
+    ``options`` go to the interpreter; ``env_overrides`` to its environment.
     """
     module, attr = target.split(":")
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
@@ -535,9 +533,19 @@ def _run_console_script(target, args, options=(), env_overrides=None,
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(package_root), env.get("PYTHONPATH")]))
     env.update(env_overrides or {})
-    return subprocess.run([sys.executable, *options, "-c", code, *args],
-                          env=env, stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, timeout=120)
+    return [sys.executable, *options, "-c", code, *args], env
+
+
+def _run_console_script(target, args, options=(), env_overrides=None,
+                        stdout=subprocess.PIPE):
+    """Run ``module:attr`` the way a setuptools console script does.
+
+    ``options`` go to the interpreter; ``env_overrides`` to its environment;
+    its standard output to ``stdout``, captured by default.
+    """
+    argv, env = _console_script(target, args, options, env_overrides)
+    return subprocess.run(argv, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def test_entry_point_installed(tmp_path):
@@ -640,6 +648,59 @@ def test_a_stdout_that_cannot_take_the_output_exits_2(tmp_path):
     [line] = run.stderr.splitlines()
     assert line.startswith("config error: cannot write to stdout: 'ascii' "
                            "codec can't encode character '\\xe9'")
+
+
+FULL = ("config error: cannot write to stdout: "
+        "[Errno 28] No space left on device\n")
+CLOSED = "config error: cannot write to stdout: it is closed\n"
+HEADER = "theta_int_rad,theta_ext_rad,envelope\n"  # fig2b's empty Psi- table
+
+
+@pytest.mark.parametrize(
+    "argv, redirect, code, out, err",
+    [(["materials", "list"], ">/dev/full", 2, "", FULL),
+     (["bell-angles", "fig2c", "--state", "psi-"], ">/dev/full", 2, "", FULL),
+     (["bell-angles", "fig2c", "--state", "psi-"], ">&-", 2, "", CLOSED),
+     (["run", "fig2a", "--out", "{out}"], ">&-", 2, "", CLOSED),
+     (["bell-angles", "fig2b", "--state", "psi-"], "2>&-", 0, HEADER, ""),
+     (["bell-angles", "fig2b", "--state", "psi-"], "2>/dev/full", 0, HEADER,
+      ""),
+     (["run", "nope"], "2>/dev/full", 2, "", ""),
+     (["materials", "list"], "| head -1", 0, "bbo: band 0.3-1.1 um\n", ""),
+     (["run", "fig2a", "--out", "{out}"], "| head -1", 0,
+      "wrote {out}/fig2a_scan_45_45.csv\n", "")],
+    ids=["materials_stdout_full", "bell_stdout_full", "bell_stdout_closed",
+         "run_stdout_closed", "bell_stderr_closed", "bell_stderr_full",
+         "run_error_stderr_full", "materials_head_1", "run_head_1"])
+def test_each_stream_fault_has_one_outcome(tmp_path, argv, redirect, code,
+                                           out, err):
+    # The interpreter runs under sh with one stream redirected, closed
+    # before it starts, or read as `| head -1` reads: one line, then gone.
+    # Both streams are captured; a redirected one must stay empty.
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    if shutil.which("sh") is None:
+        pytest.skip("no sh to redirect a stream with")
+    out_dir = tmp_path / "out"
+    command, env = _console_script(
+        "spdcpol.cli:main", [arg.format(out=out_dir) for arg in argv])
+    if not redirect.startswith("|"):
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        if redirect.startswith("|"):
+            got_out = proc.stdout.readline()
+            proc.stdout.close()
+            got_err = proc.stderr.read()
+        else:
+            got_out, got_err = proc.communicate(timeout=120)
+        returncode = proc.wait(timeout=120)
+    for text in (got_out, got_err):
+        assert b"Traceback" not in text and b"Exception ignored" not in text
+    assert (returncode, got_out, got_err) == (
+        code, out.format(out=out_dir).encode(), err.encode())
+    if redirect == ">&-":
+        assert not out_dir.exists()
 
 
 def _readme_blocks(language):

@@ -863,6 +863,9 @@ def test_invalid_compensator_length_is_config_error(tmp_path):
         with pytest.raises(sp.ConfigError, match=message) as info:
             _load_text(tmp_path, text)
         assert info.value.line == text.splitlines().index(bad) + 1
+    # the cut angle is refused in the degrees the file gives it
+    assert "got 120 deg" in str(info.value)
+    assert str(math.radians(120)) not in str(info.value)
 
 
 def test_source_faults_are_reported_at_their_key(tmp_path):
