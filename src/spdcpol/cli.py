@@ -8,11 +8,13 @@
 fig3). Each command returns its text and ``main`` writes it to stdout once,
 after the command's work: the tables of ``bell-angles`` without ``--out`` and
 of ``materials list``, the ``wrote <path>`` lines of ``--out`` and, with
-``--out``, the note of ``bell-angles``. Without ``--out`` that note goes to
-stderr, as do the error lines; a stderr that cannot take a line drops it.
-Exit codes: 0 success, 2 configuration error (an unreadable scenario, an
-unwritable ``--out`` and a stdout that is closed, full or cannot encode the
-output included), 3 any other spdcpol error, all of them numerical.
+``--out``, the note of ``bell-angles``. ``--help`` is written the same way.
+Without ``--out`` that note goes to stderr, as do the error lines and a usage
+error with its usage; a stderr that cannot take a line drops it. Exit codes:
+0 success, 2 configuration error (an unreadable scenario, an unwritable
+``--out``, a usage error and a stdout that is closed, full or cannot encode
+the output, the help's included), 3 any other spdcpol error, all of them
+numerical.
 """
 
 from __future__ import annotations
@@ -32,8 +34,30 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
 
+class _ParserExit(Exception):
+    """argparse's exit; its args: the status and the text it would write."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that hands its help and usage errors to ``main``.
+
+    argparse writes them itself and exits inside ``parse_args``; this one
+    keeps the text and raises it with the status, so help goes out through
+    ``main``'s one stdout write and a usage error through ``_err``.
+    Subparsers are built of the same class.
+    """
+
+    _text = ""
+
+    def _print_message(self, message, file=None):
+        self._text += message or ""
+
+    def exit(self, status=0, message=None):
+        raise _ParserExit(status, self._text + (message or ""))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spdcpol",
         description="Type-II collinear SPDC polarization-entanglement "
                     "simulator")
@@ -119,12 +143,20 @@ def _cmd_materials(args) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _ParserExit as stop:
+        status, text = stop.args
+        if status:  # a usage error: the usage and the error line
+            _err(text.rstrip("\n"))
+            return EXIT_CONFIG
+        args = None  # --help: the help is the output
     try:
         if sys.stdout is None:  # closed before Python started
             raise ConfigError("cannot write to stdout: it is closed")
-        text = {"run": _cmd_run, "bell-angles": _cmd_bell_angles,
-                "materials": _cmd_materials}[args.command](args)
+        if args is not None:
+            text = {"run": _cmd_run, "bell-angles": _cmd_bell_angles,
+                    "materials": _cmd_materials}[args.command](args)
         try:
             sys.stdout.write(text)
             sys.stdout.flush()

@@ -17,10 +17,16 @@ crystal (n_o > n_eb) the angular derivative dn_e/dtheta is negative on
 are read once per wavelength per call: a cut-angle solve reads four. The
 dispersion functions read only a ``MaterialRecord``; a ``UniaxialCrystal``
 adds the cut and length read by ``SourceConfig`` and the walk-off check.
+
+``phase_matching_cut_angle`` keeps a one-entry memo of its last solve,
+keyed by the (frozen, hashable) material and the pump: a scenario load and
+the ``SourceConfig`` it builds ask for the same cut, so the second ask is a
+lookup. A refusal is not remembered; it raises again on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -217,13 +223,16 @@ def phase_matching_mismatch(material: MaterialRecord, pump_wavelength: float,
     return mismatch(cut_angle)
 
 
+@functools.lru_cache(maxsize=1)
 def phase_matching_cut_angle(material: MaterialRecord,
                              pump_wavelength: float) -> float:
     """Cut angle of ``material`` for collinear degenerate type-II operation.
 
     Solves 2 n_e(theta, lambda_p) = n_o(2 lambda_p) + n_e(theta, 2 lambda_p)
     by bracketed bisection/secant; the residual mismatch at the returned
-    angle is below 1e-12 (index units).
+    angle is below 1e-12 (index units). A one-entry memo keeps the last
+    solve: a call with an equal material and pump returns its root without
+    solving again, while a refusal is not kept and raises on every call.
     """
     mismatch = _mismatch(material, pump_wavelength)
     f_lo = mismatch(0.0)

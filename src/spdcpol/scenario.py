@@ -198,11 +198,13 @@ def preset_text(name: str) -> str:
 
 def _resolve_source_text(source: str | Path) -> tuple[str, str, str]:
     # The text, the path that error messages name and the default name: a
-    # file if one opens at ``source``, else a preset of that name.
+    # file if one opens at ``source``, else a preset of that name. The file
+    # is read as bytes in one unbuffered call and decoded once; its line
+    # endings are left for ``parse_config`` to fold.
     path = Path(source)
     try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read(), str(path), path.stem
+        with open(path, "rb", buffering=0) as handle:
+            return handle.read().decode("utf-8"), str(path), path.stem
     except UnicodeDecodeError as exc:
         raise ConfigError(f"scenario is not UTF-8 text ({exc.reason} at "
                           f"byte {exc.start})", path=str(path))

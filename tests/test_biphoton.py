@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import spdcpol as sp
+from spdcpol import biphoton
 
 PUMP = 351e-9
 
@@ -235,6 +236,22 @@ def test_source_config_rejects_unmatched_cut(bbo):
     bad = bbo.crystal(cut_angle=0.3, length=1e-3)
     with pytest.raises(sp.PhaseMatchingError):
         sp.SourceConfig(production=bad, pump_wavelength=PUMP)
+    # about the tolerance's edge, right after a solve at the same pump (the
+    # check then reads the memo): two tolerances off is refused and names
+    # the solved angle, half a tolerance off is accepted
+    tolerance = biphoton.CUT_ANGLE_TOLERANCE
+    matched = sp.phase_matching_cut_angle(bbo, PUMP)
+    for sign in (1.0, -1.0):
+        off = bbo.crystal(cut_angle=matched + sign * 2.0 * tolerance,
+                          length=1e-3)
+        with pytest.raises(sp.PhaseMatchingError) as info:
+            sp.SourceConfig(production=off, pump_wavelength=PUMP)
+        assert f"(expected {matched:.8f} rad within {tolerance} rad)" in str(
+            info.value)
+        near = bbo.crystal(cut_angle=matched + sign * 0.5 * tolerance,
+                           length=1e-3)
+        assert sp.SourceConfig(production=near,
+                               pump_wavelength=PUMP).production is near
 
 
 def test_source_config_derived_quantities(bare_config, production):

@@ -73,9 +73,8 @@ def test_main_calls_share_no_state(monkeypatch, tmp_path):
 
 def test_bell_angles_takes_no_seed(capsys):
     # a Bell table never reads the seed
-    with pytest.raises(SystemExit) as info:
-        cli.main(["bell-angles", "fig2a", "--state", "psi+", "--seed", "1"])
-    assert info.value.code == 2
+    assert cli.main(["bell-angles", "fig2a", "--state", "psi+",
+                     "--seed", "1"]) == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
@@ -85,9 +84,7 @@ def test_a_usage_error_after_a_run_still_exits_2_with_usage(tmp_path,
     assert cli.main(["run", "fig2a", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     for argv in (["run", "fig2a", "--format", "xml"], ["run"], []):
-        with pytest.raises(SystemExit) as info:
-            cli.main(argv)
-        assert info.value.code == 2
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("usage: spdcpol")
         assert captured.out == ""
@@ -668,39 +665,53 @@ HEADER = "theta_int_rad,theta_ext_rad,envelope\n"  # fig2b's empty Psi- table
      (["run", "nope"], "2>/dev/full", 2, "", ""),
      (["materials", "list"], "| head -1", 0, "bbo: band 0.3-1.1 um\n", ""),
      (["run", "fig2a", "--out", "{out}"], "| head -1", 0,
-      "wrote {out}/fig2a_scan_45_45.csv\n", "")],
+      "wrote {out}/fig2a_scan_45_45.csv\n", ""),
+     (["--help"], ">/dev/full", 2, "", FULL),
+     (["--help"], ">&-", 2, "", CLOSED),
+     (["--help"], "| head -1", 0,
+      "usage: spdcpol [-h] {{run,bell-angles,materials}} ...\n", ""),
+     (["bogus"], "2>/dev/full", 2, "", "")],
     ids=["materials_stdout_full", "bell_stdout_full", "bell_stdout_closed",
          "run_stdout_closed", "bell_stderr_closed", "bell_stderr_full",
-         "run_error_stderr_full", "materials_head_1", "run_head_1"])
+         "run_error_stderr_full", "materials_head_1", "run_head_1",
+         "help_stdout_full", "help_stdout_closed", "help_head_1",
+         "usage_error_stderr_full"])
 def test_each_stream_fault_has_one_outcome(tmp_path, argv, redirect, code,
                                            out, err):
     # The interpreter runs under sh with one stream redirected, closed
     # before it starts, or read as `| head -1` reads: one line, then gone.
-    # Both streams are captured; a redirected one must stay empty.
+    # Both streams are captured; a redirected one must stay empty. Each case
+    # runs with buffered streams and under PYTHONUNBUFFERED, where every
+    # write goes straight to the descriptor.
     if "/dev/full" in redirect and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
     if shutil.which("sh") is None:
         pytest.skip("no sh to redirect a stream with")
-    out_dir = tmp_path / "out"
-    command, env = _console_script(
-        "spdcpol.cli:main", [arg.format(out=out_dir) for arg in argv])
-    if not redirect.startswith("|"):
-        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
-    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE) as proc:
-        if redirect.startswith("|"):
-            got_out = proc.stdout.readline()
-            proc.stdout.close()
-            got_err = proc.stderr.read()
-        else:
-            got_out, got_err = proc.communicate(timeout=120)
-        returncode = proc.wait(timeout=120)
-    for text in (got_out, got_err):
-        assert b"Traceback" not in text and b"Exception ignored" not in text
-    assert (returncode, got_out, got_err) == (
-        code, out.format(out=out_dir).encode(), err.encode())
-    if redirect == ">&-":
-        assert not out_dir.exists()
+    for unbuffered in ("", "1"):
+        out_dir = tmp_path / f"out{unbuffered}"
+        command, env = _console_script(
+            "spdcpol.cli:main", [arg.format(out=out_dir) for arg in argv])
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        if not redirect.startswith("|"):
+            command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            if redirect.startswith("|"):
+                got_out = proc.stdout.readline()
+                proc.stdout.close()
+                got_err = proc.stderr.read()
+            else:
+                got_out, got_err = proc.communicate(timeout=120)
+            returncode = proc.wait(timeout=120)
+        for text in (got_out, got_err):
+            assert (b"Traceback" not in text
+                    and b"Exception ignored" not in text), unbuffered
+        assert (returncode, got_out, got_err) == (
+            code, out.format(out=out_dir).encode(), err.encode()), unbuffered
+        if redirect == ">&-":
+            assert not out_dir.exists()
 
 
 def _readme_blocks(language):

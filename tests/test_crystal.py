@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -151,7 +152,9 @@ def test_phase_matching_shift_direction(bbo):
 
 def test_cut_solve_reads_each_principal_index_once(bbo, monkeypatch):
     # Two principal indices at lambda_p and two at lambda_d, however many
-    # angles the solve tries; the root keeps its bits.
+    # angles the solve tries; the root keeps its bits. Asked again, the
+    # memo answers and reads none.
+    sp.phase_matching_cut_angle.cache_clear()
     calls = []
     index = sp.SellmeierCoefficients.index
 
@@ -160,6 +163,8 @@ def test_cut_solve_reads_each_principal_index_once(bbo, monkeypatch):
         return index(self, wavelength_um)
 
     monkeypatch.setattr(sp.SellmeierCoefficients, "index", counted)
+    assert sp.phase_matching_cut_angle(bbo, PUMP) == 0.8538525780754935
+    assert len(calls) == 4
     assert sp.phase_matching_cut_angle(bbo, PUMP) == 0.8538525780754935
     assert len(calls) == 4
     calls.clear()
@@ -199,6 +204,31 @@ def test_no_phase_matching_for_isotropic_data(bbo):
     with pytest.raises(sp.PhaseMatchingError) as info:
         sp.phase_matching_cut_angle(iso, PUMP)
     assert "no phase matching" in str(info.value)
+    # a refusal is not remembered: it raises again, and the memo still
+    # holds the last root it solved
+    sp.phase_matching_cut_angle(bbo, PUMP)
+    with pytest.raises(sp.PhaseMatchingError, match="no phase matching"):
+        sp.phase_matching_cut_angle(iso, PUMP)
+    assert sp.phase_matching_cut_angle.cache_info().currsize == 1
+
+
+def test_the_cut_memo_keys_on_every_coefficient_not_the_name(bbo):
+    # Two records named alike that differ in one Sellmeier coefficient,
+    # solved back to back and in turn, each get their own cut: the one an
+    # unmemoized solve gives.
+    shifted = dataclasses.replace(
+        bbo, extraordinary=dataclasses.replace(bbo.extraordinary,
+                                               a=bbo.extraordinary.a - 1e-3))
+    assert shifted.name == bbo.name and shifted != bbo
+    solve = sp.phase_matching_cut_angle.__wrapped__
+    cut, shifted_cut = solve(bbo, PUMP), solve(shifted, PUMP)
+    assert cut != shifted_cut
+    for record, expected in ((bbo, cut), (shifted, shifted_cut),
+                             (shifted, shifted_cut), (bbo, cut),
+                             (shifted, shifted_cut)):
+        assert sp.phase_matching_cut_angle(record, PUMP) == expected
+    assert sp.phase_matching_cut_angle(bbo, PUMP + 1e-12) == solve(
+        bbo, PUMP + 1e-12) != cut
 
 
 # ------------------------------------------------------------ walk-off B

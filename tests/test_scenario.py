@@ -1126,8 +1126,9 @@ def test_the_first_refused_crystal_in_beam_order_is_blamed(tmp_path):
 
 def test_a_scenario_load_checks_no_dispersion_data(monkeypatch):
     # The catalogue record was checked when builtin_materials() read it: a
-    # load evaluates only the indices the physics needs (11 for a bare
-    # source, 13 with a compensator), not the 33-point band sampling.
+    # load evaluates only the indices the physics needs (7 for a bare
+    # source, 9 with a compensator; 4 fewer when the cut solve's memo
+    # already holds the pump), not the 33-point band sampling.
     sp.builtin_materials()
     calls = []
     index = sp.SellmeierCoefficients.index
@@ -1140,7 +1141,57 @@ def test_a_scenario_load_checks_no_dispersion_data(monkeypatch):
     for name in sp.PRESETS:
         calls.clear()
         sp.load_scenario(name)
-        assert len(calls) <= 16, name
+        assert len(calls) <= 9, name
+
+
+def test_a_scenario_load_solves_its_cut_once(monkeypatch):
+    # load_scenario and the SourceConfig it builds both ask for the cut;
+    # the second ask is the memo's, so the root is bracketed once.
+    from spdcpol import crystal
+    crystal.phase_matching_cut_angle.cache_clear()
+    roots = []
+    bracketed = crystal._bracketed_root
+
+    def counted(*args, **kwargs):
+        roots.append(bracketed(*args, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr(crystal, "_bracketed_root", counted)
+    spec = sp.load_scenario("fig2a")
+    assert roots == [0.8538525780754935]
+    assert spec.source.production.cut_angle == roots[0]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_scenario_file_loads_the_same_with_any_line_ending(tmp_path,
+                                                              newline):
+    # The file is read as bytes, so parse_config's folding of \r\n and \r
+    # is the one newline handling a file gets: the same spec as the \n
+    # twin, and the same line for a bad value.
+    text = scenario.preset_text("fig2b")
+    assert "\r" not in text
+    lines = text.splitlines()
+    bad_line = lines.index("length_mm = 1.0") + 1
+    for kind, body in (("good", text),
+                       ("bad", text.replace("length_mm = 1.0",
+                                            "length_mm = one"))):
+        paths = {}
+        for ending, name in (("\n", "lf"), (newline, "other")):
+            paths[ending] = tmp_path / name / f"{kind}.cfg"
+            paths[ending].parent.mkdir(exist_ok=True)
+            paths[ending].write_bytes(body.replace("\n", ending).encode())
+        if kind == "good":
+            assert sp.load_scenario(paths[newline]) == sp.load_scenario(
+                paths["\n"])
+            continue
+        messages = []
+        for ending, path in paths.items():
+            with pytest.raises(sp.ConfigError) as info:
+                sp.load_scenario(path)
+            assert info.value.line == bad_line
+            assert str(info.value).startswith(f"{path}:{bad_line}: ")
+            messages.append(str(info.value).removeprefix(str(path)))
+        assert messages[0] == messages[1]
 
 
 def test_a_scenario_load_builds_one_crystal_per_slab(monkeypatch):
