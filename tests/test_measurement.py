@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -531,8 +535,8 @@ def _one_by_one(center, halfwidths, envelope_slope, phase_slope):
 
 
 def _assert_same_columns(batch, alone):
-    # a sweep's windows share their inner slices, one window alone does
-    # not, and the GEMM's rounding depends on how many slices share a call
+    # a sweep's windows share their inner slices and sum them outward, one
+    # window alone sums only its own
     m0 = alone[0] + alone[1]
     for index, (got, want) in enumerate(zip(batch, alone)):
         size = m0 if index < 2 else 1.0
@@ -571,6 +575,78 @@ def test_batch_beyond_the_panel_limit_runs_in_passes(anticompensated_config,
     spread = [0, 1, 700, 1498, 1499]
     _assert_same_columns([column[spread] for column in batch],
                          _one_by_one(center, halfwidths[spread], *slopes))
+
+
+def test_kernel_rule_is_one_signed_vector_of_16_and_12_nodes():
+    # The 16 weights, then the 12 check weights negated. On [0, 2] the
+    # 16-point rule integrates t^31 exactly and the 12-point rule t^23, so
+    # the estimate, the sum of the two segments, vanishes on t^23 only.
+    nodes, weights = measurement._kernel_rule()
+    assert nodes.shape == weights.shape == (28,)
+    for degree, held in ((23, True), (31, False)):
+        value, minus_check = np.add.reduceat(weights * nodes ** degree,
+                                             (0, 16))
+        exact = 2.0 ** (degree + 1) / (degree + 1)
+        assert abs(value - exact) <= 1e-13 * exact
+        assert (abs(value + minus_check) <= 1e-13 * exact) == held
+
+
+_FIG3_CSV = ("import sys\n"
+             "from spdcpol import output, scenario\n"
+             "tables = scenario.run_scenario(scenario.load_scenario('fig3'))\n"
+             "text = ''.join(output.to_csv(table) for table in tables)\n"
+             "sys.stdout.buffer.write(text.encode('utf-8'))\n")
+
+
+def _fig3_csv_under(coretype):
+    """fig3's CSV bytes from a child process whose OpenBLAS runs the
+    ``coretype`` kernels (auto-detected for None)."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    package_root = Path(sp.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _FIG3_CSV], env=env,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr.decode(errors="replace")
+    return run.stdout
+
+
+def test_sweep_bits_depend_on_neither_the_cpu_kernel_nor_the_pass_size(
+        monkeypatch, passes):
+    # The kernel sums each slice's nodes by numpy's own reduction, not by a
+    # BLAS product whose kernel OpenBLAS picks by CPU, so fig3's tables are
+    # the same bytes under every kernel this CPU can run.
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        flags = set()
+    coretypes = [None, "Prescott"]
+    coretypes += ["SandyBridge"] * ("avx" in flags)
+    coretypes += ["Haswell"] * ("avx2" in flags)
+    texts = {_fig3_csv_under(coretype) for coretype in coretypes}
+    assert len(texts) == 1
+    assert texts.pop().startswith(b"halfwidth")
+    # Nor do a sweep's bits depend on how its slices are cut into passes:
+    # 2000 windows of fig3's source ten times as long take about 4300
+    # slices, one pass at the default limit and two to four at these.
+    spec = scenario.load_scenario("fig3")
+    center, _, slopes = scenario._sweep(spec)
+    a, laws = 10.0 * spec.source.envelope_slope, [10.0 * k for k in slopes]
+    halfwidths = _nested(0.09, 2000)
+    whole = measurement._sweep_columns(center, halfwidths, a, laws)
+    assert len(passes) == 1
+    for limit in (1400, 2048, 4096):
+        passes.clear()
+        monkeypatch.setattr(measurement, "_MAX_PANELS", limit)
+        cut = measurement._sweep_columns(center, halfwidths, a, laws)
+        assert len(passes) > 1 and max(passes) <= limit
+        for got, want in zip(cut, whole):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_panels_follow_one_grid_of_sinc_zeros_and_phase_periods(

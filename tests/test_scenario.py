@@ -430,6 +430,8 @@ def test_sweep_kernel_reports_its_errors_and_panels(monkeypatch):
     points = spec.visibility.points
     assert report.error.shape == (2, points)
     assert 0.0 < report.error.max() <= measurement.QUAD_TOL
+    # with room to spare, so a cheaper rule cannot quietly eat the margin
+    assert report.error.max() <= 1e-3 * measurement.QUAD_TOL
     center, widest, slopes = scenario._sweep(spec)
     widest = measurement._panel_count(center, widest * points / points,
                                       measurement._panel_step(
